@@ -131,7 +131,6 @@ class RunConfig:
     step: float = DEFAULT_STEP
     t_end: float = DEFAULT_T_END
     corrector_iterations: int = 1
-    memory_window: Optional[int] = None
     out_dir: Path = Path("out")
     output_format: str = "csv"
     preset_name: Optional[str] = None
@@ -214,7 +213,6 @@ def config_from_entries(entries: dict) -> RunConfig:
     step = float(entries.pop("solver.step", DEFAULT_STEP))
     t_end = float(entries.pop("solver.t_end", DEFAULT_T_END))
     iterations = int(entries.pop("solver.corrector_iterations", 1))
-    window = entries.pop("solver.memory_window", None)
     out_dir = Path(str(entries.pop("output.directory", "out")))
     fmt = str(entries.pop("output.format", "csv"))
 
@@ -229,7 +227,6 @@ def config_from_entries(entries: dict) -> RunConfig:
         step=step,
         t_end=t_end,
         corrector_iterations=iterations,
-        memory_window=None if window is None else int(window),
         out_dir=out_dir,
         output_format=fmt,
         preset_name=None if preset_name is None else str(preset_name),

@@ -25,16 +25,12 @@ def solve_model(
     step: float,
     t_end: float,
     corrector_iterations: int = 1,
-    memory_window: Optional[int] = None,
 ) -> Trajectory:
     problem = FodeProblem(
         order=order, initial_state=initial.as_array(), rhs=vector_field(params)
     )
     config = SolverConfig(
-        step=step,
-        t_end=t_end,
-        corrector_iterations=corrector_iterations,
-        memory_window=memory_window,
+        step=step, t_end=t_end, corrector_iterations=corrector_iterations
     )
     return solve_pece(problem, config)
 

@@ -242,8 +242,9 @@ def test_c8_matignon_consistency_suite():
 
 def test_c9_wellposedness_suite():
     # step 0.025 resolves the near-zero crashes of the unstable preset that
-    # undershoot at 0.05 (see decisions ledger); eta = 0.045 is valid for
-    # every preset since min(mu, d) = 0.09 throughout
+    # undershoot at 0.05 (see the step-0.05 undershoot decision in
+    # CHANGES.md); eta = 0.045 is valid for every preset since
+    # min(mu, d) = 0.09 throughout
     eta = 0.045
     worst_undershoot = 0.0
     bound_ok = True

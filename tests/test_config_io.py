@@ -77,6 +77,11 @@ class TestParsing:
             config_from_entries(parse_config_text(
                 "model.preset = example1\nsolverr.step = 1\n"))
 
+    def test_removed_memory_window_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown configuration keys: solver.memory_window"):
+            config_from_entries(parse_config_text(
+                "model.preset = example1\nsolver.memory_window = 200\n"))
+
     def test_underspecified_model_lists_missing_fields(self):
         with pytest.raises(ConfigError, match="underspecified"):
             config_from_entries(parse_config_text("model.r = 2.0\n"))

@@ -1,6 +1,8 @@
 """Fractional Adams PECE: weight formulas, accuracy, degenerations, guards."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from fracoepi.mittag_leffler import ml_one
 from fracoepi.model import EquilibriumKind, equilibria, preset, vector_field
 from fracoepi.runs import cached_solve
 from fracoepi.solver import (
+    _FFT_CAP,
+    _LEAF,
     DivergenceError,
     FodeProblem,
     SolverConfig,
@@ -33,8 +37,208 @@ ORACLE_CORRECTOR_085_10 = [
 ]
 
 
+# states of the direct-sum solver (every history sum a full dot product,
+# O(N^2)) at nodes 1, 64, 129, 1000, 4097, 8193 and the last, recorded before
+# the history sums moved to FFT convolutions
+FROZEN_NODES_10K = (1, 64, 129, 1000, 4097, 8193, 10000)
+FROZEN_NODES_40K = (1, 1000, 16385, 32769, 40000)
+FROZEN_10K = {  # 10 000 nodes: step 0.05, t_end 500, the preset's first state
+    ("example1", 0.35): [
+        [31.31308665059352, 4.87411688165671, 9.83034740303169],
+        [32.93545649032895, 4.717121524934682, 9.293407664803738],
+        [33.11719748894977, 4.712065974075058, 9.110836583788647],
+        [33.267971114657655, 4.902280701661161, 8.348918491814901],
+        [32.75501968638626, 5.44612721541312, 7.667196297442781],
+        [32.217696515557826, 5.916541602309072, 7.33134964097837],
+        [32.027235437581375, 6.077259613471806, 7.238960805554637],
+    ],
+    ("example1", 0.6): [
+        [30.83815491023525, 4.926291255224454, 9.920420217914089],
+        [33.353864794876, 4.668224978774098, 9.060486078591541],
+        [33.52819820514133, 4.708170013336903, 8.61868951441513],
+        [31.537791746749534, 6.556588711401716, 6.7212196768776895],
+        [27.91105645901085, 9.36446819122144, 5.7866448778387225],
+        [26.68500788890659, 10.290109358472725, 5.391567766782268],
+        [26.38517711322462, 10.516484454971572, 5.276373576860214],
+    ],
+    ("example1", 0.85): [
+        [30.412138739294903, 4.964405626906097, 9.964521530051554],
+        [33.77750476711033, 4.603517367944572, 8.8100715621814],
+        [33.776097453464615, 4.756801139053522, 7.960048121303032],
+        [26.311949558188083, 10.618397650378398, 5.053600402665377],
+        [23.916125107354105, 12.388584801524154, 4.0449670322798115],
+        [23.24678728832625, 12.895215578199299, 3.635584367479339],
+        [23.09965985956443, 13.006880208941991, 3.5407864229655317],
+    ],
+    ("example1", 1.0): [
+        [30.25482502734375, 4.978073392722575, 9.97860801775474],
+        [34.035861612621446, 4.553374027266, 8.655994478843445],
+        [33.84109515497124, 4.812111595430718, 7.47016594539283],
+        [23.72193629195436, 12.539081361832352, 3.9308705620660938],
+        [22.452566707443374, 13.49947079237156, 3.105876029901834],
+        [22.29058195346797, 13.62276572206417, 2.991501712421819],
+        [22.279309099184108, 13.631350816928963, 2.983473849770089],
+    ],
+    ("example1-global", 0.35): [
+        [33.62136033152671, 4.012568196245011, 8.047930986746684],
+        [34.31509074139186, 4.070804967921305, 8.228471097878145],
+        [34.37210451958778, 4.0861815176491465, 8.29978839156589],
+        [34.532127377012685, 4.0745958195125, 8.640870523834915],
+        [34.76094799186246, 3.935681728810841, 8.94826928683303],
+        [34.91999564973348, 3.826729406560694, 9.064858404306872],
+        [34.96765364819078, 3.7937442060623496, 9.089737186570286],
+    ],
+    ("example1-global", 0.6): [
+        [33.45022134077772, 4.000598461367859, 8.022630671450637],
+        [34.449262011237586, 4.099633577727906, 8.309202089784723],
+        [34.49519476980893, 4.125331352763185, 8.495501979513785],
+        [35.145806971738686, 3.6744399715809415, 9.321538765793845],
+        [35.5788560698032, 3.3776350994693116, 9.126653783369466],
+        [35.62518370319975, 3.3503774971788216, 9.076175695682162],
+        [35.6356290058003, 3.344087211806574, 9.06648348494881],
+    ],
+    ("example1-global", 0.85): [
+        [33.228922951090205, 3.9993007301221146, 8.010116366052142],
+        [34.56461389163773, 4.1351475823861, 8.39244658036493],
+        [34.54794019875203, 4.166635603886584, 8.772969502558723],
+        [35.869505518278146, 3.1783130336475844, 8.89333425549362],
+        [35.705857769765174, 3.3010926605969977, 9.009087353758174],
+        [35.712111227925526, 3.297214023674618, 9.00439329775599],
+        [35.71322264771582, 3.296543772540326, 9.003392640805767],
+    ],
+    ("example1-global", 1.0): [
+        [33.14272346072369, 3.9994156941111187, 8.006104309796369],
+        [34.62286138081788, 4.1598521271764435, 8.440770497994524],
+        [34.540025412920976, 4.193708390560448, 8.986139033653023],
+        [34.974844732073315, 3.8725447340066323, 8.82928379266653],
+        [35.862843652329474, 3.1776739800730063, 9.096534433676469],
+        [35.69428873045365, 3.312363713984379, 8.991741551563921],
+        [35.70843305001377, 3.3012915958508184, 8.996094951882815],
+    ],
+    ("example2", 0.35): [
+        [17.596151837727827, 13.844128793161998, 0.48999289564006665],
+        [19.70125242043139, 14.096756549388108, 0.4597928129631659],
+        [19.90773846613924, 14.246058982699937, 0.4497765021255606],
+        [20.00377033230659, 14.81829449594694, 0.4071363049213478],
+        [19.792732092110672, 15.223513514917512, 0.36378089450802564],
+        [19.66349962781775, 15.400569859681532, 0.3381075472590287],
+        [19.625926283399846, 15.448014689681372, 0.3302373202161598],
+    ],
+    ("example2", 0.6): [
+        [16.821575556175464, 13.894410878279887, 0.4952531879376476],
+        [20.27629715238983, 14.259513516103382, 0.4468401302094181],
+        [20.30702045487524, 14.653814014088969, 0.42283761607684467],
+        [19.4625513221603, 15.704699617703012, 0.3002190214992486],
+        [19.06361895324816, 16.066369650882834, 0.18224450942923492],
+        [18.937498738426434, 16.1764778549838, 0.12978486059663635],
+        [18.9081017028282, 16.20192133217538, 0.11658302271113441],
+    ],
+    ("example2", 0.85): [
+        [16.37812384777814, 13.946929453348346, 0.4978741154492832],
+        [20.884015202946163, 14.442889935669822, 0.4328585631924313],
+        [20.27219562462608, 15.235617929605148, 0.38714781066211834],
+        [18.910358323858517, 16.21737303426183, 0.14146575673232054],
+        [18.71683626707483, 16.368526567941448, 0.027374997363440123],
+        [18.690585854683913, 16.389914829352573, 0.012385083985525402],
+        [18.686319460094904, 16.393470920545706, 0.010073341050715334],
+    ],
+    ("example2", 1.0): [
+        [16.229878814413794, 13.96698546122916, 0.4987165566451157],
+        [21.302139492047413, 14.550257297249534, 0.42417628954672665],
+        [19.97183241820887, 15.680517522268337, 0.3608450076829774],
+        [18.72326048830648, 16.368972096371742, 0.04385217957362819],
+        [18.66669899474593, 16.410232827021133, 2.5107052559369958e-05],
+        [18.66666666833447, 16.41025640903975, 1.2952743322358629e-09],
+        [18.666666666688084, 16.410256410240788, 1.663091886427992e-11],
+    ],
+    ("example3", 0.35): [
+        [36.21339970639294, 1.4277499390290496, 0.9717319914631425],
+        [37.84633427224484, 1.2424226672938674, 0.8858903090257056],
+        [38.04483757537942, 1.1881948333217585, 0.8572984018035654],
+        [38.558008157352695, 0.9860889517756074, 0.737177555046638],
+        [38.866277189942316, 0.8188721435129336, 0.6214033031655128],
+        [39.005054547458144, 0.7336362270889819, 0.557080985382441],
+        [39.04330559563882, 0.7091826338310057, 0.538053518539852],
+    ],
+    ("example3", 0.6): [
+        [35.88975449323672, 1.4636026515104494, 0.9865628886537013],
+        [38.22706023563153, 1.1656242680740792, 0.8491217140223511],
+        [38.518720946412294, 1.043044650479874, 0.7807073359301854],
+        [39.24515906413603, 0.5883931367609342, 0.45983796293586787],
+        [39.60544698202051, 0.31566193731731285, 0.22809350537346063],
+        [39.72697636654159, 0.21979213490926264, 0.1500427483206106],
+        [39.755549280996604, 0.1970334388859345, 0.1324719278082943],
+    ],
+    ("example3", 0.85): [
+        [35.45235543922709, 1.4833055667582904, 0.9939771632842531],
+        [38.58992717476291, 1.0808030237030146, 0.8096141204615313],
+        [38.93460460112718, 0.857594048768948, 0.679832655499183],
+        [39.77788107007436, 0.18465707255273078, 0.1403600509684737],
+        [39.9518526650003, 0.03947449749409593, 0.024179671820137805],
+        [39.97541127492686, 0.020060584415531713, 0.012036353656247112],
+        [39.97955977650886, 0.016659975805515925, 0.009968284508651615],
+    ],
+    ("example3", 1.0): [
+        [35.28191770038086, 1.4898544400317708, 0.996363061644093],
+        [38.79302551029496, 1.0265824314055718, 0.7852111134690932],
+        [39.15899803099863, 0.7233289200075389, 0.6060153347189923],
+        [39.98074133100708, 0.016801966352768538, 0.013213053874653324],
+        [39.99999992027401, 6.957838749599432e-08, 1.1739312966163595e-08],
+        [39.999999999999986, 1.0880185641326534e-14, 9.769962616701378e-15],
+        [39.999999999999986, 1.0880185641326534e-14, 9.769962616701378e-15],
+    ],
+}
+FROZEN_40K = [  # example1-global, order 0.95, step 0.05, t_end 2000
+    [33.167704332243986, 3.9993598247459596, 8.00723602738512],
+    [35.43689192987158, 3.530493514068333, 8.606771873891248],
+    [35.71882308337533, 3.2931093222310706, 8.998859485886333],
+    [35.719153364974176, 3.292905536674928, 8.998602627569804],
+    [35.719214919758386, 3.292867442902284, 8.998555951952484],
+]
+
+
 def scalar_decay(alpha):
     return FodeProblem(order=alpha, initial_state=np.array([1.0]), rhs=lambda t, y: -y)
+
+
+def direct_pece(problem, config):
+    """The O(N^2) sweep with every history sum a full dot product: the oracle."""
+    a, h = problem.order, config.step
+    big_n = config.node_count(problem.t0)
+    grid = np.arange(big_n + 2, dtype=float)
+    pow_a, pow_a1 = grid**a, grid ** (a + 1.0)
+    w = np.zeros(big_n + 2)
+    w[1:] = (h**a / a) * (pow_a[1:] - pow_a[:-1])
+    d = np.zeros(big_n + 1)
+    u = np.arange(1, big_n + 1)
+    d[1:] = pow_a1[u + 1] + pow_a1[u - 1] - 2.0 * pow_a1[u]
+    w_rev = np.ascontiguousarray(w[::-1])  # w_rev[N+1-m] = w[m]
+    d_rev = np.ascontiguousarray(d[::-1])  # d_rev[N-u] = d[u]
+    inv_gamma_a = 1.0 / math.gamma(a)
+    corr_scale = h**a / math.gamma(a + 2.0)
+    times = problem.t0 + h * np.arange(big_n + 1)
+    states = np.empty((big_n + 1, problem.dimension))
+    f = np.empty_like(states)
+    states[0] = problem.initial_state
+    f[0] = problem.rhs(times[0], states[0])
+    for n in range(big_n):
+        predicted = states[0] + inv_gamma_a * np.dot(w_rev[big_n - n : big_n + 1], f[: n + 1])
+        hist_c = np.dot(d_rev[big_n - n : big_n], f[1 : n + 1]) if n else 0.0
+        hist_c = hist_c + (pow_a1[n] - (n - a) * pow_a[n + 1]) * f[0]
+        f_new = problem.rhs(times[n + 1], predicted)
+        for _ in range(config.corrector_iterations):
+            corrected = states[0] + corr_scale * (hist_c + f_new)
+            f_new = problem.rhs(times[n + 1], corrected)
+        states[n + 1] = corrected
+        f[n + 1] = f_new
+    return states
+
+
+def assert_agrees(states, reference):
+    """|difference| <= 1e-12 * max|x|, per component."""
+    reference = np.asarray(reference)
+    scale = np.abs(states).max(axis=0)
+    assert np.all(np.abs(states - reference) <= 1e-12 * scale)
 
 
 class TestWeights:
@@ -104,8 +308,16 @@ class TestValidation:
             SolverConfig(step=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             SolverConfig(step=0.1, t_end=1.0, corrector_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(step=0.1, t_end=1.0, memory_window=0)
+
+    def test_off_grid_t_end_rejected(self):
+        with pytest.raises(ValueError, match="not on the grid"):
+            solve_pece(scalar_decay(0.8), SolverConfig(step=0.3, t_end=1.0))
+        with pytest.raises(ValueError, match="not on the grid"):
+            SolverConfig(step=0.05, t_end=500.01).node_count(0.0)
+        # spans whose ratio only misses an integer by rounding stay accepted
+        assert SolverConfig(step=0.1, t_end=0.3).node_count(0.0) == 3
+        assert SolverConfig(step=0.05, t_end=3000.0).node_count(0.0) == 60_000
+        assert SolverConfig(step=0.05, t_end=2.2).node_count(0.1) == 42
 
     def test_node_cap_enforced(self):
         config = SolverConfig(step=1e-6, t_end=10.0, node_cap=1000)
@@ -190,31 +402,6 @@ class TestBehavior:
         assert np.array_equal(first.states, second.states)
         assert np.array_equal(first.times, second.times)
 
-    def test_full_window_bit_identical_to_no_truncation(self, example1):
-        problem = FodeProblem(
-            order=0.85, initial_state=np.array([30.0, 5.0, 10.0]),
-            rhs=vector_field(example1),
-        )
-        full = solve_pece(problem, SolverConfig(step=0.05, t_end=30.0))
-        windowed = solve_pece(
-            problem, SolverConfig(step=0.05, t_end=30.0, memory_window=601)
-        )
-        assert np.array_equal(full.states, windowed.states)
-
-    def test_truncated_window_changes_result(self, example1):
-        problem = FodeProblem(
-            order=0.85, initial_state=np.array([30.0, 5.0, 10.0]),
-            rhs=vector_field(example1),
-        )
-        full = solve_pece(problem, SolverConfig(step=0.05, t_end=30.0))
-        truncated = solve_pece(
-            problem, SolverConfig(step=0.05, t_end=30.0, memory_window=20)
-        )
-        # dropping most of the memory visibly degrades the solution (the
-        # documented caveat of the opt-in flag); it must not blow up, though
-        assert not np.array_equal(full.states, truncated.states)
-        assert np.all(np.isfinite(truncated.states))
-
     def test_blowup_reports_divergence_node(self):
         problem = FodeProblem(
             order=1.0, initial_state=np.array([1.0]), rhs=lambda t, y: y * y
@@ -223,6 +410,16 @@ class TestBehavior:
             solve_pece(problem, SolverConfig(step=0.01, t_end=2.0))
         assert excinfo.value.node > 0
         assert excinfo.value.time > 0.0
+        assert excinfo.value.node == 103  # as the direct-sum solver reported
+
+    def test_fft_module_loads_on_first_use_only(self):
+        probe = (
+            "import sys, fracoepi; assert 'numpy.fft' not in sys.modules; "
+            "fracoepi.solve_pece(fracoepi.FodeProblem(order=0.5, initial_state=[1.0], "
+            "rhs=lambda t, y: -y), fracoepi.SolverConfig(step=0.1, t_end=30.0)); "
+            "assert 'numpy.fft' in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True)
 
     def test_nan_field_reports_divergence(self):
         problem = FodeProblem(
@@ -267,3 +464,60 @@ class TestBehavior:
             y.append(corrected)
         manual = np.concatenate(y)
         assert traj.states[:, 0] == pytest.approx(manual, rel=1e-12)
+
+
+class TestAgreementWithDirectSums:
+    """The FFT-convolved history against the direct-sum solver."""
+
+    @pytest.mark.parametrize("alpha", [0.35, 0.6, 0.85, 1.0])
+    @pytest.mark.parametrize("name", ["example1", "example1-global", "example2", "example3"])
+    def test_stable_presets_match_frozen_states(self, name, alpha):
+        traj = cached_solve(
+            preset(name).params, alpha, preset(name).initial_states[0], 0.05, 500.0
+        )
+        assert_agrees(traj.states[list(FROZEN_NODES_10K)], FROZEN_10K[name, alpha])
+
+    def test_long_global_run_matches_frozen_states(self):
+        p = preset("example1-global")
+        traj = cached_solve(p.params, 0.95, p.initial_states[0], 0.05, 2000.0)
+        assert_agrees(traj.states[list(FROZEN_NODES_40K)], FROZEN_40K)
+
+    def test_single_block_is_the_direct_solver(self, example1):
+        problem = FodeProblem(
+            order=0.85, initial_state=np.array([30.0, 5.0, 10.0]),
+            rhs=vector_field(example1),
+        )
+        config = SolverConfig(step=0.05, t_end=(_LEAF - 1) * 0.05)
+        assert np.array_equal(solve_pece(problem, config).states, direct_pece(problem, config))
+
+    @pytest.mark.parametrize(
+        "n_steps", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _FFT_CAP - 1, 2 * _FFT_CAP + 1]
+    )
+    def test_block_and_chunk_edges(self, example1, n_steps):
+        problem = FodeProblem(
+            order=0.85, initial_state=np.array([30.0, 5.0, 10.0]),
+            rhs=vector_field(example1),
+        )
+        config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
+        assert_agrees(solve_pece(problem, config).states, direct_pece(problem, config))
+
+    def test_two_corrector_iterations(self, example1):
+        problem = FodeProblem(
+            order=0.7, initial_state=np.array([25.0, 8.0, 6.0]),
+            rhs=vector_field(example1),
+        )
+        config = SolverConfig(step=0.05, t_end=150.0, corrector_iterations=2)
+        assert_agrees(solve_pece(problem, config).states, direct_pece(problem, config))
+
+    def test_scalar_problem(self):
+        config = SolverConfig(step=0.01, t_end=30.0)
+        problem = scalar_decay(0.6)
+        assert_agrees(solve_pece(problem, config).states, direct_pece(problem, config))
+
+    def test_blowup_past_the_first_blocks_reports_the_direct_node(self):
+        problem = FodeProblem(
+            order=1.0, initial_state=np.array([1.0]), rhs=lambda t, y: y * y
+        )
+        with pytest.raises(DivergenceError) as excinfo:
+            solve_pece(problem, SolverConfig(step=0.001, t_end=2.0))
+        assert excinfo.value.node == 1003  # as the direct-sum solver reported

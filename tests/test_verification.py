@@ -64,7 +64,8 @@ class TestNonnegativity:
                 pytest.mark.xfail(
                     reason="discretization undershoot at step 0.05 near the "
                     "near-zero crash of the growing oscillations; positive "
-                    "under step refinement (see decisions ledger)",
+                    "under step refinement (see the step-0.05 undershoot decision "
+                    "in CHANGES.md)",
                     strict=True,
                 )
             )
