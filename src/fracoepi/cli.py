@@ -33,7 +33,7 @@ from .reproduce import EXAMPLE_IDS, reproduce
 from .runs import cached_solve, solve_many
 from .solver import DivergenceError
 from .stability import classify_equilibrium
-from .trajectory_io import format_float, save_trajectory_csv
+from .trajectory_io import alpha_tag, format_float, save_trajectory_csv
 from .verification import (
     boundedness_certificate,
     check_nonnegativity,
@@ -100,10 +100,6 @@ def _state_tag(x0: State) -> str:
     return f"({x0.susceptible:g},{x0.infected:g},{x0.predator:g})"
 
 
-def _alpha_tag(alpha: float) -> str:
-    return format(alpha, "g").replace(".", "p")
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,7 +116,7 @@ def cmd_simulate(args) -> int:
         for j, x0 in enumerate(cfg.initial_states):
             traj = trajectories[idx]
             idx += 1
-            name = f"traj_alpha{_alpha_tag(alpha)}_x{j}.csv"
+            name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
             save_trajectory_csv(traj, cfg.out_dir / name)
             nn = check_nonnegativity(traj)
             bc = boundedness_certificate(cfg.params, traj, eta)

@@ -164,24 +164,26 @@ class Thresholds:
 
 
 def rhs(params: ModelParams, state) -> np.ndarray:
-    """Time derivative triple at a state (State or length-3 array)."""
-    if isinstance(state, State):
-        s, i, p = state.susceptible, state.infected, state.predator
-    else:
-        s, i, p = (float(x) for x in np.asarray(state, dtype=float))
+    """Time derivative at a state: a State, a length-3 array, or states
+    stacked on leading axes as an (..., 3) array; the result has its shape."""
+    y = np.asarray(state.as_array() if isinstance(state, State) else state, dtype=float)
+    if y.shape[-1:] != (3,):
+        raise ValidationError(f"states must have 3 components, got shape {y.shape}")
+    s, i, p = y[..., 0], y[..., 1], y[..., 2]
     a = params.half_saturation
-    if a + i == 0.0:
+    if np.any(a + i == 0.0):
         raise ValidationError("half_saturation + infected must not vanish")
     r = params.growth_rate
     lam = params.infection_rate
     predation = params.predation_rate * i * p / (a + i)
-    return np.array(
+    return np.stack(
         [
             r * s * (1.0 - (s + i) / params.carrying_capacity) - lam * i * s,
             lam * i * s - predation - params.infected_death_rate * i,
             params.conversion_efficiency * i * p / (a + i)
             - params.predator_death_rate * p,
-        ]
+        ],
+        axis=-1,
     )
 
 

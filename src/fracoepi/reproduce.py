@@ -31,7 +31,7 @@ from .model import (
 from .runs import cached_solve, solve_many
 from .solver import Trajectory
 from .stability import characteristic_cubic, classify_equilibrium
-from .trajectory_io import save_trajectory_csv
+from .trajectory_io import alpha_tag, save_trajectory_csv
 from .verification import convergence_check
 
 __all__ = [
@@ -218,10 +218,6 @@ def _write_plot_script(out_dir: Path, stem: str, csv_names: Sequence[str], title
     return path
 
 
-def _alpha_tag(alpha: float) -> str:
-    return format(alpha, "g").replace(".", "p")
-
-
 def _coefficient_items(params: ModelParams, refs: dict, tol_d: float) -> list[ReproItem]:
     cubic = characteristic_cubic(params, _interior_state(params))
     items = []
@@ -273,7 +269,7 @@ def _scenario_bundle(
     for alpha in scenario.alphas:
         for idx, x0 in enumerate(scenario.initial_states):
             traj = cached_solve(scenario.params, alpha, x0, scenario.step, scenario.t_end)
-            name = f"{stem}_alpha{_alpha_tag(alpha)}_x{idx}.csv"
+            name = f"{stem}_alpha{alpha_tag(alpha)}_x{idx}.csv"
             files.append(save_trajectory_csv(_truncate(traj, FIGURE_SPAN), out_dir / name))
             names.append(name)
     files.append(_write_plot_script(out_dir, stem, names, title))
@@ -311,7 +307,7 @@ def _ex1(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     x0 = State(30.0, 5.0, 10.0)
     for alpha in (0.75, 0.85, 0.95, 1.0):
         traj = cached_solve(params, alpha, x0, SCENARIO_STEP, FIGURE_SPAN)
-        name = f"fig1_alpha{_alpha_tag(alpha)}.csv"
+        name = f"fig1_alpha{alpha_tag(alpha)}.csv"
         files.append(save_trajectory_csv(traj, out_dir / name))
         names.append(name)
     files.append(

@@ -13,13 +13,18 @@ import numpy as np
 
 from .solver import Trajectory
 
-__all__ = ["save_trajectory_csv", "load_trajectory_csv", "format_float"]
+__all__ = ["alpha_tag", "save_trajectory_csv", "load_trajectory_csv", "format_float"]
 
 DEFAULT_COLUMNS = ("S", "I", "P")
 
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def alpha_tag(alpha: float) -> str:
+    """The order as it appears in CSV file names: 0.95 -> ``0p95``."""
+    return format(alpha, "g").replace(".", "p")
 
 
 def save_trajectory_csv(

@@ -351,11 +351,9 @@ def empirical_lipschitz_ratio(
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, M, size=(pairs, 3))
     ys = rng.uniform(0.0, M, size=(pairs, 3))
-    worst = 0.0
-    for x, y in zip(xs, ys):
-        gap = np.abs(x - y).sum()
-        if gap < 1e-12:
-            continue
-        ratio = np.abs(rhs(params, x) - rhs(params, y)).sum() / gap
-        worst = max(worst, float(ratio))
-    return worst
+    gaps = np.abs(xs - ys).sum(axis=1)
+    keep = gaps >= 1e-12
+    ratios = (
+        np.abs(rhs(params, xs[keep]) - rhs(params, ys[keep])).sum(axis=1) / gaps[keep]
+    )
+    return float(ratios.max(initial=0.0))

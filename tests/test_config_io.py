@@ -12,7 +12,12 @@ from fracoepi.config import (
 from fracoepi.model import ValidationError
 from fracoepi.runs import solve_model
 from fracoepi.model import State, preset
-from fracoepi.trajectory_io import format_float, load_trajectory_csv, save_trajectory_csv
+from fracoepi.trajectory_io import (
+    alpha_tag,
+    format_float,
+    load_trajectory_csv,
+    save_trajectory_csv,
+)
 
 GOOD_CONFIG = """
 # run configuration
@@ -120,6 +125,12 @@ class TestTrajectoryCsv:
         raw = path.read_bytes()
         assert raw.startswith(b"t,S,I,P\n")
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize(
+        "alpha,tag", [(0.95, "0p95"), (0.9, "0p9"), (1.0, "1"), (0.35, "0p35")]
+    )
+    def test_alpha_tag_in_file_names(self, alpha, tag):
+        assert alpha_tag(alpha) == tag
 
     def test_format_float_round_trips(self):
         for value in (0.1, 1.0 / 3.0, 1e-17, -2.5e300, 0.0, 123456.789012345678):

@@ -7,10 +7,17 @@ the evaluation routes under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracoepi.mittag_leffler import AccuracyError, ml_one, ml_two, recip_gamma
+from fracoepi import mittag_leffler
+from fracoepi.mittag_leffler import REL_TOL, AccuracyError, ml_one, ml_two, recip_gamma
+from fracoepi.model import State, preset
+from fracoepi.runs import cached_solve
+from fracoepi.verification import boundedness_certificate
 
 # (alpha, beta, z, reference)
 FROZEN = [
@@ -131,3 +138,112 @@ class TestRecipGamma:
 
     def test_huge_argument_underflows_to_zero(self):
         assert recip_gamma(200.0) == 0.0
+
+
+def oracle(alpha: float, beta: float, z: float, digits: int = 60) -> float:
+    """E_{alpha,beta}(z) for z < 0 and 0 < alpha < 1, in mpmath.
+
+    The series runs at ``digits`` plus the digits it loses to cancellation
+    (about |z|^(1/alpha) / ln 10).  Where that exceeds 80 / ln 10 the tail
+    expansion is summed instead, up to its smallest term; its error there is
+    of order exp(-|z|^(1/alpha)) < 1e-34.
+    """
+    x_star = abs(z) ** (1.0 / alpha)
+    if x_star <= 80.0:
+        with mpmath.workdps(digits + int(x_star / math.log(10.0)) + 5):
+            a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+            stop = mpmath.mpf(10) ** (-digits)
+            total, zpow, k, small = mpmath.mpf(0), mpmath.mpf(1), 0, 0
+            while small < 3:
+                term = zpow * mpmath.rgamma(a * k + b)
+                total += term
+                zpow *= zz
+                k += 1
+                small = small + 1 if abs(term) < stop * abs(total) else 0
+            return float(total)
+    with mpmath.workdps(digits):
+        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        stop = mpmath.mpf(10) ** (-digits)
+        total, previous, k = mpmath.mpf(0), mpmath.inf, 1
+        while True:
+            x = b - a * k  # 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi
+            size = abs(zz) ** (-k) * (
+                mpmath.gamma(1 - x) / mpmath.pi if x < 0.5 else mpmath.rgamma(x)
+            )
+            if size > previous or size < stop * abs(total):
+                return float(total)
+            total -= zz ** (-k) * mpmath.rgamma(x)
+            previous, k = size, k + 1
+
+
+class TestContourRoute:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999])
+    def test_against_mpmath(self, alpha):
+        for beta in (0.7, 0.9, 1.0, 1.4, 2.0):
+            for z in -np.geomspace(0.1, 30.0, 9):
+                want = oracle(alpha, beta, float(z))
+                value, certified = mittag_leffler._contour(alpha, beta, float(z))
+                assert certified, (beta, z)
+                assert abs(value - want) <= REL_TOL * abs(want), (beta, z)
+                assert ml_two(alpha, beta, float(z)) == value
+
+    def test_boundedness_envelope_grid(self):
+        # E_0.95(-eta t^0.95) at every 10th node of a step-0.05 run to t = 200
+        alpha, eta = 0.95, 0.045
+        for t in 0.05 * np.arange(1, 4001, 10):
+            z = -eta * float(t) ** alpha
+            want = oracle(alpha, 1.0, z)
+            assert abs(ml_one(alpha, z) - want) <= 1e-13 * want, t
+
+    def test_envelope_never_reaches_mpmath(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"mpmath series called with {args}")
+
+        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+        params = preset("example1").params
+        traj = cached_solve(params, 0.95, State(30.0, 5.0, 200.0), 0.05, 200.0)
+        assert traj.times.size == 4001
+        cert = boundedness_certificate(params, traj, eta=0.045)
+        assert cert.envelope_checked
+        assert cert.passed
+
+    def test_large_beta_falls_back(self):
+        # the branch point at s = 0 degrades the fixed contour as beta grows;
+        # the error bound must then refuse and hand over to the other routes
+        value, certified = mittag_leffler._contour(0.5, 6.0, -1e-6)
+        assert not certified
+        want = oracle(0.5, 6.0, -1e-6)
+        assert abs(value - want) > REL_TOL * want
+        assert ml_two(0.5, 6.0, -1e-6) == pytest.approx(want, rel=REL_TOL)
+
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+
+
+class TestHypothesisProperties:
+    @PROPERTY_SETTINGS
+    @given(
+        a=st.floats(0.3, 1.5),
+        b=st.floats(0.1, 3.0),
+        z=st.floats(-40.0, 2.0),
+    )
+    def test_recurrence_identity(self, a, b, z):
+        # E_{a,b}(z) = z E_{a,a+b}(z) + 1/Gamma(b)
+        lhs = ml_two(a, b, z)
+        rhs = z * ml_two(a, a + b, z) + 1.0 / math.gamma(b)
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+    @PROPERTY_SETTINGS
+    @given(
+        alpha=st.floats(0.1, 1.0),
+        t=st.floats(0.0, 200.0),
+        dt=st.floats(0.0, 50.0),
+    )
+    def test_monotone_decay(self, alpha, t, dt):
+        # t -> E_alpha(-t) is positive and non-increasing; certified values
+        # may each be off by REL_TOL relative
+        near = ml_one(alpha, -t)
+        far = ml_one(alpha, -(t + dt))
+        assert far > 0.0
+        assert far <= near * (1.0 + 2.0 * REL_TOL)

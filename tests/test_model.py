@@ -87,6 +87,17 @@ class TestVectorField:
         state = np.array([12.0, 3.0, 4.0])
         assert f(0.0, state) == pytest.approx(rhs(example1, state), rel=1e-15)
 
+    def test_stacked_states_match_rows(self, example1):
+        states = np.random.default_rng(5).uniform(0.0, 80.0, size=(4, 6, 3))
+        stacked = rhs(example1, states)
+        assert stacked.shape == states.shape
+        for row, value in zip(states.reshape(-1, 3), stacked.reshape(-1, 3)):
+            assert np.array_equal(rhs(example1, row), value)
+
+    def test_rejects_wrong_component_count(self, example1):
+        with pytest.raises(ValidationError):
+            rhs(example1, np.ones((5, 2)))
+
 
 class TestEquilibria:
     def test_always_four_in_order(self, example1):

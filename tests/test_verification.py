@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_trajectory, equilibrium_of, preset_run, scenario_run
-from fracoepi.model import EquilibriumKind, PRESETS, State, preset
+from fracoepi.model import EquilibriumKind, PRESETS, State, preset, rhs
 from fracoepi.reproduce import GLOBAL_SCENARIOS
 from fracoepi.runs import cached_solve
 from fracoepi.solver import Trajectory
@@ -296,6 +296,25 @@ class TestLipschitz:
     def test_rejects_nonpositive_radius(self, example1):
         with pytest.raises(ValueError):
             lipschitz_bound(example1, 0.0)
+
+    @pytest.mark.parametrize("radius", [72.0, 300.0, 1000.0])
+    def test_empirical_ratio_matches_pair_loop(self, example1, radius):
+        rng = np.random.default_rng(0)
+        xs = rng.uniform(0.0, radius, size=(2000, 3))
+        ys = rng.uniform(0.0, radius, size=(2000, 3))
+        worst = 0.0
+        for x, y in zip(xs, ys):
+            gap = np.abs(x - y).sum()
+            if gap >= 1e-12:
+                ratio = np.abs(rhs(example1, x) - rhs(example1, y)).sum() / gap
+                worst = max(worst, float(ratio))
+        assert empirical_lipschitz_ratio(example1, radius, pairs=2000) == worst
+
+    def test_frozen_empirical_ratio(self, example1):
+        # bits of the pair loop over the scalar vector field, before rhs took
+        # stacked states
+        observed = empirical_lipschitz_ratio(example1, 72.0, pairs=2000)
+        assert observed == float.fromhex("0x1.0ce28adb48f53p+3")
 
     def test_never_exceeded_empirically(self):
         for name in sorted(PRESETS):
