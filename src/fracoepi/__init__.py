@@ -26,6 +26,7 @@ from .model import (
     Thresholds,
     ValidationError,
     equilibria,
+    equilibrium,
     preset,
     rhs,
     thresholds,
@@ -86,6 +87,7 @@ __all__ = [
     "convergence_check",
     "cubic_roots",
     "equilibria",
+    "equilibrium",
     "jacobian",
     "lipschitz_bound",
     "lyapunov_monotonicity",

@@ -27,6 +27,7 @@ from .model import (
     State,
     ValidationError,
     equilibria,
+    equilibrium,
     thresholds,
 )
 from .reproduce import EXAMPLE_IDS, reproduce
@@ -103,30 +104,25 @@ def _state_tag(x0: State) -> str:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    runs = [(alpha, j, x0) for alpha in cfg.alphas for j, x0 in enumerate(cfg.initial_states)]
     jobs = [
         (cfg.params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations)
-        for alpha in cfg.alphas
-        for x0 in cfg.initial_states
+        for alpha, _, x0 in runs
     ]
-    trajectories = solve_many(jobs)
     eta = 0.5 * min(cfg.params.infected_death_rate, cfg.params.predator_death_rate)
     summary = [f"model: {cfg.preset_name or 'custom'}"]
-    idx = 0
-    for alpha in cfg.alphas:
-        for j, x0 in enumerate(cfg.initial_states):
-            traj = trajectories[idx]
-            idx += 1
-            name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
-            save_trajectory_csv(traj, cfg.out_dir / name)
-            nn = check_nonnegativity(traj)
-            bc = boundedness_certificate(cfg.params, traj, eta)
-            final = ",".join(format_float(v) for v in traj.final_state)
-            summary.append(
-                f"alpha={alpha:g} x0={_state_tag(x0)} file={name} "
-                f"final=({final}) nonnegative={'pass' if nn.passed else 'fail'} "
-                f"bounded={'pass' if bc.passed else 'fail'} "
-                f"(max V {bc.worst_value:.6g}, bound {bc.bound:.6g})"
-            )
+    for (alpha, j, x0), traj in zip(runs, solve_many(jobs)):
+        name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
+        save_trajectory_csv(traj, cfg.out_dir / name)
+        nn = check_nonnegativity(traj)
+        bc = boundedness_certificate(cfg.params, traj, eta)
+        final = ",".join(format_float(v) for v in traj.final_state)
+        summary.append(
+            f"alpha={alpha:g} x0={_state_tag(x0)} file={name} "
+            f"final=({final}) nonnegative={'pass' if nn.passed else 'fail'} "
+            f"bounded={'pass' if bc.passed else 'fail'} "
+            f"(max V {bc.worst_value:.6g}, bound {bc.bound:.6g})"
+        )
     (cfg.out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print("\n".join(summary))
     print(f"wrote {len(jobs)} trajectory file(s) to {cfg.out_dir}")
@@ -176,9 +172,7 @@ def cmd_report(args) -> int:
     )
     if args.theta2_reference is not None:
         ref_params = params.replace(conversion_efficiency=args.theta2_reference)
-        ref_eq = next(
-            e for e in equilibria(ref_params) if e.kind is EquilibriumKind.COEXISTENCE
-        )
+        ref_eq = equilibrium(ref_params, EquilibriumKind.COEXISTENCE)
         if ref_eq.state is not None:
             th_ref = thresholds(params, theta2_reference=ref_eq.state)
             lines.append(
@@ -303,11 +297,13 @@ def cmd_verify(args) -> int:
     eta = 0.5 * min(params.infected_death_rate, params.predator_death_rate)
     all_ok = True
     lines = []
+    peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
     for alpha in cfg.alphas:
         for x0 in cfg.initial_states:
             traj = cached_solve(
                 params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations
             )
+            peak = max(peak, float(np.abs(traj.states).max()))
             nn = check_nonnegativity(traj)
             bc = boundedness_certificate(params, traj, eta)
             lines.append(
@@ -348,20 +344,7 @@ def cmd_verify(args) -> int:
             else:
                 lines.append("  no stable equilibrium at this order; convergence skipped")
 
-    radius = 1.2 * max(
-        60.0,
-        max(
-            float(
-                np.abs(
-                    cached_solve(
-                        params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations
-                    ).states
-                ).max()
-            )
-            for alpha in cfg.alphas
-            for x0 in cfg.initial_states
-        ),
-    )
+    radius = 1.2 * peak
     bound = lipschitz_bound(params, radius)
     observed = empirical_lipschitz_ratio(params, radius, pairs=2000)
     ok = observed <= bound

@@ -20,7 +20,7 @@ Keys use dotted namespaces; values are numbers, bare strings, or bracketed
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -134,9 +134,10 @@ class RunConfig:
     out_dir: Path = Path("out")
     output_format: str = "csv"
     preset_name: Optional[str] = None
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.alphas:
+            raise ValidationError("at least one order is needed")
         for alpha in self.alphas:
             if not (0.0 < alpha <= 1.0):
                 raise ValidationError(f"order must lie in (0,1], got {alpha}")

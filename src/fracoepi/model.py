@@ -32,6 +32,7 @@ __all__ = [
     "Thresholds",
     "ValidationError",
     "equilibria",
+    "equilibrium",
     "interior_equilibrium",
     "preset",
     "rhs",
@@ -163,32 +164,8 @@ class Thresholds:
     not_applicable: tuple[str, ...] = ()
 
 
-def rhs(params: ModelParams, state) -> np.ndarray:
-    """Time derivative at a state: a State, a length-3 array, or states
-    stacked on leading axes as an (..., 3) array; the result has its shape."""
-    y = np.asarray(state.as_array() if isinstance(state, State) else state, dtype=float)
-    if y.shape[-1:] != (3,):
-        raise ValidationError(f"states must have 3 components, got shape {y.shape}")
-    s, i, p = y[..., 0], y[..., 1], y[..., 2]
-    a = params.half_saturation
-    if np.any(a + i == 0.0):
-        raise ValidationError("half_saturation + infected must not vanish")
-    r = params.growth_rate
-    lam = params.infection_rate
-    predation = params.predation_rate * i * p / (a + i)
-    return np.stack(
-        [
-            r * s * (1.0 - (s + i) / params.carrying_capacity) - lam * i * s,
-            lam * i * s - predation - params.infected_death_rate * i,
-            params.conversion_efficiency * i * p / (a + i)
-            - params.predator_death_rate * p,
-        ],
-        axis=-1,
-    )
-
-
-def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Autonomous rhs closure in the (t, y) signature solvers expect."""
+def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The model's right-hand side, written once; y holds (S, I, P) on axis 0."""
     r = params.growth_rate
     K = params.carrying_capacity
     lam = params.infection_rate
@@ -210,6 +187,24 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarra
         )
 
     return f
+
+
+def rhs(params: ModelParams, state) -> np.ndarray:
+    """Time derivative at a state: a State, a length-3 array, or states
+    stacked on leading axes as an (..., 3) array; the result has its shape."""
+    y = np.asarray(state.as_array() if isinstance(state, State) else state, dtype=float)
+    if y.shape[-1:] != (3,):
+        raise ValidationError(f"states must have 3 components, got shape {y.shape}")
+    if np.any(params.half_saturation + y[..., 1] == 0.0):
+        raise ValidationError("half_saturation + infected must not vanish")
+    return _field(params)(0.0, y.T).T
+
+
+def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Autonomous rhs closure in the (t, y) signature solvers expect."""
+    # a function of its own, not an alias of _field: perfbench counts the
+    # solvers' RHS evaluations through this name, and rhs must not add to them
+    return _field(params)
 
 
 def interior_equilibrium(params: ModelParams) -> Optional[State]:
@@ -283,6 +278,11 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
         )
     )
     return out
+
+
+def equilibrium(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
+    """The entry of :func:`equilibria` of one kind."""
+    return {eq.kind: eq for eq in equilibria(params)}[kind]
 
 
 def thresholds(

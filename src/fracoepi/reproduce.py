@@ -24,7 +24,7 @@ from .model import (
     EquilibriumKind,
     ModelParams,
     State,
-    equilibria,
+    equilibrium,
     preset,
     thresholds,
 )
@@ -142,10 +142,7 @@ class GlobalScenario:
 
     @property
     def target_state(self) -> State:
-        for eq in equilibria(self.params):
-            if eq.kind is self.target_kind:
-                return eq.state
-        raise ValueError(f"no {self.target_kind} equilibrium")
+        return equilibrium(self.params, self.target_kind).state
 
     def jobs(self) -> list[tuple]:
         return [
@@ -163,15 +160,6 @@ GLOBAL_SCENARIOS: dict[str, GlobalScenario] = {
         GlobalScenario("coexistence", "example1-global", EquilibriumKind.COEXISTENCE),
     ]
 }
-
-
-def _interior_state(params: ModelParams) -> State:
-    for eq in equilibria(params):
-        if eq.kind is EquilibriumKind.COEXISTENCE:
-            if eq.state is None:
-                raise ValueError("interior equilibrium undefined")
-            return eq.state
-    raise AssertionError
 
 
 def _truncate(traj: Trajectory, t_max: float) -> Trajectory:
@@ -219,7 +207,7 @@ def _write_plot_script(out_dir: Path, stem: str, csv_names: Sequence[str], title
 
 
 def _coefficient_items(params: ModelParams, refs: dict, tol_d: float) -> list[ReproItem]:
-    cubic = characteristic_cubic(params, _interior_state(params))
+    cubic = characteristic_cubic(params, equilibrium(params, EquilibriumKind.COEXISTENCE).state)
     items = []
     if "A1" in refs:
         items.append(_value_item("A1", cubic.a1, refs["A1"], COEFF_TOL))
@@ -290,7 +278,7 @@ def _ex1(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
             note="interior susceptible level evaluated at the base conversion efficiency",
         )
     )
-    interior = next(e for e in equilibria(params) if e.kind is EquilibriumKind.COEXISTENCE)
+    interior = equilibrium(params, EquilibriumKind.COEXISTENCE)
     for alpha in (0.6, 0.85, 0.95, 1.0):
         verdict = classify_equilibrium(params, interior, alpha)
         items.append(
@@ -318,15 +306,13 @@ def _ex1(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     return items, files
 
 
-def _fig2(out_dir: Path, with_bundle: bool = True) -> tuple[list[ReproItem], list[Path]]:
+def _fig2(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     scenario = GLOBAL_SCENARIOS["coexistence"]
     target = scenario.target_state
     items = _coordinate_items("E*(theta=0.5)", target, (35.7195, 3.2927, 8.9983), COORD_TOL)
     items += _convergence_items(scenario, target)
-    files = (
-        _scenario_bundle(scenario, out_dir, "fig2", "globally stable coexistence (theta = 0.5)")
-        if with_bundle
-        else []
+    files = _scenario_bundle(
+        scenario, out_dir, "fig2", "globally stable coexistence (theta = 0.5)"
     )
     return items, files
 
@@ -336,7 +322,7 @@ def _ex1_unstable(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     items = _coefficient_items(
         params, {"A1": -0.9276, "A2": -0.5775, "D": -463.8995}, DISC_TOL
     )
-    interior = next(e for e in equilibria(params) if e.kind is EquilibriumKind.COEXISTENCE)
+    interior = equilibrium(params, EquilibriumKind.COEXISTENCE)
     verdict = classify_equilibrium(params, interior, 0.85)
     items.append(
         _flag_item(
@@ -380,7 +366,7 @@ def _ex1_unstable(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     return items, files
 
 
-def _ex2(out_dir: Path, with_bundle: bool = True) -> tuple[list[ReproItem], list[Path]]:
+def _ex2(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     params = preset("example2").params
     th = thresholds(params)
     items = [_value_item("R0", th.reproduction_number, 2.1428, COEFF_TOL)]
@@ -408,21 +394,17 @@ def _ex2(out_dir: Path, with_bundle: bool = True) -> tuple[list[ReproItem], list
         )
     )
     items += _convergence_items(scenario, target)
-    files = (
-        _scenario_bundle(scenario, out_dir, "fig4", "globally stable predator-free state")
-        if with_bundle
-        else []
-    )
+    files = _scenario_bundle(scenario, out_dir, "fig4", "globally stable predator-free state")
     return items, files
 
 
-def _ex3(out_dir: Path, with_bundle: bool = True) -> tuple[list[ReproItem], list[Path]]:
+def _ex3(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     params = preset("example3").params
     th = thresholds(params)
     items = [_value_item("R0", th.reproduction_number, 0.7143, COEFF_TOL)]
     scenario = GLOBAL_SCENARIOS["prey-only"]
     target = scenario.target_state
-    prey_only = next(e for e in equilibria(params) if e.kind is EquilibriumKind.PREY_ONLY)
+    prey_only = equilibrium(params, EquilibriumKind.PREY_ONLY)
     for alpha in (0.85, 0.95):
         verdict = classify_equilibrium(params, prey_only, alpha)
         items.append(
@@ -433,11 +415,7 @@ def _ex3(out_dir: Path, with_bundle: bool = True) -> tuple[list[ReproItem], list
             )
         )
     items += _convergence_items(scenario, target)
-    files = (
-        _scenario_bundle(scenario, out_dir, "fig5", "globally stable prey-only state")
-        if with_bundle
-        else []
-    )
+    files = _scenario_bundle(scenario, out_dir, "fig5", "globally stable prey-only state")
     return items, files
 
 

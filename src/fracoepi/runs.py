@@ -2,13 +2,14 @@
 
 Long global-stability runs (tens of thousands of nodes) appear in several
 places (reproduction bundles, verification sweeps, the test suite); the memo
-avoids recomputing identical solves inside one process.
+avoids recomputing identical solves inside one process.  Nothing here starts
+a thread: a single solve is sequential and holds the interpreter lock, so many
+solves run one after another through the memo.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import ModelParams, State, vector_field
 from .solver import FodeProblem, SolverConfig, Trajectory, solve_pece
@@ -35,10 +36,6 @@ def solve_model(
     return solve_pece(problem, config)
 
 
-def _key(params, order, initial, step, t_end, corrector_iterations):
-    return (params, order, initial, step, t_end, corrector_iterations)
-
-
 def cached_solve(
     params: ModelParams,
     order: float,
@@ -48,7 +45,7 @@ def cached_solve(
     corrector_iterations: int = 1,
 ) -> Trajectory:
     """Memoized full-memory solve; returned trajectories are read-only."""
-    key = _key(params, order, initial, step, t_end, corrector_iterations)
+    key = (params, order, initial, step, t_end, corrector_iterations)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
@@ -61,13 +58,9 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def solve_many(jobs: Sequence[tuple], max_workers: Optional[int] = None) -> list[Trajectory]:
-    """Run independent cached solves concurrently, results in job order.
+def solve_many(jobs: Sequence[tuple]) -> list[Trajectory]:
+    """Run cached solves one after another, results in job order.
 
     Each job is the positional argument tuple of :func:`cached_solve`.
     """
-    if len(jobs) <= 1:
-        return [cached_solve(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, len(jobs))) as pool:
-        futures = [pool.submit(cached_solve, *job) for job in jobs]
-        return [f.result() for f in futures]
+    return [cached_solve(*job) for job in jobs]

@@ -14,8 +14,7 @@ are split as in Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6,
 nodes is solved its whole contribution to the next block of equal length is
 added with one real-FFT convolution per weight table.  That makes a solve of
 n nodes cost O(n log^2 n) instead of O(n^2); a run of at most ``_LEAF``
-nodes is the plain direct sum.  Independent solves share nothing and can run
-concurrently.
+nodes is the plain direct sum.
 """
 
 from __future__ import annotations

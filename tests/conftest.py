@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracoepi.model import EquilibriumKind, equilibria, preset
+from fracoepi.model import preset
 from fracoepi.reproduce import GLOBAL_SCENARIOS
 from fracoepi.runs import cached_solve
 
@@ -9,10 +9,6 @@ from fracoepi.runs import cached_solve
 @pytest.fixture(scope="session")
 def example1():
     return preset("example1").params
-
-
-def equilibrium_of(params, kind: EquilibriumKind):
-    return next(e for e in equilibria(params) if e.kind is kind)
 
 
 def scenario_run(name: str, alpha: float, point_index: int = 0):

@@ -9,12 +9,12 @@ import time
 
 import numpy as np
 
-from conftest import equilibrium_of
 from fracoepi.mittag_leffler import ml_one
 from fracoepi.model import (
     EquilibriumKind,
     PRESETS,
     equilibria,
+    equilibrium,
     preset,
     rhs,
     thresholds,
@@ -49,7 +49,7 @@ def criterion(name: str, ok: bool, detail: str = ""):
 
 
 def interior(params):
-    return equilibrium_of(params, EquilibriumKind.COEXISTENCE)
+    return equilibrium(params, EquilibriumKind.COEXISTENCE)
 
 
 def test_c1_stable_coefficient_reproduction(example1):
@@ -124,9 +124,9 @@ def test_c3_threshold_reproduction(example1):
 
 
 def test_c4_equilibrium_reproduction(example1):
-    e2 = equilibrium_of(example1, EquilibriumKind.PREDATOR_FREE).state.as_array()
+    e2 = equilibrium(example1, EquilibriumKind.PREDATOR_FREE).state.as_array()
     raised = example1.replace(conversion_efficiency=0.5)
-    estar = equilibrium_of(raised, EquilibriumKind.COEXISTENCE).state.as_array()
+    estar = equilibrium(raised, EquilibriumKind.COEXISTENCE).state.as_array()
     coord_ok = np.abs(e2 - np.array([18.67, 16.41, 0.0])).max() <= 5e-3 and np.abs(
         estar - np.array([35.7195, 3.2927, 8.9983])
     ).max() <= 5e-3

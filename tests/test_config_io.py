@@ -96,6 +96,11 @@ class TestParsing:
             config_from_entries(parse_config_text(
                 "model.preset = example1\nsolver.alpha = 1.2\n"))
 
+    def test_empty_order_list_rejected(self):
+        with pytest.raises(ValidationError, match="at least one order"):
+            config_from_entries(parse_config_text(
+                "model.preset = example1\nsolver.alpha = []\n"))
+
     def test_negative_initial_state_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
             config_from_entries(parse_config_text(

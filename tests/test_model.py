@@ -10,6 +10,7 @@ from fracoepi.model import (
     State,
     ValidationError,
     equilibria,
+    equilibrium,
     interior_equilibrium,
     preset,
     rhs,
@@ -85,7 +86,11 @@ class TestVectorField:
     def test_closure_matches_rhs(self, example1):
         f = vector_field(example1)
         state = np.array([12.0, 3.0, 4.0])
-        assert f(0.0, state) == pytest.approx(rhs(example1, state), rel=1e-15)
+        assert np.array_equal(f(0.0, state), rhs(example1, state))
+        states = np.random.default_rng(11).uniform(0.0, 80.0, size=(4, 6, 3))
+        stacked = rhs(example1, states)
+        for row, value in zip(states.reshape(-1, 3), stacked.reshape(-1, 3)):
+            assert np.array_equal(f(0.0, row), value)
 
     def test_stacked_states_match_rows(self, example1):
         states = np.random.default_rng(5).uniform(0.0, 80.0, size=(4, 6, 3))
@@ -162,6 +167,12 @@ class TestEquilibria:
                     count += 1
                     assert np.all(eq.state.as_array() > 0.0)
         assert count > 20  # the draw domain hits genuine coexistence cases
+
+    def test_lookup_matches_listing(self, example1):
+        undefined = example1.replace(conversion_efficiency=example1.predator_death_rate)
+        for params in [preset(name).params for name in PRESETS] + [undefined]:
+            for listed in equilibria(params):
+                assert equilibrium(params, listed.kind) == listed
 
     def test_equilibria_depend_only_on_params(self, example1):
         first = [e.state.as_array() for e in equilibria(example1) if e.state]

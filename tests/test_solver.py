@@ -3,13 +3,14 @@
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fracoepi.mittag_leffler import ml_one
-from fracoepi.model import EquilibriumKind, equilibria, preset, vector_field
-from fracoepi.runs import cached_solve
+from fracoepi.model import EquilibriumKind, State, equilibria, preset, vector_field
+from fracoepi.runs import cached_solve, solve_many
 from fracoepi.solver import (
     _FFT_CAP,
     _LEAF,
@@ -420,6 +421,19 @@ class TestBehavior:
             "assert 'numpy.fft' in sys.modules"
         )
         subprocess.run([sys.executable, "-c", probe], check=True)
+
+    def test_solve_many_starts_no_thread(self, example1, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("solve_many started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        x0 = State(30.0, 5.0, 10.0)
+        jobs = [(example1, 0.7, x0, 0.1, 5.0), (example1, 0.8, x0, 0.1, 5.0)]
+        jobs.append(jobs[0])
+        results = solve_many(jobs)
+        assert len(results) == len(jobs)
+        for result, job in zip(results, jobs):
+            assert result is cached_solve(*job)
 
     def test_nan_field_reports_divergence(self):
         problem = FodeProblem(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracoepi.model import EquilibriumKind, State, equilibria, preset, rhs
+from fracoepi.model import EquilibriumKind, State, equilibria, equilibrium, preset, rhs
 from fracoepi.stability import (
     CubicCharacteristic,
     EigenSpectrum,
@@ -27,10 +27,7 @@ UNSTABLE_DISCRIMINANT = -463.89954159432883
 UNSTABLE_REAL_ROOT = -1.4771922134352239
 UNSTABLE_PAIR = complex(1.2023738844953897, 1.2365405218807486)
 UNSTABLE_PAIR_ARG = 0.79940620012187852
-
-
-def interior(params):
-    return next(e for e in equilibria(params) if e.kind is EquilibriumKind.COEXISTENCE)
+COEXISTENCE = EquilibriumKind.COEXISTENCE
 
 
 def random_spectrum(rng):
@@ -56,7 +53,7 @@ class TestJacobian:
                                       rel=1e-12)
 
     def test_interior_structure(self, example1):
-        estar = interior(example1).state
+        estar = equilibrium(example1, COEXISTENCE).state
         j = jacobian(example1, estar)
         assert j[0, 2] == 0.0
         assert abs(j[2, 2]) < 1e-14  # theta I*/(a+I*) - d vanishes at E*
@@ -84,19 +81,19 @@ class TestJacobian:
 
 class TestCharacteristicCubic:
     def test_example1_coefficients(self, example1):
-        cubic = characteristic_cubic(example1, interior(example1).state)
+        cubic = characteristic_cubic(example1, equilibrium(example1, COEXISTENCE).state)
         assert (cubic.a1, cubic.a2, cubic.a3) == pytest.approx(EX1_CUBIC, rel=1e-12)
         assert cubic.discriminant == pytest.approx(EX1_DISCRIMINANT, rel=1e-10)
         assert cubic.routh_product == pytest.approx(EX1_ROUTH, rel=1e-12)
 
     def test_unstable_coefficients(self):
         params = preset("example1-unstable").params
-        cubic = characteristic_cubic(params, interior(params).state)
+        cubic = characteristic_cubic(params, equilibrium(params, COEXISTENCE).state)
         assert (cubic.a1, cubic.a2, cubic.a3) == pytest.approx(UNSTABLE_CUBIC, rel=1e-12)
         assert cubic.discriminant == pytest.approx(UNSTABLE_DISCRIMINANT, rel=1e-12)
 
     def test_matches_jacobian_charpoly(self, example1):
-        estar = interior(example1).state
+        estar = equilibrium(example1, COEXISTENCE).state
         cubic = characteristic_cubic(example1, estar)
         from_matrix = np.poly(jacobian(example1, estar))  # monic, degree 3
         assert from_matrix[1:] == pytest.approx(
@@ -128,13 +125,14 @@ class TestCubicRoots:
         assert pair[0] == pair[1].conjugate()  # exact conjugation
 
     def test_frozen_example1_roots(self, example1):
-        cubic = characteristic_cubic(example1, interior(example1).state)
+        cubic = characteristic_cubic(example1, equilibrium(example1, COEXISTENCE).state)
         roots = np.sort(cubic_roots(cubic).eigenvalues.real)
         assert roots == pytest.approx(sorted(EX1_ROOTS), rel=1e-9)
 
     def test_frozen_unstable_roots(self):
         params = preset("example1-unstable").params
-        spectrum = cubic_roots(characteristic_cubic(params, interior(params).state))
+        estar = equilibrium(params, COEXISTENCE).state
+        spectrum = cubic_roots(characteristic_cubic(params, estar))
         real = [z for z in spectrum.eigenvalues if z.imag == 0.0]
         pair = [z for z in spectrum.eigenvalues if z.imag > 0.0]
         assert real[0].real == pytest.approx(UNSTABLE_REAL_ROOT, rel=1e-10)
@@ -293,7 +291,7 @@ class TestClassification:
 
     def test_case_ii_not_claimed_when_hypotheses_fail(self):
         params = preset("example1-unstable").params
-        cubic = characteristic_cubic(params, interior(params).state)
+        cubic = characteristic_cubic(params, equilibrium(params, COEXISTENCE).state)
         assert coefficient_case(cubic, 0.6) is None  # A1 < 0, A2 < 0
 
     def test_case_tags_on_synthetic_cubics(self):

@@ -8,8 +8,8 @@ step 0.05 over a 500-long span across the order grid.
 import numpy as np
 import pytest
 
-from conftest import constant_trajectory, equilibrium_of, preset_run, scenario_run
-from fracoepi.model import EquilibriumKind, PRESETS, State, preset, rhs
+from conftest import constant_trajectory, preset_run, scenario_run
+from fracoepi.model import EquilibriumKind, PRESETS, State, equilibrium, preset, rhs
 from fracoepi.reproduce import GLOBAL_SCENARIOS
 from fracoepi.runs import cached_solve
 from fracoepi.solver import Trajectory
@@ -92,7 +92,7 @@ class TestBoundedness:
         assert boundedness_certificate(params, traj, eta).passed
 
     def test_equilibrium_start_stays_constant(self, example1):
-        estar = equilibrium_of(example1, EquilibriumKind.COEXISTENCE).state
+        estar = equilibrium(example1, EquilibriumKind.COEXISTENCE).state
         traj = cached_solve(example1, 0.9, estar, 0.05, 50.0)
         cert = boundedness_certificate(example1, traj, eta=0.045)
         assert cert.passed
@@ -124,18 +124,18 @@ class TestLyapunovValue:
         ]
         for name, kind in cases:
             params = preset(name).params
-            target = equilibrium_of(params, kind)
+            target = equilibrium(params, kind)
             assert lyapunov_value(params, target, target.state) == 0.0
 
     def test_frozen_value_at_reference_state(self):
         params = preset("example2").params
-        target = equilibrium_of(params, EquilibriumKind.PREDATOR_FREE)
+        target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
         value = lyapunov_value(params, target, State(30.0, 5.0, 10.0))
         assert value == pytest.approx(LYAPUNOV_E2_REFERENCE, rel=1e-13)
 
     def test_positive_away_from_target(self):
         params = preset("example1-global").params
-        target = equilibrium_of(params, EquilibriumKind.COEXISTENCE)
+        target = equilibrium(params, EquilibriumKind.COEXISTENCE)
         rng = np.random.default_rng(13)
         for _ in range(200):
             state = State(*rng.uniform(0.2, 60.0, size=3))
@@ -145,13 +145,13 @@ class TestLyapunovValue:
 
     def test_boundary_state_rejected(self):
         params = preset("example2").params
-        target = equilibrium_of(params, EquilibriumKind.PREDATOR_FREE)
+        target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
         with pytest.raises(ValueError):
             lyapunov_value(params, target, State(10.0, 0.0, 1.0))
 
     def test_missing_target_rejected(self):
         params = preset("example3").params
-        absent = equilibrium_of(params, EquilibriumKind.COEXISTENCE)
+        absent = equilibrium(params, EquilibriumKind.COEXISTENCE)
         with pytest.raises(ValueError):
             lyapunov_value(params, absent, State(1.0, 1.0, 1.0))
 
@@ -169,7 +169,7 @@ class TestLyapunovMonotonicity:
     def test_scenarios_decrease_within_slack(self, name, alpha):
         scenario = GLOBAL_SCENARIOS[name]
         params = scenario.params
-        target = equilibrium_of(params, SCENARIO_TARGETS[name])
+        target = equilibrium(params, SCENARIO_TARGETS[name])
         for index in range(len(scenario.initial_states)):
             traj = scenario_run(name, alpha, index)
             report = lyapunov_monotonicity(params, target, traj, slack=1e-3)
@@ -179,18 +179,18 @@ class TestLyapunovMonotonicity:
     def test_predator_free_monotone_at_intermediate_order(self):
         # same property at order 0.9, on the run the well-posedness grid caches
         params = preset("example2").params
-        target = equilibrium_of(params, EquilibriumKind.PREDATOR_FREE)
+        target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
         report = lyapunov_monotonicity(params, target, preset_run("example2", 0.9))
         assert report.monotone and report.hypothesis.satisfied is True
 
     def test_hypothesis_reporting(self):
         prey = GLOBAL_SCENARIOS["prey-only"]
-        target = equilibrium_of(prey.params, EquilibriumKind.PREY_ONLY)
+        target = equilibrium(prey.params, EquilibriumKind.PREY_ONLY)
         report = lyapunov_monotonicity(prey.params, target, scenario_run("prey-only", 0.85))
         assert report.hypothesis.satisfied is True  # R0 < 1
 
         pred = GLOBAL_SCENARIOS["predator-free"]
-        target = equilibrium_of(pred.params, EquilibriumKind.PREDATOR_FREE)
+        target = equilibrium(pred.params, EquilibriumKind.PREDATOR_FREE)
         report = lyapunov_monotonicity(
             pred.params, target, scenario_run("predator-free", 0.85)
         )
@@ -199,11 +199,11 @@ class TestLyapunovMonotonicity:
     def test_coexistence_hypothesis_depends_on_convention(self, example1):
         coex = GLOBAL_SCENARIOS["coexistence"]
         params = coex.params
-        target = equilibrium_of(params, EquilibriumKind.COEXISTENCE)
+        target = equilibrium(params, EquilibriumKind.COEXISTENCE)
         traj = scenario_run("coexistence", 0.85)
         self_consistent = lyapunov_monotonicity(params, target, traj)
         assert self_consistent.hypothesis.satisfied is False  # theta2 shrinks
-        base_interior = equilibrium_of(example1, EquilibriumKind.COEXISTENCE).state
+        base_interior = equilibrium(example1, EquilibriumKind.COEXISTENCE).state
         referenced = lyapunov_monotonicity(
             params, target, traj, theta2_reference=base_interior
         )
@@ -212,7 +212,7 @@ class TestLyapunovMonotonicity:
 
     def test_constant_target_trajectory_has_zero_increase(self):
         params = preset("example2").params
-        target = equilibrium_of(params, EquilibriumKind.PREDATOR_FREE)
+        target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
         traj = constant_trajectory(
             target.state.as_array() + np.array([0.0, 0.0, 1e-6])
         )
@@ -222,7 +222,7 @@ class TestLyapunovMonotonicity:
 
     def test_boundary_grazing_nodes_fail_when_frequent(self):
         params = preset("example2").params
-        target = equilibrium_of(params, EquilibriumKind.PREDATOR_FREE)
+        target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
         states = np.tile(target.state.as_array() + np.array([1.0, 1.0, 0.5]), (100, 1))
         states[::20, 1] = 0.0  # 5% of nodes on the log boundary
         traj = Trajectory(
@@ -247,7 +247,7 @@ class TestConvergence:
     @pytest.mark.parametrize("name", sorted(SCENARIO_TARGETS))
     def test_scenarios_converge(self, name):
         scenario = GLOBAL_SCENARIOS[name]
-        target = equilibrium_of(scenario.params, SCENARIO_TARGETS[name]).state
+        target = equilibrium(scenario.params, SCENARIO_TARGETS[name]).state
         for alpha in scenario.alphas:
             for index in range(len(scenario.initial_states)):
                 result = convergence_check(
@@ -257,7 +257,7 @@ class TestConvergence:
 
     def test_unstable_interior_not_approached(self):
         params = preset("example1-unstable").params
-        target = equilibrium_of(params, EquilibriumKind.COEXISTENCE).state
+        target = equilibrium(params, EquilibriumKind.COEXISTENCE).state
         traj = cached_solve(params, 0.85, preset("example1-unstable").initial_states[0],
                             0.05, 1000.0)
         result = convergence_check(traj, target, tol=0.05)
@@ -270,7 +270,7 @@ class TestConvergence:
 
         for name, kind in SCENARIO_TARGETS.items():
             scenario = GLOBAL_SCENARIOS[name]
-            eq = equilibrium_of(scenario.params, kind)
+            eq = equilibrium(scenario.params, kind)
             for alpha in scenario.alphas:
                 verdict = classify_equilibrium(scenario.params, eq, alpha)
                 result = convergence_check(
@@ -278,7 +278,7 @@ class TestConvergence:
                 )
                 assert verdict.stable is True and result.converged
         params = preset("example1-unstable").params
-        eq = equilibrium_of(params, EquilibriumKind.COEXISTENCE)
+        eq = equilibrium(params, EquilibriumKind.COEXISTENCE)
         verdict = classify_equilibrium(params, eq, 0.85)
         traj = cached_solve(params, 0.85, preset("example1-unstable").initial_states[0],
                             0.05, 1000.0)
