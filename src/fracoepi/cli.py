@@ -45,6 +45,11 @@ from .verification import (
 )
 
 REPORT_ALPHAS = (0.6, 2.0 / 3.0, 0.85, 0.95, 1.0)
+DIVERGENCE_HINT = (
+    "hint: the model's solutions from non-negative initial states stay bounded, "
+    "so a blow-up is a step-size failure of the explicit predictor-corrector "
+    "scheme; retry with a smaller --step (solver.step in a config file)"
+)
 
 
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
@@ -415,6 +420,7 @@ def main(argv=None) -> int:
         return 1
     except DivergenceError as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
+        print(DIVERGENCE_HINT, file=sys.stderr)
         return 2
 
 

@@ -97,6 +97,17 @@ class TestSimulate:
         assert run("simulate", "--config", str(cfg)) == 2
         assert "diverged at node" in capsys.readouterr().err
 
+    def test_divergence_hints_at_a_smaller_step(self, tmp_path, capsys):
+        # bounded solutions, yet the explicit scheme blows up at step 0.05
+        argv = ["simulate", "--preset", "example1-unstable", "--alpha", "0.35",
+                "--t-end", "15", "--out", str(tmp_path / "unstable")]
+        assert run(*argv, "--step", "0.05") == 2
+        err = capsys.readouterr().err
+        assert "diverged at node 265" in err
+        assert "solutions from non-negative initial states stay bounded" in err
+        assert "retry with a smaller --step" in err
+        assert run(*argv, "--step", "0.01") == 0
+
 
 class TestReport:
     def test_threshold_values_printed(self, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracoepi.model import (
     EquilibriumKind,
@@ -98,6 +100,35 @@ class TestVectorField:
         assert stacked.shape == states.shape
         for row, value in zip(states.reshape(-1, 3), stacked.reshape(-1, 3)):
             assert np.array_equal(rhs(example1, row), value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_state_path_matches_stacked_path(self, data):
+        # one state runs on Python floats, a stacked (3, n) state on numpy
+        # arrays; both must round identically, overflow and NaN included
+        params = preset(data.draw(st.sampled_from(sorted(PRESETS)))).params
+        component = st.floats(allow_nan=False, allow_infinity=False)
+        infected = st.one_of(component, st.just(-params.half_saturation))
+        y = np.array([data.draw(component), data.draw(infected), data.draw(component)])
+        f = vector_field(params)
+        with np.errstate(all="ignore"):
+            one = f(0.0, y)
+            stacked = f(0.0, y[:, None])[:, 0]
+        assert np.array_equal(one, stacked, equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_one_state_path_at_vanishing_denominator(self, name):
+        # I = -a makes a + I exactly zero: inf or NaN as numpy gives it, where
+        # Python floats alone would raise ZeroDivisionError
+        params = preset(name).params
+        f = vector_field(params)
+        for predator in (3.0, -3.0, 0.0):
+            y = np.array([10.0, -params.half_saturation, predator])
+            with np.errstate(all="ignore"):
+                one = f(0.0, y)
+                stacked = f(0.0, y[:, None])[:, 0]
+            assert np.array_equal(one, stacked, equal_nan=True)
+            assert not np.isfinite(one[1:]).any()
 
     def test_rejects_wrong_component_count(self, example1):
         with pytest.raises(ValidationError):

@@ -14,6 +14,7 @@ from fracoepi.runs import cached_solve, solve_many
 from fracoepi.solver import (
     _FFT_CAP,
     _LEAF,
+    DIVERGENCE_LIMIT,
     DivergenceError,
     FodeProblem,
     SolverConfig,
@@ -442,6 +443,63 @@ class TestBehavior:
         )
         with pytest.raises(DivergenceError):
             solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
+
+    @pytest.mark.parametrize("node", [3, _LEAF + 72])
+    @pytest.mark.parametrize(
+        "spike, accepted",
+        [
+            ([0.0, math.nan, 0.0], False),
+            ([0.0, 0.0, math.nan], False),
+            ([math.inf, 0.0, 0.0], False),
+            ([0.0, -math.inf, 0.0], False),
+            ([0.0, 0.0, 4.0 * DIVERGENCE_LIMIT], True),
+            ([0.0, -4.0 * DIVERGENCE_LIMIT, 0.0], True),
+            ([0.0, 0.0, 4.0 * np.nextafter(DIVERGENCE_LIMIT, math.inf)], False),
+            ([0.0, -4.0 * np.nextafter(DIVERGENCE_LIMIT, math.inf), 0.0], False),
+        ],
+    )
+    def test_divergence_check_on_three_components(self, node, spike, accepted):
+        # the field is zero except at one node, where it returns the spike;
+        # order 1 and step 0.5 make the corrector scale exactly 0.25, so the
+        # corrected state there is exactly spike / 4
+        step = 0.5
+
+        def field(t, y):
+            return np.array(spike) if t == node * step else np.zeros(3)
+
+        problem = FodeProblem(order=1.0, initial_state=np.zeros(3), rhs=field)
+        config = SolverConfig(step=step, t_end=node * step)
+        if accepted:
+            final = solve_pece(problem, config).final_state
+            assert np.abs(final).max() == DIVERGENCE_LIMIT
+            return
+        with pytest.raises(DivergenceError) as excinfo:
+            solve_pece(problem, config)
+        assert excinfo.value.node == node
+        assert excinfo.value.time == node * step
+        assert np.array_equal(excinfo.value.state, 0.25 * np.array(spike), equal_nan=True)
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize("n_steps", [1, _LEAF - 1, _LEAF, _LEAF + 1, 16385])
+    def test_rhs_call_count(self, example1, n_steps, iterations):
+        # 1 + N * (1 + corrector_iterations) evaluations, each at its node's time
+        field = vector_field(example1)
+        times = []
+
+        def counted(t, y):
+            times.append(t)
+            return field(t, y)
+
+        problem = FodeProblem(
+            order=0.9, initial_state=np.array([30.0, 5.0, 10.0]), rhs=counted
+        )
+        config = SolverConfig(
+            step=0.05, t_end=n_steps * 0.05, corrector_iterations=iterations
+        )
+        traj = solve_pece(problem, config)
+        assert len(times) == 1 + n_steps * (1 + iterations)
+        expected = [traj.times[0]] + [t for t in traj.times[1:] for _ in range(1 + iterations)]
+        assert np.array_equal(times, expected)
 
     def test_grid_is_uniform_and_starts_exactly(self):
         traj = solve_pece(scalar_decay(0.6), SolverConfig(step=0.25, t_end=2.0))
