@@ -164,9 +164,9 @@ GLOBAL_SCENARIOS: dict[str, GlobalScenario] = {
 
 def _truncate(traj: Trajectory, t_max: float) -> Trajectory:
     keep = int(np.searchsorted(traj.times, t_max, side="right"))
-    return Trajectory(
-        times=traj.times[:keep].copy(),
-        states=traj.states[:keep].copy(),
+    return Trajectory(  # read-only views of the solved arrays: no copy
+        times=traj.times[:keep],
+        states=traj.states[:keep],
         order=traj.order,
         metadata=dict(traj.metadata, truncated_to=t_max),
     )

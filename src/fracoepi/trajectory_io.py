@@ -3,6 +3,11 @@
 Comma-separated, one header row, LF line endings, %.17g floats so a parsed
 file reproduces the in-memory arrays bit-exactly.  Data files carry no
 timestamps; identical runs yield byte-identical files.
+
+The writer fills one ``%.17g`` row template per row and writes 256 rows
+at a time, from ``tolist()`` of that chunk only; ``"%.17g" % x`` and
+``format(x, ".17g")`` give the same text for every double, so the bytes
+are those of :func:`format_float` applied value by value.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .solver import Trajectory
 __all__ = ["alpha_tag", "save_trajectory_csv", "load_trajectory_csv", "format_float"]
 
 DEFAULT_COLUMNS = ("S", "I", "P")
+_CHUNK_ROWS = 256  # rows formatted per write; never a whole trajectory as Python objects
 
 
 def format_float(x: float) -> str:
@@ -34,10 +40,14 @@ def save_trajectory_csv(
     dim = traj.states.shape[1]
     if len(columns) != dim:
         columns = tuple(f"x{i}" for i in range(dim))
+    row = ",".join(["%.17g"] * (dim + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(columns) + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(format_float(t) + "," + ",".join(format_float(v) for v in row) + "\n")
+        for lo in range(0, len(traj.times), _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            times = traj.times[lo:hi].tolist()
+            states = traj.states[lo:hi].tolist()
+            fh.write("".join([row % (t, *values) for t, values in zip(times, states)]))
     return path
 
 

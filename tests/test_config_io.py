@@ -12,12 +12,39 @@ from fracoepi.config import (
 from fracoepi.model import ValidationError
 from fracoepi.runs import solve_model
 from fracoepi.model import State, preset
+from fracoepi.solver import Trajectory
 from fracoepi.trajectory_io import (
     alpha_tag,
     format_float,
     load_trajectory_csv,
     save_trajectory_csv,
 )
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
+
+
+def per_value_csv(traj, columns):
+    """The writer value by value with format(x, ".17g"): the oracle for the bytes."""
+    dim = traj.states.shape[1]
+    if len(columns) != dim:
+        columns = tuple(f"x{i}" for i in range(dim))
+    lines = ["t," + ",".join(columns) + "\n"]
+    for t, row in zip(traj.times, traj.states):
+        cells = [format(float(t), ".17g")] + [format(float(v), ".17g") for v in row]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def awkward_trajectory(rows, dim, seed=0):
+    """Values over many binades, the special values spread through the rows."""
+    rng = np.random.default_rng(seed)
+    times = 0.05 * np.arange(rows)
+    states = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-300, 300, (rows, dim))
+    flat = states.reshape(-1)
+    for i, value in enumerate(SPECIAL_VALUES):
+        flat[(i * 7919) % flat.size] = value
+    return Trajectory(times=times, states=states, order=0.9)
+
 
 GOOD_CONFIG = """
 # run configuration
@@ -130,6 +157,31 @@ class TestTrajectoryCsv:
         raw = path.read_bytes()
         assert raw.startswith(b"t,S,I,P\n")
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize(
+        "dim, columns",
+        [(1, ("S", "I", "P")), (3, ("S", "I", "P")), (3, ("u", "v"))],
+        ids=["dim1-fallback", "dim3", "dim3-fallback"],
+    )
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 10_001])
+    def test_bytes_equal_the_per_value_writer(self, tmp_path, rows, dim, columns):
+        traj = awkward_trajectory(rows, dim, seed=rows + dim)
+        path = save_trajectory_csv(traj, tmp_path / "traj.csv", columns)
+        raw = path.read_bytes()
+        assert raw == per_value_csv(traj, columns)
+        assert raw.count(b"\n") == rows + 1
+
+    def test_special_values_round_trip(self, tmp_path):
+        traj = awkward_trajectory(300, 3)
+        path = save_trajectory_csv(traj, tmp_path / "traj.csv")
+        text = path.read_text()
+        for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1e+308"):
+            assert f",{token}," in text or f",{token}\n" in text
+        loaded = load_trajectory_csv(path)
+        assert np.array_equal(loaded.times, traj.times)
+        assert np.array_equal(loaded.states, traj.states, equal_nan=True)
+        finite = np.isfinite(traj.states)
+        assert loaded.states[finite].tobytes() == traj.states[finite].tobytes()  # -0.0 kept
 
     @pytest.mark.parametrize(
         "alpha,tag", [(0.95, "0p95"), (0.9, "0p9"), (1.0, "1"), (0.35, "0p35")]

@@ -1,6 +1,7 @@
 """Fractional Adams PECE: weight formulas, accuracy, degenerations, guards."""
 
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ from fracoepi.solver import (
     DivergenceError,
     FodeProblem,
     SolverConfig,
+    _lag_tables,
     abm_weights,
     solve_pece,
 )
@@ -199,6 +201,9 @@ FROZEN_40K = [  # example1-global, order 0.95, step 0.05, t_end 2000
 ]
 
 
+LINEAR_2D = np.array([[-0.3, 1.0], [-1.0, -0.2]])  # a damped rotation
+
+
 def scalar_decay(alpha):
     return FodeProblem(order=alpha, initial_state=np.array([1.0]), rhs=lambda t, y: -y)
 
@@ -283,6 +288,25 @@ class TestWeights:
             assert corrector.sum() == pytest.approx(
                 predictor.sum() / math.gamma(alpha), rel=1e-12
             )
+
+    @pytest.mark.parametrize("alpha", [0.35, 0.85, 0.95, 1.0])
+    @pytest.mark.parametrize("size", [1, 2, _LEAF, _LEAF + 1, 60_001])
+    def test_lag_tables_equal_the_textbook_expressions(self, size, alpha):
+        # the tables are built in place; every entry must keep the bits of
+        # the expressions written out below
+        h = 0.05
+        grid = np.arange(size + 1, dtype=float)
+        pow_a = grid**alpha
+        pow_a1 = grid ** (alpha + 1.0)
+        w = np.zeros(size)
+        w[1:] = (h**alpha / alpha) * (pow_a[1:size] - pow_a[: size - 1])
+        d = np.zeros(size)
+        d[1:] = pow_a1[2:] + pow_a1[: size - 1] - 2.0 * pow_a1[1:size]
+        c0 = np.zeros(size)
+        c0[1:] = pow_a1[: size - 1] - (grid[: size - 1] - alpha) * pow_a[1:size]
+        for table, expected in zip(_lag_tables(alpha, h, size), (w, d, c0)):
+            assert table.shape == (size,)
+            assert np.array_equal(table, expected)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -501,6 +525,54 @@ class TestBehavior:
         expected = [traj.times[0]] + [t for t in traj.times[1:] for _ in range(1 + iterations)]
         assert np.array_equal(times, expected)
 
+    @pytest.mark.parametrize("evaluation", ["predictor", "corrector"])
+    @pytest.mark.parametrize("node", [1, 300])
+    @pytest.mark.parametrize("bad_shape", [(1,), (4,)])
+    def test_wrong_rhs_shape_after_node_0_rejected(self, bad_shape, node, evaluation):
+        # call 0 is node 0; node k's predictor and corrector evaluations are
+        # calls 2k - 1 and 2k
+        bad_call = 2 * node - (evaluation == "predictor")
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return np.zeros(bad_shape) if len(calls) - 1 == bad_call else -y
+
+        problem = FodeProblem(order=0.8, initial_state=np.ones(3), rhs=field)
+        expected = f"rhs returned shape {bad_shape}, expected (3,) at node {node}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            solve_pece(problem, SolverConfig(step=0.01, t_end=4.0))
+        assert len(calls) == bad_call + 1
+
+    def test_wrong_rhs_shape_at_node_0_rejected(self):
+        problem = FodeProblem(
+            order=0.8, initial_state=np.ones(3), rhs=lambda t, y: np.zeros(2)
+        )
+        with pytest.raises(ValueError, match=re.escape("expected (3,) at node 0")):
+            solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
+
+    def test_rhs_receives_node_times_and_fresh_arrays(self):
+        # a field that is not the model: every call gets an ndarray state of
+        # the problem's shape and the node's time, in order
+        seen = []
+
+        def recording(t, y):
+            seen.append((t, y))
+            return -0.5 * y
+
+        problem = FodeProblem(order=0.7, initial_state=np.array([1.0, 2.0]), rhs=recording)
+        traj = solve_pece(problem, SolverConfig(step=0.02, t_end=6.0))
+        times = [t for t, _ in seen]
+        assert times[0] == traj.times[0]
+        assert np.array_equal(times[1::2], traj.times[1:])
+        assert np.array_equal(times[2::2], traj.times[1:])
+        for _, y in seen:
+            assert isinstance(y, np.ndarray)
+            assert y.dtype == np.float64 and y.shape == (2,)
+        assert len({id(y) for _, y in seen[1:]}) == len(seen) - 1  # never reused
+        corrector_args = np.array([y for _, y in seen[2::2]])
+        assert np.array_equal(corrector_args, traj.states[1:])
+
     def test_grid_is_uniform_and_starts_exactly(self):
         traj = solve_pece(scalar_decay(0.6), SolverConfig(step=0.25, t_end=2.0))
         assert traj.states[0, 0] == 1.0
@@ -585,6 +657,43 @@ class TestAgreementWithDirectSums:
         config = SolverConfig(step=0.01, t_end=30.0)
         problem = scalar_decay(0.6)
         assert_agrees(solve_pece(problem, config).states, direct_pece(problem, config))
+
+    @pytest.mark.parametrize(
+        "field, initial",
+        [
+            (lambda t, y: -y, [1.0]),
+            (lambda t, y: LINEAR_2D @ y, [1.0, -0.5]),
+            (lambda t, y: y, [1.0, 0.25]),  # hands its own argument back
+            (lambda t, y: [-0.5 * v for v in y], [2.0, 1.0, 0.5]),  # a plain list
+        ],
+        ids=["scalar", "linear-2d", "identity", "list"],
+    )
+    @pytest.mark.parametrize("n_steps", [_LEAF - 1, 1000])
+    def test_fields_that_are_not_the_model(self, field, initial, n_steps):
+        problem = FodeProblem(order=0.75, initial_state=np.array(initial), rhs=field)
+        config = SolverConfig(step=0.002, t_end=n_steps * 0.002)
+        states = solve_pece(problem, config).states
+        reference = direct_pece(problem, config)
+        if n_steps < _LEAF:  # one leaf: the direct sums themselves
+            assert np.array_equal(states, reference)
+        else:
+            assert_agrees(states, reference)
+
+    def test_identity_field_matches_a_copying_field(self):
+        # a field that returns its argument must not alias the solver's buffers
+        config = SolverConfig(step=0.002, t_end=1.0)
+        same = solve_pece(
+            FodeProblem(order=0.6, initial_state=np.array([1.0, 3.0]), rhs=lambda t, y: y),
+            config,
+        )
+        copied = solve_pece(
+            FodeProblem(
+                order=0.6, initial_state=np.array([1.0, 3.0]), rhs=lambda t, y: y.copy()
+            ),
+            config,
+        )
+        assert np.array_equal(same.states, copied.states)
+        assert np.all(np.diff(same.states[:, 0]) > 0.0)  # the growth is carried forward
 
     def test_blowup_past_the_first_blocks_reports_the_direct_node(self):
         problem = FodeProblem(
