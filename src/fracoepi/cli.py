@@ -8,13 +8,13 @@ Exit codes: 0 success, 1 validation/check failure, 2 solver divergence,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
-    DEFAULT_ALPHAS,
     MODEL_KEYS,
     ConfigError,
     RunConfig,
@@ -52,31 +52,23 @@ DIVERGENCE_HINT = (
 )
 
 
-def _parse_alpha_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad --alpha list {text!r}: {exc}") from None
-    if not values:
-        raise ValidationError("--alpha list is empty")
-    for v in values:
-        if not (0.0 < v <= 1.0):
-            raise ValidationError(f"order must lie in (0,1], got {v}")
-    return values
+_FLAGS = {
+    "preset": {"help": "built-in parameter set name"},
+    "config": {"help": "path to a key-value config file"},
+    "alpha": {"help": "comma-separated fractional orders in (0,1]"},
+    "step": {"type": float, "help": "uniform grid spacing"},
+    "t-end": {"type": float, "help": "end time"},
+    "out": {"help": "output directory"},
+}
 
 
-def _add_common(parser: argparse.ArgumentParser, with_solver: bool = True) -> None:
-    parser.add_argument("--preset", help="built-in parameter set name")
-    parser.add_argument("--config", help="path to a key-value config file")
-    parser.add_argument("--alpha", help="comma-separated fractional orders in (0,1]")
-    if with_solver:
-        parser.add_argument("--step", type=float, help="uniform grid spacing")
-        parser.add_argument("--t-end", dest="t_end", type=float, help="end time")
-        parser.add_argument("--out", help="output directory")
-        parser.add_argument("--format", dest="fmt", choices=["csv"], help="output format")
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--preset and --config, plus the named flags of the subcommand."""
+    for name in ("preset", "config", *names):
+        parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def _resolve_config(args) -> RunConfig:
+def _resolve_config(args, default_alphas: tuple[float, ...] = ()) -> RunConfig:
     entries: dict = {}
     if args.config:
         path = Path(args.config)
@@ -89,17 +81,26 @@ def _resolve_config(args) -> RunConfig:
         k.startswith("model.") for k in entries
     ):
         raise ConfigError("no model given: use --preset or a config file")
-    if args.alpha:
-        entries["solver.alpha"] = list(_parse_alpha_list(args.alpha))
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None:
+        try:
+            entries["solver.alpha"] = [float(tok) for tok in alpha.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ValidationError(f"bad --alpha list {alpha!r}: {exc}") from None
+    if default_alphas:
+        entries.setdefault("solver.alpha", list(default_alphas))
     if getattr(args, "step", None) is not None:
         entries["solver.step"] = args.step
     if getattr(args, "t_end", None) is not None:
         entries["solver.t_end"] = args.t_end
     if getattr(args, "out", None):
         entries["output.directory"] = args.out
-    if getattr(args, "fmt", None):
-        entries["output.format"] = args.fmt
     return config_from_entries(entries)
+
+
+def _eta(params: ModelParams) -> float:
+    """Boundedness rate eta = min(mu, d)/2, strictly inside (0, min(mu, d))."""
+    return 0.5 * min(params.infected_death_rate, params.predator_death_rate)
 
 
 def _state_tag(x0: State) -> str:
@@ -114,7 +115,7 @@ def cmd_simulate(args) -> int:
         (cfg.params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations)
         for alpha, _, x0 in runs
     ]
-    eta = 0.5 * min(cfg.params.infected_death_rate, cfg.params.predator_death_rate)
+    eta = _eta(cfg.params)
     summary = [f"model: {cfg.preset_name or 'custom'}"]
     for (alpha, j, x0), traj in zip(runs, solve_many(jobs)):
         name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
@@ -161,9 +162,8 @@ def _fmt_opt(value) -> str:
 
 
 def cmd_report(args) -> int:
-    cfg = _resolve_config(args)
-    params = cfg.params
-    alphas = _parse_alpha_list(args.alpha) if args.alpha else REPORT_ALPHAS
+    cfg = _resolve_config(args, default_alphas=REPORT_ALPHAS)
+    params, alphas = cfg.params, cfg.alphas
     th = thresholds(params)
     lines = [f"model: {cfg.preset_name or 'custom'}"]
     lines.append("thresholds:")
@@ -231,7 +231,6 @@ _SWEEP_FIELDS = ("exists", "S", "I", "P", "label", "margin", "critical_order")
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    alphas = _parse_alpha_list(args.alpha) if args.alpha else DEFAULT_ALPHAS
     name, grid = _parse_grid(args.vary)
     field = MODEL_KEYS.get(name.lower())
     if field is None:
@@ -255,31 +254,18 @@ def cmd_sweep(args) -> int:
             raise ValidationError(
                 f"grid value {value:g} leaves the valid region: {exc}"
             ) from None
-        for alpha in alphas:
+        for alpha in cfg.alphas:
             cells = [name, format_float(value), format_float(alpha)]
             for eq in equilibria(params):
-                if not eq.exists or eq.state is None:
-                    coords = eq.state
-                    cells += [
-                        "0",
-                        *(
-                            [format_float(c) for c in coords.as_array()]
-                            if coords is not None
-                            else ["nan", "nan", "nan"]
-                        ),
-                        "-",
-                        "nan",
-                        "nan",
-                    ]
-                    continue
-                verdict = classify_equilibrium(params, eq, alpha)
-                cells += [
-                    "1",
-                    *(format_float(c) for c in eq.state.as_array()),
-                    verdict.label,
-                    format_float(verdict.margin),
-                    format_float(verdict.critical_order),
-                ]
+                coords = (math.nan,) * 3 if eq.state is None else eq.state.as_array()
+                if eq.exists and eq.state is not None:
+                    verdict = classify_equilibrium(params, eq, alpha)
+                    flag, label = "1", verdict.label
+                    margin, critical = verdict.margin, verdict.critical_order
+                else:
+                    flag, label, margin, critical = "0", "-", math.nan, math.nan
+                cells += [flag, *map(format_float, coords), label,
+                          format_float(margin), format_float(critical)]
             rows.append(",".join(cells))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -299,7 +285,7 @@ def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     params = cfg.params
     tol = args.tolerance if args.tolerance is not None else 0.05
-    eta = 0.5 * min(params.infected_death_rate, params.predator_death_rate)
+    eta = _eta(params)
     all_ok = True
     lines = []
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
@@ -373,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="integrate and write trajectory CSVs")
-    _add_common(p)
+    _add_flags(p, "alpha", "step", "t-end", "out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="thresholds, equilibria and stability table")
-    _add_common(p, with_solver=False)
+    _add_flags(p, "alpha")
     p.add_argument(
         "--theta2-reference",
         type=float,
@@ -386,11 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("equilibria", help="list the four equilibria")
-    _add_common(p, with_solver=False)
+    _add_flags(p)
     p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("sweep", help="classification grid over one parameter")
-    _add_common(p)
+    _add_flags(p, "alpha", "out")
     p.add_argument("--vary", required=True, help="name=start:stop:count")
     p.set_defaults(func=cmd_sweep)
 
@@ -400,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="run the verification battery on a run")
-    _add_common(p)
+    _add_flags(p, "alpha", "step", "t-end")
     p.add_argument("--tolerance", type=float, help="convergence tolerance")
     p.set_defaults(func=cmd_verify)
 

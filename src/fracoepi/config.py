@@ -132,7 +132,6 @@ class RunConfig:
     t_end: float = DEFAULT_T_END
     corrector_iterations: int = 1
     out_dir: Path = Path("out")
-    output_format: str = "csv"
     preset_name: Optional[str] = None
 
     def __post_init__(self):
@@ -144,8 +143,6 @@ class RunConfig:
         for state in self.initial_states:
             if not state.nonnegative:
                 raise ValidationError(f"initial state must be non-negative, got {state}")
-        if self.output_format != "csv":
-            raise ValidationError(f"unsupported output format {self.output_format!r}")
 
 
 def _as_float_list(value, key: str) -> list[float]:
@@ -215,7 +212,6 @@ def config_from_entries(entries: dict) -> RunConfig:
     t_end = float(entries.pop("solver.t_end", DEFAULT_T_END))
     iterations = int(entries.pop("solver.corrector_iterations", 1))
     out_dir = Path(str(entries.pop("output.directory", "out")))
-    fmt = str(entries.pop("output.format", "csv"))
 
     if entries:
         unknown = ", ".join(sorted(entries))
@@ -229,7 +225,6 @@ def config_from_entries(entries: dict) -> RunConfig:
         t_end=t_end,
         corrector_iterations=iterations,
         out_dir=out_dir,
-        output_format=fmt,
         preset_name=None if preset_name is None else str(preset_name),
     )
 

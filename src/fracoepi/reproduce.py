@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -172,8 +172,15 @@ def _truncate(traj: Trajectory, t_max: float) -> Trajectory:
     )
 
 
-def _write_plot_script(out_dir: Path, stem: str, csv_names: Sequence[str], title: str) -> Path:
-    """Companion matplotlib script per figure; data stays in the CSVs."""
+def _write_bundle(
+    out_dir: Path, stem: str, title: str, runs: Iterable[tuple[str, Trajectory]]
+) -> list[Path]:
+    """One CSV per (file name, trajectory), then a matplotlib script that plots them."""
+    files = []
+    csv_names = []
+    for name, traj in runs:
+        files.append(save_trajectory_csv(traj, out_dir / name))
+        csv_names.append(name)
     lines = [
         '"""Plot script for the %s bundle (auto-generated, deterministic)."""' % stem,
         "import csv",
@@ -203,71 +210,76 @@ def _write_plot_script(out_dir: Path, stem: str, csv_names: Sequence[str], title
     ]
     path = out_dir / f"{stem}_plot.py"
     path.write_text("\n".join(lines), encoding="utf-8")
-    return path
+    return files + [path]
+
+
+# (item name, CubicCharacteristic attribute), in report order
+_COEFFICIENTS = (
+    ("A1", "a1"),
+    ("A2", "a2"),
+    ("A3", "a3"),
+    ("A1*A2 - A3", "routh_product"),
+    ("D(F)", "discriminant"),
+)
 
 
 def _coefficient_items(params: ModelParams, refs: dict, tol_d: float) -> list[ReproItem]:
+    """Items for the coefficients named in refs; tol_d applies to D(F) only."""
     cubic = characteristic_cubic(params, equilibrium(params, EquilibriumKind.COEXISTENCE).state)
-    items = []
-    if "A1" in refs:
-        items.append(_value_item("A1", cubic.a1, refs["A1"], COEFF_TOL))
-    if "A2" in refs:
-        items.append(_value_item("A2", cubic.a2, refs["A2"], COEFF_TOL))
-    if "A3" in refs:
-        items.append(_value_item("A3", cubic.a3, refs["A3"], COEFF_TOL))
-    if "routh" in refs:
-        items.append(_value_item("A1*A2 - A3", cubic.routh_product, refs["routh"], COEFF_TOL))
-    if "D" in refs:
-        items.append(_value_item("D(F)", cubic.discriminant, refs["D"], tol_d))
-    return items
+    return [
+        _value_item(name, getattr(cubic, attr), refs[name],
+                    tol_d if name == "D(F)" else COEFF_TOL)
+        for name, attr in _COEFFICIENTS
+        if name in refs
+    ]
 
 
 def _coordinate_items(name: str, computed: State, reference: tuple, tol: float) -> list[ReproItem]:
-    comps = ("S", "I", "P")
-    values = computed.as_array()
     return [
-        _value_item(f"{name}.{comps[k]}", values[k], reference[k], tol)
-        for k in range(3)
+        _value_item(f"{name}.{comp}", value, ref, tol)
+        for comp, value, ref in zip("SIP", computed.as_array(), reference)
     ]
+
+
+def _scenario_runs(scenario: GlobalScenario):
+    """(order, start index, start, trajectory) for every run of the scenario."""
+    for alpha in scenario.alphas:
+        for idx, x0 in enumerate(scenario.initial_states):
+            yield alpha, idx, x0, cached_solve(
+                scenario.params, alpha, x0, scenario.step, scenario.t_end
+            )
 
 
 def _convergence_items(scenario: GlobalScenario, target: State) -> list[ReproItem]:
     solve_many(scenario.jobs())
     items = []
-    for alpha in scenario.alphas:
-        for x0 in scenario.initial_states:
-            traj = cached_solve(scenario.params, alpha, x0, scenario.step, scenario.t_end)
-            res = convergence_check(traj, target, tol=scenario.tol)
-            items.append(
-                _flag_item(
-                    f"{scenario.name}: ({x0.susceptible:g},{x0.infected:g},"
-                    f"{x0.predator:g}) -> {scenario.target_kind} at alpha={alpha:g}",
-                    res.converged,
-                    f"max tail distance {res.max_tail_distance:.3g} (tol {scenario.tol:g})",
-                )
+    for alpha, _, x0, traj in _scenario_runs(scenario):
+        res = convergence_check(traj, target, tol=scenario.tol)
+        items.append(
+            _flag_item(
+                f"{scenario.name}: ({x0.susceptible:g},{x0.infected:g},"
+                f"{x0.predator:g}) -> {scenario.target_kind} at alpha={alpha:g}",
+                res.converged,
+                f"max tail distance {res.max_tail_distance:.3g} (tol {scenario.tol:g})",
             )
+        )
     return items
 
 
 def _scenario_bundle(
     scenario: GlobalScenario, out_dir: Path, stem: str, title: str
 ) -> list[Path]:
-    files = []
-    names = []
-    for alpha in scenario.alphas:
-        for idx, x0 in enumerate(scenario.initial_states):
-            traj = cached_solve(scenario.params, alpha, x0, scenario.step, scenario.t_end)
-            name = f"{stem}_alpha{alpha_tag(alpha)}_x{idx}.csv"
-            files.append(save_trajectory_csv(_truncate(traj, FIGURE_SPAN), out_dir / name))
-            names.append(name)
-    files.append(_write_plot_script(out_dir, stem, names, title))
-    return files
+    runs = (
+        (f"{stem}_alpha{alpha_tag(alpha)}_x{idx}.csv", _truncate(traj, FIGURE_SPAN))
+        for alpha, idx, _, traj in _scenario_runs(scenario)
+    )
+    return _write_bundle(out_dir, stem, title, runs)
 
 
 def _ex1(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     params = preset("example1").params
     items = _coefficient_items(
-        params, {"A1": 1.0879, "A3": 0.0028, "routh": 0.2909, "D": 0.0077}, COEFF_TOL
+        params, {"A1": 1.0879, "A3": 0.0028, "A1*A2 - A3": 0.2909, "D(F)": 0.0077}, COEFF_TOL
     )
     th = thresholds(params)
     items.append(_value_item("R0", th.reproduction_number, 2.1428, COEFF_TOL))
@@ -290,19 +302,13 @@ def _ex1(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
         )
 
     # time-series bundle across orders (single initial point)
-    files = []
-    names = []
     x0 = State(30.0, 5.0, 10.0)
-    for alpha in (0.75, 0.85, 0.95, 1.0):
-        traj = cached_solve(params, alpha, x0, SCENARIO_STEP, FIGURE_SPAN)
-        name = f"fig1_alpha{alpha_tag(alpha)}.csv"
-        files.append(save_trajectory_csv(traj, out_dir / name))
-        names.append(name)
-    files.append(
-        _write_plot_script(
-            out_dir, "fig1", names, "stable coexistence across fractional orders"
-        )
+    runs = (
+        (f"fig1_alpha{alpha_tag(alpha)}.csv",
+         cached_solve(params, alpha, x0, SCENARIO_STEP, FIGURE_SPAN))
+        for alpha in (0.75, 0.85, 0.95, 1.0)
     )
+    files = _write_bundle(out_dir, "fig1", "stable coexistence across fractional orders", runs)
     return items, files
 
 
@@ -320,7 +326,7 @@ def _fig2(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
 def _ex1_unstable(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     params = preset("example1-unstable").params
     items = _coefficient_items(
-        params, {"A1": -0.9276, "A2": -0.5775, "D": -463.8995}, DISC_TOL
+        params, {"A1": -0.9276, "A2": -0.5775, "D(F)": -463.8995}, DISC_TOL
     )
     interior = equilibrium(params, EquilibriumKind.COEXISTENCE)
     verdict = classify_equilibrium(params, interior, 0.85)
@@ -336,14 +342,12 @@ def _ex1_unstable(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     # alone decides and is reported
     low = classify_equilibrium(params, interior, 0.6)
     cubic = low.cubic
-    case_ii = (
-        cubic.discriminant < 0 and cubic.a1 >= 0 and cubic.a2 >= 0 and cubic.a3 > 0
-    )
     items.append(
         _flag_item(
             "case (ii) hypotheses evaluated at alpha=0.6",
-            low.case in (None, "ii") ,
-            f"case (ii) satisfied: {case_ii} (A1 = {cubic.a1:.4g}, A2 = {cubic.a2:.4g}); "
+            low.case in (None, "ii"),
+            f"case (ii) satisfied: {low.case == 'ii'} "
+            f"(A1 = {cubic.a1:.4g}, A2 = {cubic.a2:.4g}); "
             f"eigenvalue verdict: {low.label}, critical order {low.critical_order:.4g}",
         )
     )
@@ -358,10 +362,8 @@ def _ex1_unstable(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
             f"max tail distance {res.max_tail_distance:.3g}",
         )
     )
-    name = "fig3_alpha0p85.csv"
-    files = [save_trajectory_csv(traj, out_dir / name)]
-    files.append(
-        _write_plot_script(out_dir, "fig3", [name], "unstable coexistence oscillations")
+    files = _write_bundle(
+        out_dir, "fig3", "unstable coexistence oscillations", [("fig3_alpha0p85.csv", traj)]
     )
     return items, files
 
@@ -419,38 +421,31 @@ def _ex3(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     return items, files
 
 
-EXAMPLE_IDS = (
-    "ex1",
-    "ex1-unstable",
-    "ex2",
-    "ex3",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-)
+# example id -> the parts it runs, in order; also the order of EXAMPLE_IDS
+_EXAMPLES = {
+    "ex1": (_ex1, _fig2),
+    "ex1-unstable": (_ex1_unstable,),
+    "ex2": (_ex2,),
+    "ex3": (_ex3,),
+    "fig1": (_ex1,),
+    "fig2": (_fig2,),
+    "fig3": (_ex1_unstable,),
+    "fig4": (_ex2,),
+    "fig5": (_ex3,),
+}
+EXAMPLE_IDS = tuple(_EXAMPLES)
 
 
 def reproduce(example_id: str, out_dir: Path | str = "out") -> ReproReport:
     """Run one bundled scenario and compare against its recorded references."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if example_id in ("ex1", "fig1"):
-        items, files = _ex1(out)
-        if example_id == "ex1":
-            more_items, more_files = _fig2(out)
-            items += more_items
-            files += more_files
-    elif example_id == "fig2":
-        items, files = _fig2(out)
-    elif example_id in ("ex1-unstable", "fig3"):
-        items, files = _ex1_unstable(out)
-    elif example_id in ("ex2", "fig4"):
-        items, files = _ex2(out)
-    elif example_id in ("ex3", "fig5"):
-        items, files = _ex3(out)
-    else:
+    if example_id not in _EXAMPLES:
         known = ", ".join(EXAMPLE_IDS)
         raise ValueError(f"unknown example id {example_id!r}; known ids: {known}")
+    items, files = [], []
+    for part in _EXAMPLES[example_id]:
+        part_items, part_files = part(out)
+        items += part_items
+        files += part_files
     return ReproReport(example_id=example_id, items=tuple(items), files=tuple(files))

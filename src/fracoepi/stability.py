@@ -219,9 +219,7 @@ def cubic_roots(cubic: CubicCharacteristic) -> EigenSpectrum:
     return EigenSpectrum(eigenvalues=eigen)
 
 
-def matignon_check(
-    spectrum: EigenSpectrum, alpha: float, tie_tolerance: float = TIE_TOLERANCE
-) -> MatignonResult:
+def matignon_check(spectrum: EigenSpectrum, alpha: float) -> MatignonResult:
     """Fractional-order stability test: min |arg xi| against alpha*pi/2."""
     if not (0.0 < alpha <= 1.0):
         raise ValidationError(f"order must lie in (0,1], got {alpha}")
@@ -237,7 +235,7 @@ def matignon_check(
     min_arg = spectrum.min_abs_arg
     margin = min_arg - alpha * math.pi / 2.0
     critical = min(1.0, 2.0 * min_arg / math.pi)
-    if abs(margin) <= tie_tolerance:
+    if abs(margin) <= TIE_TOLERANCE:
         return MatignonResult(None, True, margin, critical, "on the stability boundary")
     return MatignonResult(margin > 0.0, False, margin, critical)
 
@@ -284,12 +282,7 @@ def _label(check: MatignonResult, spectrum: EigenSpectrum) -> str:
     return "unstable-focus" if spectrum.has_complex_pair else "unstable-node"
 
 
-def classify_equilibrium(
-    params: ModelParams,
-    eq: Equilibrium,
-    alpha: float,
-    tie_tolerance: float = TIE_TOLERANCE,
-) -> StabilityVerdict:
+def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> StabilityVerdict:
     """Order-dependent verdict for an existing equilibrium.
 
     The trivial and prey-only equilibria carry plain stable/unstable labels
@@ -312,7 +305,7 @@ def classify_equilibrium(
     if eq.kind is EquilibriumKind.COEXISTENCE:
         cubic = characteristic_cubic(params, eq.state)
         spectrum = cubic_roots(cubic)
-        check = matignon_check(spectrum, alpha, tie_tolerance)
+        check = matignon_check(spectrum, alpha)
         case = coefficient_case(cubic, alpha)
         if case is not None and check.stable is not None:
             case_agrees = _CASE_PREDICTS_STABLE[case] == check.stable
@@ -329,7 +322,7 @@ def classify_equilibrium(
                 np.linalg.eigvals(jacobian(params, eq.state)).astype(complex)
             )
         )
-        check = matignon_check(spectrum, alpha, tie_tolerance)
+        check = matignon_check(spectrum, alpha)
         if eq.kind in (EquilibriumKind.EXTINCTION, EquilibriumKind.PREY_ONLY):
             if check.marginal:
                 label = "marginal"

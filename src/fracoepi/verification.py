@@ -172,50 +172,29 @@ def boundedness_certificate(
     )
 
 
-def _entropy_term(x, x_star):
-    """x - x* - x* ln(x/x*), elementwise; the building block of every V."""
-    return x - x_star - x_star * np.log(x / x_star)
-
-
 def _lyapunov_values(
     params: ModelParams, target: Equilibrium, states: np.ndarray
 ) -> np.ndarray:
-    """Vectorized V along state rows; NaN where a required log diverges."""
+    """Vectorized V along state rows; NaN where a required log diverges.
+
+    V = sum_j w_j (x_j - x*_j - x*_j ln(x_j / x*_j)) with weights (1, 1, m/theta);
+    a component whose target value is 0 enters as w_j x_j and needs no x_j > 0.
+    """
     if not target.exists or target.state is None:
         raise ValidationError(f"target {target.kind} does not exist")
-    weight = params.predation_rate / params.conversion_efficiency
-    s, i, p = states[:, 0], states[:, 1], states[:, 2]
-    ts = target.state
+    if target.kind is EquilibriumKind.EXTINCTION:
+        raise ValidationError(f"no Lyapunov form is associated with {target.kind}")
+    weights = (1.0, 1.0, params.predation_rate / params.conversion_efficiency)
+    ok = np.ones(states.shape[0], dtype=bool)
+    terms = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        if target.kind is EquilibriumKind.PREY_ONLY:
-            values = np.where(
-                s > 0.0,
-                _entropy_term(s, ts.susceptible) + i + weight * p,
-                np.nan,
-            )
-        elif target.kind is EquilibriumKind.PREDATOR_FREE:
-            ok = (s > 0.0) & (i > 0.0)
-            values = np.where(
-                ok,
-                _entropy_term(s, ts.susceptible)
-                + _entropy_term(i, ts.infected)
-                + weight * p,
-                np.nan,
-            )
-        elif target.kind is EquilibriumKind.COEXISTENCE:
-            ok = (s > 0.0) & (i > 0.0) & (p > 0.0)
-            values = np.where(
-                ok,
-                _entropy_term(s, ts.susceptible)
-                + _entropy_term(i, ts.infected)
-                + weight * _entropy_term(p, ts.predator),
-                np.nan,
-            )
-        else:
-            raise ValidationError(
-                f"no Lyapunov form is associated with {target.kind}"
-            )
-    return values
+        for w, x, x_star in zip(weights, states.T, target.state.as_array()):
+            if x_star == 0.0:
+                terms.append(w * x)
+            else:
+                terms.append(w * (x - x_star - x_star * np.log(x / x_star)))
+                ok &= x > 0.0
+    return np.where(ok, terms[0] + terms[1] + terms[2], np.nan)
 
 
 def lyapunov_value(params: ModelParams, target: Equilibrium, state: State) -> float:

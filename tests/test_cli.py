@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracoepi.cli import main
-from fracoepi.trajectory_io import load_trajectory_csv
+from fracoepi.trajectory_io import format_float, load_trajectory_csv
 
 
 def run(*argv):
@@ -109,7 +109,47 @@ class TestSimulate:
         assert run(*argv, "--step", "0.01") == 0
 
 
+class TestFlags:
+    def test_empty_order_list_rejected(self, tmp_path, capsys):
+        rc = run("simulate", "--preset", "example1", "--alpha", "",
+                 "--t-end", "1", "--out", str(tmp_path / "x"))
+        assert rc == 1
+        assert "at least one order is needed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--preset", "example1", "--out", "x"),
+        ("sweep", "--preset", "example1", "--vary", "theta=0.2:0.4:2", "--step", "0.1"),
+        ("equilibria", "--preset", "example1", "--alpha", "0.9"),
+        ("simulate", "--preset", "example1", "--t-end", "1", "--format", "csv"),
+    ], ids=["verify-out", "sweep-step", "equilibria-alpha", "simulate-format"])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _orders_config(tmp_path):
+    cfg = tmp_path / "orders.cfg"
+    cfg.write_text("model.preset = example1\nsolver.alpha = [0.6]\n", encoding="utf-8")
+    return str(cfg)
+
+
 class TestReport:
+    def test_orders_from_config_file(self, tmp_path, capsys):
+        assert run("report", "--config", _orders_config(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[lines.index("stability (rows: equilibrium, columns: order):") + 1]
+        assert header.split() == ["0.6"]
+
+    def test_five_default_orders_without_flag_or_file_entry(self, capsys):
+        assert run("report", "--preset", "example1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[lines.index("stability (rows: equilibrium, columns: order):") + 1]
+        assert header.split() == ["0.6", "0.6667", "0.85", "0.95", "1"]
+
     def test_threshold_values_printed(self, capsys):
         assert run("report", "--preset", "example1") == 0
         text = capsys.readouterr().out
@@ -180,6 +220,15 @@ class TestSweep:
         assert len(flips) == 1
         grid_step = (0.09 - 0.02) / 35
         assert abs(flips[0] - 0.041795918367346939) <= grid_step
+
+    def test_orders_from_config_file(self, tmp_path):
+        out = tmp_path / "cfg_sweep.csv"
+        rc = run("sweep", "--config", _orders_config(tmp_path),
+                 "--vary", "theta=0.2:0.4:3", "--out", str(out))
+        assert rc == 0
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")]
+        alpha = rows[0].index("alpha")
+        assert [row[alpha] for row in rows[1:]] == [format_float(0.6)] * 3
 
     def test_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

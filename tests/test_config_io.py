@@ -114,6 +114,11 @@ class TestParsing:
             config_from_entries(parse_config_text(
                 "model.preset = example1\nsolver.memory_window = 200\n"))
 
+    def test_removed_output_format_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown configuration keys: output.format"):
+            config_from_entries(parse_config_text(
+                "model.preset = example1\noutput.format = csv\n"))
+
     def test_underspecified_model_lists_missing_fields(self):
         with pytest.raises(ConfigError, match="underspecified"):
             config_from_entries(parse_config_text("model.r = 2.0\n"))

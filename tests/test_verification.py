@@ -156,6 +156,59 @@ class TestLyapunovValue:
             lyapunov_value(params, absent, State(1.0, 1.0, 1.0))
 
 
+def _three_branch_lyapunov(params, target, states):
+    """V written out per target kind: the oracle for the single weighted sum."""
+    def entropy(x, x_star):
+        return x - x_star - x_star * np.log(x / x_star)
+
+    weight = params.predation_rate / params.conversion_efficiency
+    s, i, p = states[:, 0], states[:, 1], states[:, 2]
+    ts = target.state
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if target.kind is EquilibriumKind.PREY_ONLY:
+            return np.where(s > 0.0, entropy(s, ts.susceptible) + i + weight * p, np.nan)
+        if target.kind is EquilibriumKind.PREDATOR_FREE:
+            return np.where(
+                (s > 0.0) & (i > 0.0),
+                entropy(s, ts.susceptible) + entropy(i, ts.infected) + weight * p,
+                np.nan,
+            )
+        return np.where(
+            (s > 0.0) & (i > 0.0) & (p > 0.0),
+            entropy(s, ts.susceptible)
+            + entropy(i, ts.infected)
+            + weight * entropy(p, ts.predator),
+            np.nan,
+        )
+
+
+LYAPUNOV_TARGETS = [
+    (name, kind)
+    for name in sorted(PRESETS)
+    for kind in (EquilibriumKind.PREY_ONLY, EquilibriumKind.PREDATOR_FREE,
+                 EquilibriumKind.COEXISTENCE)
+    if equilibrium(preset(name).params, kind).exists
+]
+
+
+@pytest.mark.parametrize("name, kind", LYAPUNOV_TARGETS)
+def test_lyapunov_single_sum_bit_identical_to_three_branch_form(name, kind):
+    params = preset(name).params
+    target = equilibrium(params, kind)
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, 0.5]
+    states = np.concatenate([
+        rng.uniform(0.0, 80.0, size=(20_000, 3)),
+        np.array(np.meshgrid(special, special, special)).reshape(3, -1).T,
+        np.tile(target.state.as_array(), (10, 1)),
+    ])
+    traj = Trajectory(times=np.arange(len(states), dtype=float), states=states, order=0.9)
+    with np.errstate(invalid="ignore"):  # V = inf at s = 5e-324, where ln(s/S*) = -inf
+        got = lyapunov_monotonicity(params, target, traj).values
+    want = _three_branch_lyapunov(params, target, states)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 SCENARIO_TARGETS = {
     "prey-only": EquilibriumKind.PREY_ONLY,
     "predator-free": EquilibriumKind.PREDATOR_FREE,
