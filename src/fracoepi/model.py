@@ -103,11 +103,6 @@ class State:
     def as_array(self) -> np.ndarray:
         return np.array([self.susceptible, self.infected, self.predator])
 
-    @classmethod
-    def from_array(cls, values) -> "State":
-        s, i, p = np.asarray(values, dtype=float)
-        return cls(float(s), float(i), float(p))
-
 
 class EquilibriumKind(Enum):
     EXTINCTION = "E0"    # (0, 0, 0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -53,10 +53,7 @@ DISC_TOL = 0.05    # the large negative discriminant reference
 
 FIGURE_SPAN = 500.0          # time window written to figure CSVs
 UNSTABLE_SPAN = 1000.0       # long enough to show the growing oscillations
-SCENARIO_SPAN = 2000.0       # global-stability convergence runs
 SCENARIO_STEP = 0.05
-SCENARIO_ALPHAS = (0.85, 0.95)
-SCENARIO_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -121,16 +118,17 @@ class GlobalScenario:
 
     The initial points are artifact choices: distinct, positive, and with
     deviations moderate enough that the algebraically slow fractional decay
-    reaches the convergence tolerance within the configured span.
+    reaches the convergence tolerance within the span; every scenario shares
+    the orders, step, span and tolerance.
     """
 
     name: str
     preset_name: str
     target_kind: EquilibriumKind
-    alphas: tuple[float, ...] = SCENARIO_ALPHAS
-    step: float = SCENARIO_STEP
-    t_end: float = SCENARIO_SPAN
-    tol: float = SCENARIO_TOL
+    alphas: ClassVar[tuple[float, ...]] = (0.85, 0.95)
+    step: ClassVar[float] = SCENARIO_STEP
+    t_end: ClassVar[float] = 2000.0
+    tol: ClassVar[float] = 1e-2
 
     @property
     def params(self) -> ModelParams:
@@ -438,11 +436,11 @@ EXAMPLE_IDS = tuple(_EXAMPLES)
 
 def reproduce(example_id: str, out_dir: Path | str = "out") -> ReproReport:
     """Run one bundled scenario and compare against its recorded references."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if example_id not in _EXAMPLES:
         known = ", ".join(EXAMPLE_IDS)
         raise ValueError(f"unknown example id {example_id!r}; known ids: {known}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     items, files = [], []
     for part in _EXAMPLES[example_id]:
         part_items, part_files = part(out)

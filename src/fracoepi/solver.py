@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12  # component magnitude treated as blow-up
-DEFAULT_NODE_CAP = 2_000_000
+NODE_CAP = 2_000_000  # most nodes one solve may allocate
 GRID_TOL = 1e-9  # relative distance of (t_end - t0)/step from an integer
 
 _LEAF = 128  # nodes summed directly; a power of two
@@ -99,7 +99,6 @@ class SolverConfig:
     step: float
     t_end: float
     corrector_iterations: int = 1
-    node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -108,8 +107,6 @@ class SolverConfig:
             raise ValueError("t_end must be finite")
         if self.corrector_iterations < 1:
             raise ValueError("corrector_iterations must be a positive integer")
-        if self.node_cap < 1:
-            raise ValueError("node_cap must be positive")
 
     def node_count(self, t0: float) -> int:
         """Number of steps from t0; rejects off-grid spans and spans beyond the node cap."""
@@ -123,10 +120,8 @@ class SolverConfig:
                 f"t_end = {self.t_end} is not on the grid of step {self.step} "
                 f"from t0 = {t0}: the span holds {ratio!r} steps"
             )
-        if steps > self.node_cap:
-            raise ValueError(
-                f"{steps} nodes exceed the configured cap of {self.node_cap}"
-            )
+        if steps > NODE_CAP:
+            raise ValueError(f"{steps} nodes exceed the cap of {NODE_CAP}")
         return steps
 
 

@@ -44,6 +44,11 @@ __all__ = [
     "lyapunov_value",
 ]
 
+NEGATIVE_TOL = 1e-8  # undershoot below zero still read as non-negative
+ENVELOPE_MARGIN = 1e-6  # added to the boundedness envelope
+LYAPUNOV_SLACK = 1e-3  # largest forward increase of V read as a decrease
+TAIL_FRACTION = 0.1  # trailing share of the nodes the convergence check reads
+
 _MAX_LISTED_NODES = 20
 _MAX_SKIPPED_FRACTION = 0.01  # Lyapunov nodes allowed to graze the boundary
 
@@ -94,18 +99,18 @@ class ConvergenceResult:
     tail_nodes: int
 
 
-def check_nonnegativity(traj: Trajectory, tol: float = 1e-8) -> NonnegativityReport:
-    """Pass when every component stays above -tol at every node."""
+def check_nonnegativity(traj: Trajectory) -> NonnegativityReport:
+    """Pass when every component stays above -NEGATIVE_TOL at every node."""
     states = traj.states
     worst = np.maximum(0.0, -states.min(axis=0))
-    bad = np.argwhere(states < -tol)
+    bad = np.argwhere(states < -NEGATIVE_TOL)
     listed = tuple(
         (int(n), float(traj.times[n]), int(c), float(states[n, c]))
         for n, c in bad[:_MAX_LISTED_NODES]
     )
     return NonnegativityReport(
         passed=bad.size == 0,
-        tolerance=tol,
+        tolerance=NEGATIVE_TOL,
         worst_undershoot=worst,
         offending_nodes=listed,
         offending_count=int(bad.shape[0]),
@@ -119,10 +124,7 @@ def total_population(params: ModelParams, states: np.ndarray) -> np.ndarray:
 
 
 def boundedness_certificate(
-    params: ModelParams,
-    traj: Trajectory,
-    eta: float,
-    epsilon_margin: float = 1e-6,
+    params: ModelParams, traj: Trajectory, eta: float
 ) -> BoundednessCertificate:
     """Check the uniform bound on V = S + I + (m/theta)P.
 
@@ -142,7 +144,7 @@ def boundedness_certificate(
     values = total_population(params, traj.states)
     v0 = float(values[0])
 
-    cap = max(v0, bound) + epsilon_margin
+    cap = max(v0, bound) + ENVELOPE_MARGIN
     envelope_checked = v0 > bound
     if envelope_checked:
         decay = np.array(
@@ -151,7 +153,7 @@ def boundedness_certificate(
                 for t in traj.times
             ]
         )
-        envelope = (v0 - bound) * decay + bound + epsilon_margin
+        envelope = (v0 - bound) * decay + bound + ENVELOPE_MARGIN
         limit = np.minimum(cap, envelope)
     else:
         limit = np.full_like(values, cap)
@@ -164,7 +166,7 @@ def boundedness_certificate(
         eta=eta,
         absorbing_level=level,
         bound=bound,
-        epsilon_margin=epsilon_margin,
+        epsilon_margin=ENVELOPE_MARGIN,
         passed=bad.size == 0,
         worst_value=float(values.max()),
         envelope_checked=envelope_checked,
@@ -244,7 +246,6 @@ def lyapunov_monotonicity(
     params: ModelParams,
     target: Equilibrium,
     traj: Trajectory,
-    slack: float = 1e-3,
     theta2_reference: Optional[State] = None,
 ) -> LyapunovReport:
     """Largest forward increase of V along the run.
@@ -267,33 +268,28 @@ def lyapunov_monotonicity(
     monotone = (
         skipped <= _MAX_SKIPPED_FRACTION * values.size
         and kept.size >= 2
-        and max_increase <= slack
+        and max_increase <= LYAPUNOV_SLACK
     )
     return LyapunovReport(
         target=target.kind,
         values=values,
         max_increase=max_increase,
         monotone=monotone,
-        slack=slack,
+        slack=LYAPUNOV_SLACK,
         skipped_nodes=skipped,
         hypothesis=hypothesis,
     )
 
 
-def convergence_check(
-    traj: Trajectory,
-    target,
-    tol: float,
-    tail_fraction: float = 0.1,
-) -> ConvergenceResult:
-    """Max-norm distance to target over the trailing fraction of nodes."""
-    if not (0.0 < tail_fraction <= 1.0):
+def convergence_check(traj: Trajectory, target, tol: float) -> ConvergenceResult:
+    """Max-norm distance to target over the trailing TAIL_FRACTION of the nodes."""
+    if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(
-            f"tail_fraction must lie in (0,1], got {tail_fraction}"
+            f"convergence tolerance must be finite and positive, got {tol}"
         )
     goal = target.as_array() if isinstance(target, State) else np.asarray(target, float)
     n_nodes = traj.states.shape[0]
-    tail = max(1, math.ceil(tail_fraction * n_nodes))
+    tail = max(1, math.ceil(TAIL_FRACTION * n_nodes))
     distance = np.abs(traj.states[-tail:] - goal).max()
     return ConvergenceResult(
         converged=bool(distance <= tol),

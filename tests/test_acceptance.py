@@ -255,7 +255,7 @@ def test_c9_wellposedness_suite():
             traj = cached_solve(
                 params, alpha, preset(name).initial_states[0], 0.025, 500.0
             )
-            report = check_nonnegativity(traj, tol=1e-8)
+            report = check_nonnegativity(traj)
             worst_undershoot = max(worst_undershoot, report.worst_undershoot.max())
             cert = boundedness_certificate(params, traj, eta)
             bound_ok = bound_ok and report.passed and cert.passed

@@ -276,3 +276,12 @@ class TestVerify:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_rejected(self, tol, capsys):
+        rc = run("verify", "--preset", "example3", "--alpha", "0.95",
+                 "--t-end", "100", f"--tolerance={tol}")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: convergence tolerance must be finite")

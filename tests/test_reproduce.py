@@ -130,6 +130,13 @@ def test_unknown_id_rejected(tmp_path):
         reproduce("ex7", out_dir=tmp_path)
 
 
+def test_unknown_id_creates_no_directory(tmp_path):
+    out = tmp_path / "never"
+    with pytest.raises(ValueError, match="unknown example id"):
+        reproduce("nope", out_dir=out)
+    assert not out.exists()
+
+
 def test_fig_alias_produces_bundle(tmp_path):
     report = reproduce("fig3", out_dir=tmp_path)
     assert not report.failed

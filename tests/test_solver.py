@@ -346,7 +346,7 @@ class TestValidation:
         assert SolverConfig(step=0.05, t_end=2.2).node_count(0.1) == 42
 
     def test_node_cap_enforced(self):
-        config = SolverConfig(step=1e-6, t_end=10.0, node_cap=1000)
+        config = SolverConfig(step=1e-6, t_end=10.0)
         with pytest.raises(ValueError, match="cap"):
             solve_pece(scalar_decay(0.8), config)
 

@@ -5,14 +5,24 @@ the acceptance suite; the well-posedness grid below runs every preset at
 step 0.05 over a 500-long span across the order grid.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import constant_trajectory, preset_run, scenario_run
-from fracoepi.model import EquilibriumKind, PRESETS, State, equilibrium, preset, rhs
-from fracoepi.reproduce import GLOBAL_SCENARIOS
+from fracoepi.model import (
+    EquilibriumKind,
+    PRESETS,
+    State,
+    ValidationError,
+    equilibrium,
+    preset,
+    rhs,
+)
+from fracoepi.reproduce import GLOBAL_SCENARIOS, GlobalScenario
 from fracoepi.runs import cached_solve
-from fracoepi.solver import Trajectory
+from fracoepi.solver import NODE_CAP, SolverConfig, Trajectory
 from fracoepi.verification import (
     boundedness_certificate,
     check_nonnegativity,
@@ -50,7 +60,7 @@ class TestNonnegativity:
             order=traj.order,
             metadata=dict(traj.metadata),
         )
-        report = check_nonnegativity(flipped, tol=1e-8)
+        report = check_nonnegativity(flipped)
         assert not report.passed
         assert report.worst_undershoot[1] > 1.0
         assert report.offending_count > 0
@@ -70,7 +80,7 @@ class TestNonnegativity:
                 )
             )
         traj = preset_run(name, alpha, t_end=500.0)
-        assert check_nonnegativity(traj, tol=1e-8).passed
+        assert check_nonnegativity(traj).passed
 
 
 class TestBoundedness:
@@ -225,7 +235,7 @@ class TestLyapunovMonotonicity:
         target = equilibrium(params, SCENARIO_TARGETS[name])
         for index in range(len(scenario.initial_states)):
             traj = scenario_run(name, alpha, index)
-            report = lyapunov_monotonicity(params, target, traj, slack=1e-3)
+            report = lyapunov_monotonicity(params, target, traj)
             assert report.monotone, (name, alpha, index, report.max_increase)
             assert report.skipped_nodes == 0
 
@@ -292,10 +302,11 @@ class TestConvergence:
         result = convergence_check(constant_trajectory(target), target, tol=1e-12)
         assert result.converged and result.max_tail_distance == 0.0
 
-    def test_tail_fraction_validated(self):
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
         traj = constant_trajectory(np.ones(3))
-        with pytest.raises(ValueError):
-            convergence_check(traj, np.ones(3), tol=0.1, tail_fraction=0.0)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            convergence_check(traj, np.ones(3), tol=tol)
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_TARGETS))
     def test_scenarios_converge(self, name):
@@ -375,3 +386,35 @@ class TestLipschitz:
             bound = lipschitz_bound(params, 100.0)
             observed = empirical_lipschitz_ratio(params, 100.0, pairs=10_000, seed=1)
             assert observed <= bound, name
+
+
+# each fixed limit: a call, the keyword it must refuse, and the value its
+# result carries; the run has 101 constant nodes, so the convergence tail is
+# ceil(0.1 * 101) = 11 nodes
+_EX1 = preset("example1").params
+_RUN = constant_trajectory(np.array([30.0, 5.0, 10.0]), n_nodes=101)
+
+
+@pytest.mark.parametrize(
+    "call, removed, carried",
+    [
+        (lambda **kw: SolverConfig(step=1.0, t_end=2e6, **kw), {"node_cap": 1000},
+         lambda config: config.node_count(0.0) == NODE_CAP == 2_000_000),
+        (lambda **kw: check_nonnegativity(_RUN, **kw), {"tol": 1e-8},
+         lambda report: report.tolerance == 1e-8),
+        (lambda **kw: boundedness_certificate(_EX1, _RUN, 0.045, **kw),
+         {"epsilon_margin": 1e-6}, lambda cert: cert.epsilon_margin == 1e-6),
+        (lambda **kw: lyapunov_monotonicity(
+            _EX1, equilibrium(_EX1, EquilibriumKind.COEXISTENCE), _RUN, **kw),
+         {"slack": 1e-3}, lambda report: report.slack == 1e-3),
+        (lambda **kw: convergence_check(_RUN, np.zeros(3), tol=0.05, **kw),
+         {"tail_fraction": 0.1}, lambda result: result.tail_nodes == 11),
+        (lambda **kw: GlobalScenario("s", "example3", EquilibriumKind.PREY_ONLY, **kw),
+         {"tol": 1e-2}, lambda scenario: scenario.tol == 1e-2),
+    ],
+    ids=["node_cap", "tol", "epsilon_margin", "slack", "tail_fraction", "scenario-tol"],
+)
+def test_fixed_limits_are_constants_not_keywords(call, removed, carried):
+    with pytest.raises(TypeError):
+        call(**removed)
+    assert carried(call())
