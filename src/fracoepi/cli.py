@@ -42,6 +42,7 @@ from .verification import (
     empirical_lipschitz_ratio,
     lipschitz_bound,
     lyapunov_monotonicity,
+    validate_tolerance,
 )
 
 REPORT_ALPHAS = (0.6, 2.0 / 3.0, 0.85, 0.95, 1.0)
@@ -285,11 +286,19 @@ def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     params = cfg.params
     tol = args.tolerance if args.tolerance is not None else 0.05
+    validate_tolerance(tol)
     eta = _eta(params)
     all_ok = True
     lines = []
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
     for alpha in cfg.alphas:
+        stable_target = None
+        for eq in equilibria(params):
+            if not eq.exists or eq.state is None:
+                continue
+            if classify_equilibrium(params, eq, alpha).stable:
+                stable_target = eq
+                break
         for x0 in cfg.initial_states:
             traj = cached_solve(
                 params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations
@@ -306,14 +315,6 @@ def cmd_verify(args) -> int:
             )
             all_ok &= nn.passed and bc.passed
 
-            stable_target = None
-            for eq in equilibria(params):
-                if not eq.exists or eq.state is None:
-                    continue
-                verdict = classify_equilibrium(params, eq, alpha)
-                if verdict.stable:
-                    stable_target = eq
-                    break
             if stable_target is not None:
                 conv = convergence_check(traj, stable_target.state, tol=tol)
                 lines.append(

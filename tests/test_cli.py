@@ -1,10 +1,19 @@
 """Command-line behavior: files, formats, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fracoepi import cli
 from fracoepi.cli import main
+from fracoepi.stability import classify_equilibrium
 from fracoepi.trajectory_io import format_float, load_trajectory_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -285,3 +294,42 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: convergence tolerance must be finite")
+
+    def test_bad_tolerance_rejected_without_a_stable_order(self, capsys):
+        # no equilibrium of this preset is stable, so convergence_check never
+        # runs: the tolerance is checked before any solve
+        rc = run("verify", "--preset", "example1-unstable", "--t-end", "100",
+                 "--tolerance", "nan")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: convergence tolerance must be finite")
+
+    def test_each_order_classified_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting(params, eq, alpha):
+            calls.append((alpha, eq.kind))
+            return classify_equilibrium(params, eq, alpha)
+
+        monkeypatch.setattr(cli, "classify_equilibrium", counting)
+        config = tmp_path / "two.cfg"
+        config.write_text("run.initial_states = [[30, 5, 10], [25, 8, 6]]\n")
+        run("verify", "--preset", "example1", "--config", str(config),
+            "--alpha", "0.9,0.95", "--t-end", "20")
+        assert calls and len(calls) == len(set(calls))
+        assert {alpha for alpha, _ in calls} == {0.9, 0.95}
+        assert capsys.readouterr().out.count("convergence to") == 4
+
+    def test_verify_does_not_load_numpy_random(self):
+        probe = (
+            "import sys; from fracoepi.cli import main; "
+            "main(['verify', '--preset', 'example3', '--alpha', '0.95', "
+            "'--t-end', '100']); "
+            "assert 'numpy.random' not in sys.modules"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Lipschitz bound" in done.stdout
