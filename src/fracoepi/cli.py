@@ -27,11 +27,11 @@ from .model import (
     State,
     ValidationError,
     equilibria,
-    equilibrium,
+    interior_equilibrium,
     thresholds,
 )
 from .reproduce import EXAMPLE_IDS, reproduce
-from .runs import cached_solve, solve_many
+from .runs import solve_model
 from .solver import DivergenceError
 from .stability import classify_equilibrium
 from .trajectory_io import alpha_tag, format_float, save_trajectory_csv
@@ -112,13 +112,12 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     runs = [(alpha, j, x0) for alpha in cfg.alphas for j, x0 in enumerate(cfg.initial_states)]
-    jobs = [
-        (cfg.params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations)
-        for alpha, _, x0 in runs
-    ]
     eta = _eta(cfg.params)
     summary = [f"model: {cfg.preset_name or 'custom'}"]
-    for (alpha, j, x0), traj in zip(runs, solve_many(jobs)):
+    for alpha, j, x0 in runs:  # each run is solved, written and dropped in turn
+        traj = solve_model(
+            cfg.params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations
+        )
         name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
         save_trajectory_csv(traj, cfg.out_dir / name)
         nn = check_nonnegativity(traj)
@@ -132,7 +131,7 @@ def cmd_simulate(args) -> int:
         )
     (cfg.out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print("\n".join(summary))
-    print(f"wrote {len(jobs)} trajectory file(s) to {cfg.out_dir}")
+    print(f"wrote {len(runs)} trajectory file(s) to {cfg.out_dir}")
     return 0
 
 
@@ -178,13 +177,14 @@ def cmd_report(args) -> int:
     )
     if args.theta2_reference is not None:
         ref_params = params.replace(conversion_efficiency=args.theta2_reference)
-        ref_eq = equilibrium(ref_params, EquilibriumKind.COEXISTENCE)
-        if ref_eq.state is not None:
-            th_ref = thresholds(params, theta2_reference=ref_eq.state)
-            lines.append(
-                f"  theta2 (S* at theta={args.theta2_reference:g})      "
-                f"= {_fmt_opt(th_ref.conversion_global)}"
-            )
+        ref_state = interior_equilibrium(ref_params)
+        if ref_state is None:
+            value = "n/a (S* undefined at theta = d)"
+        else:
+            value = _fmt_opt(thresholds(params, theta2_reference=ref_state).conversion_global)
+        lines.append(
+            f"  theta2 (S* at theta={args.theta2_reference:g})      = {value}"
+        )
     lines.append(f"  1 + r/4 (node/focus boundary as R0 value) = {th.focus_boundary:.6g}")
     for note in th.not_applicable:
         lines.append(f"  note: {note}")
@@ -300,7 +300,7 @@ def cmd_verify(args) -> int:
                 stable_target = eq
                 break
         for x0 in cfg.initial_states:
-            traj = cached_solve(
+            traj = solve_model(
                 params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations
             )
             peak = max(peak, float(np.abs(traj.states).max()))

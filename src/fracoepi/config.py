@@ -145,14 +145,14 @@ class RunConfig:
                 raise ValidationError(f"initial state must be non-negative, got {state}")
 
 
+def _number(value, key: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"field {key}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _as_float_list(value, key: str) -> list[float]:
-    items = value if isinstance(value, list) else [value]
-    out = []
-    for item in items:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise ConfigError(f"field {key}: expected numbers, got {item!r}")
-        out.append(float(item))
-    return out
+    return [_number(item, key) for item in (value if isinstance(value, list) else [value])]
 
 
 def _as_states(value, key: str) -> list[State]:
@@ -163,7 +163,7 @@ def _as_states(value, key: str) -> list[State]:
     for triple in triples:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise ConfigError(f"field {key}: each state needs exactly 3 components")
-        states.append(State(*(float(x) for x in triple)))
+        states.append(State(*(_number(x, key) for x in triple)))
     return states
 
 
@@ -183,10 +183,7 @@ def config_from_entries(entries: dict) -> RunConfig:
         short = key.split(".", 1)[1]
         if short not in MODEL_KEYS:
             raise ConfigError(f"field {key}: unknown model parameter")
-        value = entries.pop(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"field {key}: expected a number, got {value!r}")
-        overrides[MODEL_KEYS[short]] = float(value)
+        overrides[MODEL_KEYS[short]] = _number(entries.pop(key), key)
     if base is None:
         missing = sorted(
             set(ModelParams.__dataclass_fields__) - set(overrides)
@@ -208,10 +205,16 @@ def config_from_entries(entries: dict) -> RunConfig:
     alphas = tuple(
         _as_float_list(entries.pop("solver.alpha", list(DEFAULT_ALPHAS)), "solver.alpha")
     )
-    step = float(entries.pop("solver.step", DEFAULT_STEP))
-    t_end = float(entries.pop("solver.t_end", DEFAULT_T_END))
-    iterations = int(entries.pop("solver.corrector_iterations", 1))
-    out_dir = Path(str(entries.pop("output.directory", "out")))
+    step = _number(entries.pop("solver.step", DEFAULT_STEP), "solver.step")
+    t_end = _number(entries.pop("solver.t_end", DEFAULT_T_END), "solver.t_end")
+    iterations = entries.pop("solver.corrector_iterations", 1)
+    if not isinstance(iterations, int) or isinstance(iterations, bool):
+        raise ConfigError(
+            f"field solver.corrector_iterations: expected an integer, got {iterations!r}"
+        )
+    out_dir = entries.pop("output.directory", "out")
+    if isinstance(out_dir, list):
+        raise ConfigError(f"field output.directory: expected one path, got {out_dir!r}")
 
     if entries:
         unknown = ", ".join(sorted(entries))
@@ -224,7 +227,7 @@ def config_from_entries(entries: dict) -> RunConfig:
         step=step,
         t_end=t_end,
         corrector_iterations=iterations,
-        out_dir=out_dir,
+        out_dir=Path(str(out_dir)),
         preset_name=None if preset_name is None else str(preset_name),
     )
 

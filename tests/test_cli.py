@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracoepi import cli
+from fracoepi import cli, runs
 from fracoepi.cli import main
 from fracoepi.stability import classify_equilibrium
 from fracoepi.trajectory_io import format_float, load_trajectory_csv
@@ -88,6 +88,19 @@ class TestSimulate:
         )
         assert run("simulate", "--config", str(cfg)) == 0
         assert (tmp_path / "out" / "traj_alpha0p9_x0.csv").exists()
+
+    def test_config_value_of_the_wrong_type_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.preset = example3\nsolver.t_end = [1, 2]\n",
+                       encoding="utf-8")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: field solver.t_end: expected")
+
+    def test_leaves_the_solve_memo_unchanged(self, tmp_path, capsys):
+        before = dict(runs._CACHE)
+        assert run("simulate", "--preset", "example3", "--alpha", "0.9",
+                   "--step", "0.1", "--t-end", "5", "--out", str(tmp_path)) == 0
+        assert runs._CACHE == before
 
     def test_missing_config_file(self):
         assert run("simulate", "--config", "/nonexistent/run.cfg") == 1
@@ -179,6 +192,12 @@ class TestReport:
         text = capsys.readouterr().out
         assert "0.10139" in text    # self-consistent value at theta = 0.5
         assert "0.804375" in text   # value at the reference level
+
+    def test_undefined_theta2_reference_prints_why(self, capsys):
+        # theta = d = 0.09 leaves the reference interior state undefined
+        assert run("report", "--preset", "example1", "--theta2-reference", "0.09") == 0
+        text = capsys.readouterr().out
+        assert "theta2 (S* at theta=0.09)      = n/a (S* undefined at theta = d)" in text
 
     def test_equilibria_subcommand(self, capsys):
         assert run("equilibria", "--preset", "example1") == 0
@@ -320,6 +339,12 @@ class TestVerify:
         assert calls and len(calls) == len(set(calls))
         assert {alpha for alpha, _ in calls} == {0.9, 0.95}
         assert capsys.readouterr().out.count("convergence to") == 4
+
+    def test_leaves_the_solve_memo_unchanged(self, capsys):
+        before = dict(runs._CACHE)
+        run("verify", "--preset", "example3", "--alpha", "0.95", "--t-end", "10")
+        assert "Lipschitz bound" in capsys.readouterr().out
+        assert runs._CACHE == before
 
     def test_verify_does_not_load_numpy_random(self):
         probe = (

@@ -138,6 +138,20 @@ class TestParsing:
             config_from_entries(parse_config_text(
                 "model.preset = example1\nrun.initial_states = [[1, -2, 3]]\n"))
 
+    @pytest.mark.parametrize("line,field", [
+        ("solver.t_end = [1, 2]", "solver.t_end"),
+        ("solver.step = [0.1]", "solver.step"),
+        ("solver.step = abc", "solver.step"),
+        ("run.initial_states = [[30, 5, [1]]]", "run.initial_states"),
+        ("run.initial_states = [[30, 5, x]]", "run.initial_states"),
+        ("solver.corrector_iterations = x", "solver.corrector_iterations"),
+        ("solver.corrector_iterations = 2.9", "solver.corrector_iterations"),
+        ("output.directory = [a]", "output.directory"),
+    ])
+    def test_value_of_the_wrong_type_names_its_field(self, line, field):
+        with pytest.raises(ConfigError, match=f"field {field}: expected"):
+            config_from_entries(parse_config_text(f"model.preset = example1\n{line}\n"))
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(GOOD_CONFIG, encoding="utf-8")

@@ -60,6 +60,20 @@ class TestValues:
             want = math.exp(x * x) * math.erfc(x)
             assert ml_one(0.5, -x) == pytest.approx(want, rel=1e-10)
 
+    def test_erfc_identity_positive_argument(self):
+        # E_{1/2}(x) = exp(x^2) erfc(-x): the mpmath series at z > 0, alpha < 1
+        for x in (0.5, 2.0, 4.0):
+            want = math.exp(x * x) * math.erfc(-x)
+            assert ml_one(0.5, x) == pytest.approx(want, rel=1e-10)
+
+    def test_tiny_negative_argument_skips_the_tail_expansion(self):
+        # a hypothesis counterexample of the recurrence identity: z^-k
+        # overflows here.  E_{1,2}(z) = (e^z - 1)/z and
+        # E_{1,3}(z) = (e^z - 1 - z)/z^2 = 1/2 + z/6 + ...
+        z = -3.1955847520971825e-209
+        assert ml_two(1.0, 2.0, z) == pytest.approx(math.expm1(z) / z, rel=1e-15)
+        assert ml_two(1.0, 3.0, z) == pytest.approx(0.5, rel=1e-15)
+
 
 class TestErrors:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
@@ -215,6 +229,12 @@ class TestContourRoute:
         want = oracle(0.5, 6.0, -1e-6)
         assert abs(value - want) > REL_TOL * want
         assert ml_two(0.5, 6.0, -1e-6) == pytest.approx(want, rel=REL_TOL)
+
+    def test_order_above_one_against_oracle(self):
+        # no contour above order 1; the oracle's series branch holds because
+        # |z|^(1/alpha) = 2.08 <= 80
+        want = oracle(1.5, 1.0, -3.0)
+        assert ml_two(1.5, 1.0, -3.0) == pytest.approx(want, rel=REL_TOL)
 
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
