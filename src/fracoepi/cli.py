@@ -115,9 +115,7 @@ def cmd_simulate(args) -> int:
     eta = _eta(cfg.params)
     summary = [f"model: {cfg.preset_name or 'custom'}"]
     for alpha, j, x0 in runs:  # each run is solved, written and dropped in turn
-        traj = solve_model(
-            cfg.params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations
-        )
+        traj = solve_model(cfg.params, alpha, x0, cfg.step, cfg.t_end)
         name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
         save_trajectory_csv(traj, cfg.out_dir / name)
         nn = check_nonnegativity(traj)
@@ -300,9 +298,7 @@ def cmd_verify(args) -> int:
                 stable_target = eq
                 break
         for x0 in cfg.initial_states:
-            traj = solve_model(
-                params, alpha, x0, cfg.step, cfg.t_end, cfg.corrector_iterations
-            )
+            traj = solve_model(params, alpha, x0, cfg.step, cfg.t_end)
             peak = max(peak, float(np.abs(traj.states).max()))
             nn = check_nonnegativity(traj)
             bc = boundedness_certificate(params, traj, eta)

@@ -7,7 +7,6 @@ Grammar (one assignment per line, ``#`` starts a comment):
     solver.alpha = [0.85, 0.95]
     solver.step = 0.05
     solver.t_end = 500
-    solver.corrector_iterations = 1
     run.initial_states = [[30, 5, 10], [10, 20, 5]]
     output.directory = out
 
@@ -130,7 +129,6 @@ class RunConfig:
     initial_states: tuple[State, ...] = ()
     step: float = DEFAULT_STEP
     t_end: float = DEFAULT_T_END
-    corrector_iterations: int = 1
     out_dir: Path = Path("out")
     preset_name: Optional[str] = None
 
@@ -207,11 +205,6 @@ def config_from_entries(entries: dict) -> RunConfig:
     )
     step = _number(entries.pop("solver.step", DEFAULT_STEP), "solver.step")
     t_end = _number(entries.pop("solver.t_end", DEFAULT_T_END), "solver.t_end")
-    iterations = entries.pop("solver.corrector_iterations", 1)
-    if not isinstance(iterations, int) or isinstance(iterations, bool):
-        raise ConfigError(
-            f"field solver.corrector_iterations: expected an integer, got {iterations!r}"
-        )
     out_dir = entries.pop("output.directory", "out")
     if isinstance(out_dir, list):
         raise ConfigError(f"field output.directory: expected one path, got {out_dir!r}")
@@ -226,7 +219,6 @@ def config_from_entries(entries: dict) -> RunConfig:
         initial_states=tuple(initial_states),
         step=step,
         t_end=t_end,
-        corrector_iterations=iterations,
         out_dir=Path(str(out_dir)),
         preset_name=None if preset_name is None else str(preset_name),
     )

@@ -12,10 +12,12 @@ relative accuracy (1e-10):
    contour that inverts the Laplace transform ``s^(a-b) / (s^a - z)`` at
    ``t = 1`` (Garrappa, SIAM J. Numer. Anal. 53 (2015) 1350-1369), in
    float64: 28 terms per call after a per-``(a, b)`` table;
-2. for ``z < -1`` and ``0 < a < 2``, the algebraic tail expansion
+2. for ``z < -1`` and ``0 < a <= 1``, the algebraic tail expansion
    ``-sum_{k>=1} z^{-k} / Gamma(b - a*k)``, truncated at its smallest term;
-3. an adaptive-precision series (mpmath) for everything else, ``z > 0``
-   included, with working digits sized to the cancellation depth.
+   above order 1, E_{a,b}(z) also carries exponentially small terms that the
+   expansion leaves out and that can exceed its error bound;
+3. an adaptive-precision series (mpmath) for everything else, ``z > 0`` and
+   ``a > 1`` included, with working digits sized to the cancellation depth.
 
 Routes 1 and 2 run in float64; route 3 costs 0.1 to 10 ms a call.  The
 boundedness envelope ``E_a(-eta t^a)``, ``0 < a <= 1``, never leaves route 1.
@@ -109,7 +111,11 @@ def _peak_term_ln(alpha: float, beta: float, z: float) -> float:
 
 
 def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, bool]:
-    """Algebraic tail expansion for z << 0, valid for 0 < alpha < 2.
+    """Algebraic tail expansion for z << 0, used for 0 < alpha <= 1.
+
+    For 1 < alpha < 2 the function also carries the exponentially small terms
+    ``(2/alpha) |z|^((1-beta)/alpha) exp(|z|^(1/alpha) cos(pi/alpha))``, which
+    this expansion omits and which its error bound does not cover.
 
     Term k is ``-z^(-k)/Gamma(beta - alpha*k)``; by reflection its magnitude
     is a smooth envelope ``|z|^(-k) Gamma(1 + alpha*k - beta)/pi`` times
@@ -265,7 +271,7 @@ def ml_two(alpha: float, beta: float, z: float) -> float:
         value, certified = _contour(alpha, beta, z)
         if certified:
             return value
-    if z < -1.0 and alpha < 2.0:  # the tail terms shrink only for |z| > 1
+    if z < -1.0 and alpha <= 1.0:  # the tail terms shrink only for |z| > 1
         value, certified = _asymptotic(alpha, beta, z)
         if certified:
             return value

@@ -25,15 +25,11 @@ def solve_model(
     initial: State,
     step: float,
     t_end: float,
-    corrector_iterations: int = 1,
 ) -> Trajectory:
     problem = FodeProblem(
         order=order, initial_state=initial.as_array(), rhs=vector_field(params)
     )
-    config = SolverConfig(
-        step=step, t_end=t_end, corrector_iterations=corrector_iterations
-    )
-    return solve_pece(problem, config)
+    return solve_pece(problem, SolverConfig(step=step, t_end=t_end))
 
 
 def cached_solve(
@@ -42,14 +38,13 @@ def cached_solve(
     initial: State,
     step: float,
     t_end: float,
-    corrector_iterations: int = 1,
 ) -> Trajectory:
     """Memoized full-memory solve; returned trajectories are read-only."""
-    key = (params, order, initial, step, t_end, corrector_iterations)
+    key = (params, order, initial, step, t_end)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    traj = solve_model(params, order, initial, step, t_end, corrector_iterations)
+    traj = solve_model(*key)
     _CACHE[key] = traj
     return traj
 

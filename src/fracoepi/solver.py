@@ -16,15 +16,14 @@ added with one real-FFT convolution per weight table.  That makes a solve of
 n nodes cost O(n log^2 n) instead of O(n^2); a run of at most ``_LEAF``
 nodes is the plain direct sum.
 
-What remains is Python work per node: two short dot products, 1 +
-``corrector_iterations`` RHS calls, the state updates and the divergence
-check.  The dots stay numpy; the arithmetic around them (predictor,
-corrector, divergence check) runs on Python floats, with the operations of
-the array form in the same order, so every state is bit-identical and a step
-of a few components avoids the ufunc overhead of small arrays.  A leaf reads
-its pending sums and times as lists once and stores its corrected rows with
-one assignment; the model's vector field takes the same one-state path
-(``model._field``).  A 60 000-node solve of the model costs about 11 us per
+What remains is Python work per node: two short dot products, two RHS
+calls, the state updates and the divergence check.  The dots stay numpy; the
+arithmetic around them (predictor, corrector, divergence check) runs on
+Python floats, with the operations of the array form in the same order, so
+every state is bit-identical and a step of a few components avoids the ufunc
+overhead of small arrays.  A leaf reads its pending sums and times as lists
+once and stores its corrected rows with one assignment; the model's vector
+field takes the same one-state path (``model._field``).  A 60 000-node solve of the model costs about 11 us per
 node (0.65 s on a quiet 2-core Xeon VM), against 13 us (0.76 s) with numpy
 arithmetic on each step and 18 us (1.06 s) with numpy scalars in the field.
 """
@@ -98,15 +97,12 @@ class SolverConfig:
 
     step: float
     t_end: float
-    corrector_iterations: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step must be positive, got {self.step}")
         if not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
-        if self.corrector_iterations < 1:
-            raise ValueError("corrector_iterations must be a positive integer")
 
     def node_count(self, t0: float) -> int:
         """Number of steps from t0; rejects off-grid spans and spans beyond the node cap."""
@@ -246,7 +242,6 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 
     inv_gamma_a = 1.0 / math.gamma(a)
     corr_scale = h**a / math.gamma(a + 2.0)
-    iterations = config.corrector_iterations
     y0 = problem.initial_state.tolist()
     rhs_fn = problem.rhs
     limit = DIVERGENCE_LIMIT
@@ -270,14 +265,13 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
             dd = dot(d_lag[k - first_c], rhs_values[first_c:k]).tolist()
 
             f_new = asarray(rhs_fn(t_next, array(predicted)), dtype=float)
-            for _ in range(iterations):
-                if f_new.shape != shape:
-                    raise _shape_error(f_new.shape, shape, k)
-                corrected = [
-                    y + corr_scale * ((p + q) + f)
-                    for y, p, q, f in zip(y0, pend_c, dd, f_new.tolist())
-                ]
-                f_new = asarray(rhs_fn(t_next, array(corrected)), dtype=float)
+            if f_new.shape != shape:
+                raise _shape_error(f_new.shape, shape, k)
+            corrected = [
+                y + corr_scale * ((p + q) + f)
+                for y, p, q, f in zip(y0, pend_c, dd, f_new.tolist())
+            ]
+            f_new = asarray(rhs_fn(t_next, array(corrected)), dtype=float)
             if f_new.shape != shape:
                 raise _shape_error(f_new.shape, shape, k)
 
@@ -292,12 +286,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
             # nodes [stop - size, stop) close a left half of length size
             _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
 
-    metadata = {
-        "step": h,
-        "t0": problem.t0,
-        "t_end": float(times[-1]),
-        "corrector_iterations": config.corrector_iterations,
-    }
+    metadata = {"step": h, "t0": problem.t0, "t_end": float(times[-1])}
     return Trajectory(times=times, states=states, order=a, metadata=metadata)
 
 

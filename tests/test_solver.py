@@ -233,9 +233,8 @@ def direct_pece(problem, config):
         hist_c = np.dot(d_rev[big_n - n : big_n], f[1 : n + 1]) if n else 0.0
         hist_c = hist_c + (pow_a1[n] - (n - a) * pow_a[n + 1]) * f[0]
         f_new = problem.rhs(times[n + 1], predicted)
-        for _ in range(config.corrector_iterations):
-            corrected = states[0] + corr_scale * (hist_c + f_new)
-            f_new = problem.rhs(times[n + 1], corrected)
+        corrected = states[0] + corr_scale * (hist_c + f_new)
+        f_new = problem.rhs(times[n + 1], corrected)
         states[n + 1] = corrected
         f[n + 1] = f_new
     return states
@@ -332,8 +331,6 @@ class TestValidation:
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(step=0.0, t_end=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(step=0.1, t_end=1.0, corrector_iterations=0)
 
     def test_off_grid_t_end_rejected(self):
         with pytest.raises(ValueError, match="not on the grid"):
@@ -503,10 +500,9 @@ class TestBehavior:
         assert excinfo.value.time == node * step
         assert np.array_equal(excinfo.value.state, 0.25 * np.array(spike), equal_nan=True)
 
-    @pytest.mark.parametrize("iterations", [1, 2])
     @pytest.mark.parametrize("n_steps", [1, _LEAF - 1, _LEAF, _LEAF + 1, 16385])
-    def test_rhs_call_count(self, example1, n_steps, iterations):
-        # 1 + N * (1 + corrector_iterations) evaluations, each at its node's time
+    def test_rhs_call_count(self, example1, n_steps):
+        # 1 + 2N evaluations: node 0 once, every later node twice at its time
         field = vector_field(example1)
         times = []
 
@@ -517,12 +513,9 @@ class TestBehavior:
         problem = FodeProblem(
             order=0.9, initial_state=np.array([30.0, 5.0, 10.0]), rhs=counted
         )
-        config = SolverConfig(
-            step=0.05, t_end=n_steps * 0.05, corrector_iterations=iterations
-        )
-        traj = solve_pece(problem, config)
-        assert len(times) == 1 + n_steps * (1 + iterations)
-        expected = [traj.times[0]] + [t for t in traj.times[1:] for _ in range(1 + iterations)]
+        traj = solve_pece(problem, SolverConfig(step=0.05, t_end=n_steps * 0.05))
+        assert len(times) == 1 + 2 * n_steps
+        expected = [traj.times[0]] + [t for t in traj.times[1:] for _ in range(2)]
         assert np.array_equal(times, expected)
 
     @pytest.mark.parametrize("evaluation", ["predictor", "corrector"])
@@ -643,14 +636,6 @@ class TestAgreementWithDirectSums:
             rhs=vector_field(example1),
         )
         config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
-        assert_agrees(solve_pece(problem, config).states, direct_pece(problem, config))
-
-    def test_two_corrector_iterations(self, example1):
-        problem = FodeProblem(
-            order=0.7, initial_state=np.array([25.0, 8.0, 6.0]),
-            rhs=vector_field(example1),
-        )
-        config = SolverConfig(step=0.05, t_end=150.0, corrector_iterations=2)
         assert_agrees(solve_pece(problem, config).states, direct_pece(problem, config))
 
     def test_scalar_problem(self):
