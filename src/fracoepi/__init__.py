@@ -8,9 +8,9 @@ the model's boundedness and global-stability guarantees.
 
 Entry points:
 
->>> from fracoepi import preset, cached_solve, equilibria, thresholds
+>>> from fracoepi import preset, solve_model, equilibria, thresholds
 >>> p = preset("example1")
->>> traj = cached_solve(p.params, 0.95, p.initial_states[0], 0.05, 200.0)
+>>> traj = solve_model(p.params, 0.95, p.initial_states[0], 0.05, 200.0)
 >>> [round(v, 2) for v in traj.final_state]  # doctest: +SKIP
 
 The command-line interface lives in :mod:`fracoepi.cli` (``fracoepi --help``).

@@ -78,9 +78,7 @@ def _resolve_config(args, default_alphas: tuple[float, ...] = ()) -> RunConfig:
         entries = parse_config_text(path.read_text(encoding="utf-8"))
     if args.preset:
         entries["model.preset"] = args.preset
-    if "model.preset" not in entries and not any(
-        k.startswith("model.") for k in entries
-    ):
+    if not any(k.startswith("model.") for k in entries):
         raise ConfigError("no model given: use --preset or a config file")
     alpha = getattr(args, "alpha", None)
     if alpha is not None:
@@ -398,7 +396,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

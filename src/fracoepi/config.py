@@ -125,12 +125,12 @@ class RunConfig:
     """Everything a simulation run needs."""
 
     params: ModelParams
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
-    initial_states: tuple[State, ...] = ()
-    step: float = DEFAULT_STEP
-    t_end: float = DEFAULT_T_END
-    out_dir: Path = Path("out")
-    preset_name: Optional[str] = None
+    alphas: tuple[float, ...]
+    initial_states: tuple[State, ...]
+    step: float
+    t_end: float
+    out_dir: Path
+    preset_name: Optional[str]
 
     def __post_init__(self):
         if not self.alphas:

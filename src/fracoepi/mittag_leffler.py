@@ -19,8 +19,10 @@ relative accuracy (1e-10):
 3. an adaptive-precision series (mpmath) for everything else, ``z > 0`` and
    ``a > 1`` included, with working digits sized to the cancellation depth.
 
-Routes 1 and 2 run in float64; route 3 costs 0.1 to 10 ms a call.  The
-boundedness envelope ``E_a(-eta t^a)``, ``0 < a <= 1``, never leaves route 1.
+Routes 1 and 2 run in float64; route 3 costs 0.1 to 10 ms a call.  Route 1's
+error bound is absolute, so near ``a = 1`` it refuses the small values of a
+long boundedness envelope ``E_a(-eta t^a)`` (first at ``|z| ~ 30`` for
+``a = 0.999``), and routes 2 and 3 supply them.
 
 All functions are pure and thread-safe.
 """

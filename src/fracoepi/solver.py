@@ -47,7 +47,7 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12  # component magnitude treated as blow-up
 NODE_CAP = 2_000_000  # most nodes one solve may allocate
-GRID_TOL = 1e-9  # relative distance of (t_end - t0)/step from an integer
+GRID_TOL = 1e-9  # relative distance of t_end/step from an integer
 
 _LEAF = 128  # nodes summed directly; a power of two
 _FFT_CAP = 1 << 13  # longest transform; longer blocks are split into chunk pairs
@@ -67,12 +67,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FodeProblem:
-    """Caputo initial value problem of commensurate order in (0, 1]."""
+    """Caputo initial value problem of commensurate order in (0, 1], started at t = 0."""
 
     order: float
     initial_state: np.ndarray
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.order <= 1.0):
@@ -82,8 +81,6 @@ class FodeProblem:
             raise ValueError("initial_state must be a non-empty vector")
         if not np.all(np.isfinite(state)):
             raise ValueError(f"initial_state must be finite, got {state}")
-        if not (math.isfinite(self.t0) and self.t0 >= 0.0):
-            raise ValueError(f"t0 must be finite and non-negative, got {self.t0}")
         object.__setattr__(self, "initial_state", state)
 
     @property
@@ -104,17 +101,16 @@ class SolverConfig:
         if not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
 
-    def node_count(self, t0: float) -> int:
-        """Number of steps from t0; rejects off-grid spans and spans beyond the node cap."""
-        span = self.t_end - t0
-        if span < 0.0:
-            raise ValueError(f"t_end = {self.t_end} lies before t0 = {t0}")
-        ratio = span / self.step
+    def node_count(self) -> int:
+        """Number of steps from t = 0; rejects off-grid spans and spans beyond the node cap."""
+        if self.t_end < 0.0:
+            raise ValueError(f"t_end = {self.t_end} lies before t = 0")
+        ratio = self.t_end / self.step
         steps = int(round(ratio))
         if abs(ratio - steps) > GRID_TOL * max(ratio, 1.0):
             raise ValueError(
                 f"t_end = {self.t_end} is not on the grid of step {self.step} "
-                f"from t0 = {t0}: the span holds {ratio!r} steps"
+                f"from t = 0: the span holds {ratio!r} steps"
             )
         if steps > NODE_CAP:
             raise ValueError(f"{steps} nodes exceed the cap of {NODE_CAP}")
@@ -133,10 +129,6 @@ class Trajectory:
     def __post_init__(self):
         self.times.setflags(write=False)
         self.states.setflags(write=False)
-
-    @property
-    def step(self) -> float:
-        return float(self.metadata.get("step", np.nan))
 
     @property
     def final_state(self) -> np.ndarray:
@@ -213,8 +205,8 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     """
     a = problem.order
     h = config.step
-    n_steps = config.node_count(problem.t0)
-    times = problem.t0 + h * np.arange(n_steps + 1)
+    n_steps = config.node_count()
+    times = h * np.arange(n_steps + 1)
 
     # until node k is solved, states[k] and rhs_values[k] hold the pending
     # predictor and corrector history sums of the nodes before its block
@@ -286,7 +278,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
             # nodes [stop - size, stop) close a left half of length size
             _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
 
-    metadata = {"step": h, "t0": problem.t0, "t_end": float(times[-1])}
+    metadata = {"step": h, "t_end": float(times[-1])}
     return Trajectory(times=times, states=states, order=a, metadata=metadata)
 
 

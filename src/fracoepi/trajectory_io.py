@@ -1,6 +1,7 @@
 """Trajectory CSV serialization.
 
-Comma-separated, one header row, LF line endings, %.17g floats so a parsed
+Comma-separated, one header row (``t,S,I,P``; ``t,x0,x1,...`` for a
+dimension other than three), LF line endings, %.17g floats so a parsed
 file reproduces the in-memory arrays bit-exactly.  Data files carry no
 timestamps; identical runs yield byte-identical files.
 
@@ -20,7 +21,6 @@ from .solver import Trajectory
 
 __all__ = ["alpha_tag", "save_trajectory_csv", "load_trajectory_csv", "format_float"]
 
-DEFAULT_COLUMNS = ("S", "I", "P")
 _CHUNK_ROWS = 256  # rows formatted per write; never a whole trajectory as Python objects
 
 
@@ -33,16 +33,13 @@ def alpha_tag(alpha: float) -> str:
     return format(alpha, "g").replace(".", "p")
 
 
-def save_trajectory_csv(
-    traj: Trajectory, path: Path | str, columns: tuple[str, ...] = DEFAULT_COLUMNS
-) -> Path:
+def save_trajectory_csv(traj: Trajectory, path: Path | str) -> Path:
     path = Path(path)
     dim = traj.states.shape[1]
-    if len(columns) != dim:
-        columns = tuple(f"x{i}" for i in range(dim))
+    names = ("S", "I", "P") if dim == 3 else tuple(f"x{i}" for i in range(dim))
     row = ",".join(["%.17g"] * (dim + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(columns) + "\n")
+        fh.write("t," + ",".join(names) + "\n")
         for lo in range(0, len(traj.times), _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
             times = traj.times[lo:hi].tolist()
@@ -51,7 +48,7 @@ def save_trajectory_csv(
     return path
 
 
-def load_trajectory_csv(path: Path | str, order: float = float("nan")) -> Trajectory:
+def load_trajectory_csv(path: Path | str) -> Trajectory:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -65,6 +62,6 @@ def load_trajectory_csv(path: Path | str, order: float = float("nan")) -> Trajec
     return Trajectory(
         times=times,
         states=states,
-        order=order,
+        order=float("nan"),  # the file does not record the order
         metadata={"step": step, "source": str(path)},
     )

@@ -212,12 +212,8 @@ def lyapunov_value(params: ModelParams, target: Equilibrium, state: State) -> fl
     return value
 
 
-def _hypothesis(
-    params: ModelParams,
-    target: EquilibriumKind,
-    theta2_reference: Optional[State],
-) -> HypothesisCheck:
-    th = thresholds(params, theta2_reference=theta2_reference)
+def _hypothesis(params: ModelParams, target: EquilibriumKind) -> HypothesisCheck:
+    th = thresholds(params)
     if target is EquilibriumKind.PREY_ONLY:
         r0 = th.reproduction_number
         return HypothesisCheck("R0 < 1", r0 < 1.0, f"R0 = {r0:.6g}")
@@ -244,10 +240,7 @@ def _hypothesis(
 
 
 def lyapunov_monotonicity(
-    params: ModelParams,
-    target: Equilibrium,
-    traj: Trajectory,
-    theta2_reference: Optional[State] = None,
+    params: ModelParams, target: Equilibrium, traj: Trajectory
 ) -> LyapunovReport:
     """Largest forward increase of V along the run.
 
@@ -265,7 +258,7 @@ def lyapunov_monotonicity(
         max_increase = float(np.max(np.diff(kept)))
     else:
         max_increase = math.nan
-    hypothesis = _hypothesis(params, target.kind, theta2_reference)
+    hypothesis = _hypothesis(params, target.kind)
     monotone = (
         skipped <= _MAX_SKIPPED_FRACTION * values.size
         and kept.size >= 2

@@ -105,6 +105,21 @@ class TestSimulate:
     def test_missing_config_file(self):
         assert run("simulate", "--config", "/nonexistent/run.cfg") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["equilibria", "--config", "{tmp}"],
+        ["simulate", "--preset", "example1", "--t-end", "1", "--out", "{tmp}/taken"],
+    ], ids=["config-is-a-directory", "out-is-a-file"])
+    def test_file_errors_print_one_line_not_a_traceback(self, argv, tmp_path):
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "fracoepi", *(arg.format(tmp=tmp_path) for arg in argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         # a stiff parameter set at a coarse step blows the scheme up
         cfg = tmp_path / "explode.cfg"

@@ -209,6 +209,17 @@ class TestContourRoute:
             want = oracle(alpha, 1.0, z)
             assert abs(ml_one(alpha, z) - want) <= 1e-13 * want, t
 
+    def test_long_envelope_leaves_the_contour_correctly(self):
+        # near order 1 the contour's absolute error bound refuses the small
+        # envelope values of long runs (first at |z| ~ 30 for 0.999, ~ 290
+        # for 0.99); the tail expansion and the mpmath series take over there
+        eta = 0.045
+        for alpha in (0.99, 0.999):
+            for t in 0.05 * np.arange(400, 40001, 400):  # every 400th node to t = 2000
+                z = -eta * float(t) ** alpha
+                want = oracle(alpha, 1.0, z)
+                assert abs(ml_one(alpha, z) - want) <= REL_TOL * want, (alpha, t)
+
     def test_envelope_never_reaches_mpmath(self, monkeypatch):
         def refuse(*args):
             raise AssertionError(f"mpmath series called with {args}")

@@ -211,7 +211,7 @@ def scalar_decay(alpha):
 def direct_pece(problem, config):
     """The O(N^2) sweep with every history sum a full dot product: the oracle."""
     a, h = problem.order, config.step
-    big_n = config.node_count(problem.t0)
+    big_n = config.node_count()
     grid = np.arange(big_n + 2, dtype=float)
     pow_a, pow_a1 = grid**a, grid ** (a + 1.0)
     w = np.zeros(big_n + 2)
@@ -223,7 +223,7 @@ def direct_pece(problem, config):
     d_rev = np.ascontiguousarray(d[::-1])  # d_rev[N-u] = d[u]
     inv_gamma_a = 1.0 / math.gamma(a)
     corr_scale = h**a / math.gamma(a + 2.0)
-    times = problem.t0 + h * np.arange(big_n + 1)
+    times = h * np.arange(big_n + 1)
     states = np.empty((big_n + 1, problem.dimension))
     f = np.empty_like(states)
     states[0] = problem.initial_state
@@ -331,16 +331,17 @@ class TestValidation:
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(step=0.0, t_end=1.0)
+        with pytest.raises(ValueError, match=r"t_end = -0.3 lies before t = 0"):
+            SolverConfig(step=0.1, t_end=-0.3).node_count()
 
     def test_off_grid_t_end_rejected(self):
         with pytest.raises(ValueError, match="not on the grid"):
             solve_pece(scalar_decay(0.8), SolverConfig(step=0.3, t_end=1.0))
         with pytest.raises(ValueError, match="not on the grid"):
-            SolverConfig(step=0.05, t_end=500.01).node_count(0.0)
+            SolverConfig(step=0.05, t_end=500.01).node_count()
         # spans whose ratio only misses an integer by rounding stay accepted
-        assert SolverConfig(step=0.1, t_end=0.3).node_count(0.0) == 3
-        assert SolverConfig(step=0.05, t_end=3000.0).node_count(0.0) == 60_000
-        assert SolverConfig(step=0.05, t_end=2.2).node_count(0.1) == 42
+        assert SolverConfig(step=0.1, t_end=0.3).node_count() == 3
+        assert SolverConfig(step=0.05, t_end=3000.0).node_count() == 60_000
 
     def test_node_cap_enforced(self):
         config = SolverConfig(step=1e-6, t_end=10.0)
