@@ -32,7 +32,7 @@ from .model import (
 )
 from .reproduce import EXAMPLE_IDS, reproduce
 from .runs import solve_model
-from .solver import DivergenceError
+from .solver import DivergenceError, SolverConfig
 from .stability import classify_equilibrium
 from .trajectory_io import alpha_tag, format_float, save_trajectory_csv
 from .verification import (
@@ -108,6 +108,7 @@ def _state_tag(x0: State) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
+    SolverConfig(step=cfg.step, t_end=cfg.t_end).node_count()  # a bad grid writes nothing
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     runs = [(alpha, j, x0) for alpha in cfg.alphas for j, x0 in enumerate(cfg.initial_states)]
     eta = _eta(cfg.params)
@@ -235,9 +236,7 @@ def cmd_sweep(args) -> int:
 
     out_path = Path(args.out) if args.out else Path("sweep.csv")
     if out_path.is_dir() or (args.out and args.out.endswith("/")):
-        out_path.mkdir(parents=True, exist_ok=True)
         out_path = out_path / "sweep.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     kinds = [k.value for k in EquilibriumKind]
     header = ["parameter", "value", "alpha"] + [
@@ -264,6 +263,7 @@ def cmd_sweep(args) -> int:
                 cells += [flag, *map(format_float, coords), label,
                           format_float(margin), format_float(critical)]
             rows.append(",".join(cells))
+    out_path.parent.mkdir(parents=True, exist_ok=True)  # only once every row is built
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -19,10 +19,11 @@ relative accuracy (1e-10):
 3. an adaptive-precision series (mpmath) for everything else, ``z > 0`` and
    ``a > 1`` included, with working digits sized to the cancellation depth.
 
-Routes 1 and 2 run in float64; route 3 costs 0.1 to 10 ms a call.  Route 1's
-error bound is absolute, so near ``a = 1`` it refuses the small values of a
-long boundedness envelope ``E_a(-eta t^a)`` (first at ``|z| ~ 30`` for
-``a = 0.999``), and routes 2 and 3 supply them.
+Routes 1 and 2 run in float64; route 3 costs 0.1 to 10 ms a call.  For
+``|z| >= 1`` route 1's error bound falls like ``1/|z|``, as the value does,
+so it certifies a long boundedness envelope ``E_a(-eta t^a)`` near ``a = 1``
+too (every 10th node to t = 2000 at ``a = 0.999``) and routes 2 and 3 are
+not reached there.
 
 All functions are pure and thread-safe.
 """
@@ -167,20 +168,20 @@ def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, bool]:
     return value, omitted <= _ASYMP_CERT * abs(value)
 
 
-def _discretization_error(beta: float) -> float:
-    """Trapezoidal-rule error bound on the parabola, from its branch point.
+def _discretization_error(power: float) -> float:
+    """Trapezoidal-rule error bound on the parabola for a branch point s^(-power).
 
-    s = 0 sits at u = i, where the integrand behaves as s^(-beta) (small z)
-    or s^(alpha-beta)/z.  The leading Poisson-summation term of the
-    singularity (u - i)^(1 - 2 beta) is 2 mu^(1-beta) (2 pi/h)^(2 beta - 2)
-    exp(-2 pi/h) / |Gamma(2 beta - 1)|; a further factor 2 covers the cut at
-    u_max and the higher terms.  The bound is 3.5e-15 for beta <= 1 and grows
-    with beta (1.4e-12 at beta = 2), where the design target alone would
-    understate the error.
+    s = 0 sits at u = i, where s = -mu (u - i)^2 and s'(u) = -2 mu (u - i),
+    so an integrand e^s s^(-p) s'(u) has the singularity mu^(1-p)
+    (u - i)^(1 - 2p) there.  Its leading Poisson-summation term is 2 mu^(1-p)
+    (2 pi/h)^(2p - 2) exp(-2 pi/h) / |Gamma(2p - 1)|; a further factor 2
+    covers the cut at u_max and the higher terms.  The bound is 3.5e-15 for
+    p <= 1 and grows with p (1.4e-12 at p = 2), where the design target alone
+    would understate the error.
     """
     k = 2.0 * math.pi / _H
-    strength = _MU ** (1.0 - beta) * k ** (2.0 * beta - 2.0) * abs(
-        recip_gamma(2.0 * beta - 1.0)
+    strength = _MU ** (1.0 - power) * k ** (2.0 * power - 2.0) * abs(
+        recip_gamma(2.0 * power - 1.0)
     )
     return 4.0 * math.exp(-k) * max(1.0, strength)
 
@@ -188,26 +189,37 @@ def _discretization_error(beta: float) -> float:
 @functools.lru_cache(maxsize=32)
 def _contour_table(
     alpha: float, beta: float
-) -> tuple[tuple[tuple[complex, complex], ...], float]:
-    """(s_k^alpha, weight_k s_k^(alpha - beta)) per node, and the error bound."""
+) -> tuple[tuple[tuple[complex, complex], ...], float, float]:
+    """(s_k^alpha, weight_k s_k^(alpha - beta)) per node, and the two
+    branch-point bounds of :func:`_contour` (small ``z``; ``|z| >= 1`` times ``|z|``)."""
     nodes = tuple((s**alpha, w * s ** (alpha - beta)) for s, w in zip(_S, _WEIGHTS))
-    return nodes, _discretization_error(beta)
+    return nodes, _discretization_error(beta), _discretization_error(beta - alpha)
 
 
 def _contour(alpha: float, beta: float, z: float) -> tuple[float, bool]:
     """Laplace inversion on the parabola, for z < 0 and 0 < alpha < 1.
 
-    The error estimate is the discretization bound plus the rounding of the
-    sum, eps times the sum of the term magnitudes.
+    The error estimate is the branch-point bound plus the rounding of the
+    sum, eps times the sum of the term magnitudes.  The branch point at s = 0
+    is that of the integrand s^(alpha-beta) / (s^alpha - z).  For small
+    ``|z|`` it behaves there as s^(-beta).  For ``|z| >= 1`` it is
+    ``-(s^(alpha-beta)/z) sum_j (s^alpha/z)^j``, which converges near s = 0
+    (``|s^alpha| < 1 <= |z|`` for ``|s| < 1``): the leading term is
+    s^(-(beta-alpha)) times 1/|z|, and term j is weaker by (s^alpha/z)^j.  So
+    the bound there is :func:`_discretization_error` at ``beta - alpha``
+    divided by ``|z|``: it falls like E_{alpha,beta}(z), which for z -> -inf
+    is ``-1/(z Gamma(beta - alpha))`` to leading order.  For ``|z| >= 1`` it
+    is never larger than the small-``|z|`` bound (checked on a grid of
+    0 < alpha < 1, 0 < beta <= 10), so no value that bound certifies is lost.
     """
-    nodes, discretization = _contour_table(alpha, beta)
+    nodes, near, far = _contour_table(alpha, beta)
     value = size = 0.0
     for power, weight in nodes:
         term = weight / (power - z)
         value += term.imag
         size += abs(term)
-    error = discretization + _EPS * size
-    return value, error <= REL_TOL * abs(value)
+    branch = near if z > -1.0 else far / -z
+    return value, branch + _EPS * size <= REL_TOL * abs(value)
 
 
 def _mp_series(alpha: float, beta: float, z: float) -> float:

@@ -118,6 +118,7 @@ class StabilityVerdict:
     kind: EquilibriumKind
     order: float
     label: str
+    stable: Optional[bool]  # the Matignon verdict; None when marginal
     margin: float
     critical_order: float
     spectrum: EigenSpectrum
@@ -125,12 +126,6 @@ class StabilityVerdict:
     case_agrees: Optional[bool] = None
     cubic: Optional[CubicCharacteristic] = None
     notes: tuple[str, ...] = ()
-
-    @property
-    def stable(self) -> Optional[bool]:
-        if self.label == "marginal":
-            return None
-        return self.label.startswith("stable")
 
 
 def jacobian(params: ModelParams, state) -> np.ndarray:
@@ -184,39 +179,15 @@ def characteristic_cubic(params: ModelParams, estar: State) -> CubicCharacterist
 
 
 def cubic_roots(cubic: CubicCharacteristic) -> EigenSpectrum:
-    """Roots via companion-matrix eigenvalues plus one Newton polish per root.
+    """Roots as the eigenvalues of the companion matrix (``np.roots``).
 
-    Complex roots come out as exact conjugate pairs (the pair is polished
-    once and mirrored).
+    LAPACK's ``dgeev`` returns each complex pair with equal real parts and
+    opposite imaginary parts, so the pairs are exact conjugates as they come.
     """
     coeffs = cubic.coefficients()
     if not np.all(np.isfinite(coeffs)):
         raise ValidationError(f"cubic coefficients must be finite, got {coeffs}")
-    roots = np.roots(coeffs)
-
-    def polish(x: complex) -> complex:
-        deriv = (3.0 * x + 2.0 * cubic.a1) * x + cubic.a2
-        if abs(deriv) < 1e-30:
-            return x
-        step = cubic(x) / deriv
-        return x - step if abs(step) < 1.0 + abs(x) else x
-
-    polished = []
-    seen_pair = False
-    for root in roots:
-        if root.imag == 0.0:
-            polished.append(complex(polish(root.real).real))
-        elif root.imag > 0.0:
-            z = polish(root)
-            polished.append(z)
-            seen_pair = True
-        else:
-            continue  # filled in by mirroring below
-    if seen_pair:
-        pair = next(z for z in polished if z.imag != 0.0)
-        polished.append(pair.conjugate())
-    eigen = np.sort_complex(np.array(polished, dtype=complex))
-    return EigenSpectrum(eigenvalues=eigen)
+    return EigenSpectrum(eigenvalues=np.sort_complex(np.roots(coeffs).astype(complex)))
 
 
 def matignon_check(spectrum: EigenSpectrum, alpha: float) -> MatignonResult:
@@ -270,10 +241,12 @@ def coefficient_case(cubic: CubicCharacteristic, alpha: float) -> Optional[str]:
 _CASE_PREDICTS_STABLE = {"i": True, "ii": True, "iii": False, "iv": True}
 
 
-def _label(check: MatignonResult, spectrum: EigenSpectrum) -> str:
-    """Node/focus sub-label keyed on eigenvalue structure (pair present or not)."""
+def _label(kind: EquilibriumKind, check: MatignonResult, spectrum: EigenSpectrum) -> str:
+    """Plain label for E0 and E1 (real spectra), node/focus sub-label otherwise."""
     if check.marginal:
         return "marginal"
+    if kind in (EquilibriumKind.EXTINCTION, EquilibriumKind.PREY_ONLY):
+        return "stable-node" if check.stable else "unstable"
     if check.stable:
         if not spectrum.has_complex_pair:
             return "stable-node"
@@ -285,27 +258,32 @@ def _label(check: MatignonResult, spectrum: EigenSpectrum) -> str:
 def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> StabilityVerdict:
     """Order-dependent verdict for an existing equilibrium.
 
-    The trivial and prey-only equilibria carry plain stable/unstable labels
-    (their spectra are real); the predator-free and interior equilibria get
-    node/focus sub-labels from the eigenvalue structure.  For the interior
-    equilibrium the verdict is annotated with the matching coefficient case,
-    and any disagreement between that sufficient condition and the eigenvalue
-    criterion is recorded rather than suppressed.
+    The spectrum is the characteristic cubic's roots at the interior
+    equilibrium and the Jacobian's eigenvalues elsewhere; one Matignon check
+    on it gives the verdict.  The trivial and prey-only equilibria carry plain
+    stable/unstable labels (their spectra are real); the predator-free and
+    interior equilibria get node/focus sub-labels from the eigenvalue
+    structure.  For the interior equilibrium the verdict is annotated with the
+    matching coefficient case, and any disagreement between that sufficient
+    condition and the eigenvalue criterion is recorded rather than suppressed.
     """
     if not eq.exists:
         raise ValidationError(f"{eq.kind} does not exist for these parameters")
     if eq.state is None:
         raise ValidationError(f"{eq.kind} has no well-defined coordinates")
 
-    notes: list[str] = []
-    cubic = None
-    case = None
-    case_agrees = None
-
     if eq.kind is EquilibriumKind.COEXISTENCE:
         cubic = characteristic_cubic(params, eq.state)
         spectrum = cubic_roots(cubic)
-        check = matignon_check(spectrum, alpha)
+    else:
+        cubic = None
+        eigen = np.linalg.eigvals(jacobian(params, eq.state)).astype(complex)
+        spectrum = EigenSpectrum(eigenvalues=np.sort_complex(eigen))
+    check = matignon_check(spectrum, alpha)
+
+    notes: list[str] = []
+    case = case_agrees = None
+    if cubic is not None:
         case = coefficient_case(cubic, alpha)
         if case is not None and check.stable is not None:
             case_agrees = _CASE_PREDICTS_STABLE[case] == check.stable
@@ -315,28 +293,14 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
                     f"{'stable' if _CASE_PREDICTS_STABLE[case] else 'unstable'} "
                     f"but the eigenvalue criterion says otherwise"
                 )
-        label = _label(check, spectrum)
-    else:
-        spectrum = EigenSpectrum(
-            eigenvalues=np.sort_complex(
-                np.linalg.eigvals(jacobian(params, eq.state)).astype(complex)
-            )
-        )
-        check = matignon_check(spectrum, alpha)
-        if eq.kind in (EquilibriumKind.EXTINCTION, EquilibriumKind.PREY_ONLY):
-            if check.marginal:
-                label = "marginal"
-            else:
-                label = "stable-node" if check.stable else "unstable"
-        else:
-            label = _label(check, spectrum)
     if check.note:
         notes.append(check.note)
 
     return StabilityVerdict(
         kind=eq.kind,
         order=alpha,
-        label=label,
+        label=_label(eq.kind, check, spectrum),
+        stable=check.stable,
         margin=check.margin,
         critical_order=check.critical_order,
         spectrum=spectrum,
@@ -345,4 +309,3 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
         cubic=cubic,
         notes=tuple(notes),
     )
-

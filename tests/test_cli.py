@@ -146,6 +146,23 @@ class TestSimulate:
         assert run(*argv, "--step", "0.01") == 0
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["simulate", "--preset", "example1", "--t-end", "-1", "--out", "{tmp}/o"], "o"),
+    (["simulate", "--preset", "example1", "--step", "0.3", "--t-end", "1",
+      "--out", "{tmp}/o"], "o"),
+    (["simulate", "--config", "{tmp}/inf.cfg", "--out", "{tmp}/o"], "o"),
+    (["sweep", "--preset", "example1", "--vary", "theta=0.5:1.5:3",
+      "--out", "{tmp}/nd/sweep.csv"], "nd"),
+], ids=["simulate-negative-span", "simulate-off-grid", "simulate-infinite-span",
+        "sweep-leaves-valid-region"])
+def test_rejected_run_leaves_no_output(argv, out, tmp_path, capsys):
+    (tmp_path / "inf.cfg").write_text("model.preset = example1\nsolver.t_end = inf\n",
+                                      encoding="utf-8")
+    assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / out).exists()
+
+
 class TestFlags:
     def test_empty_order_list_rejected(self, tmp_path, capsys):
         rc = run("simulate", "--preset", "example1", "--alpha", "",

@@ -210,15 +210,26 @@ class TestContourRoute:
             assert abs(ml_one(alpha, z) - want) <= 1e-13 * want, t
 
     def test_long_envelope_leaves_the_contour_correctly(self):
-        # near order 1 the contour's absolute error bound refuses the small
-        # envelope values of long runs (first at |z| ~ 30 for 0.999, ~ 290
-        # for 0.99); the tail expansion and the mpmath series take over there
+        # near order 1 the envelope values of long runs are small; the
+        # contour's branch-point bound falls like 1/|z| with them, so the
+        # contour certifies these points itself
         eta = 0.045
         for alpha in (0.99, 0.999):
             for t in 0.05 * np.arange(400, 40001, 400):  # every 400th node to t = 2000
                 z = -eta * float(t) ** alpha
                 want = oracle(alpha, 1.0, z)
                 assert abs(ml_one(alpha, z) - want) <= REL_TOL * want, (alpha, t)
+
+    def test_long_envelope_never_leaves_the_contour(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"contour refused {args}")
+
+        monkeypatch.setattr(mittag_leffler, "_asymptotic", refuse)
+        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+        eta = 0.045
+        for alpha in (0.99, 0.999):
+            for t in 0.05 * np.arange(1, 40001, 10):  # every 10th node to t = 2000
+                assert ml_one(alpha, -eta * float(t) ** alpha) > 0.0, (alpha, t)
 
     def test_envelope_never_reaches_mpmath(self, monkeypatch):
         def refuse(*args):

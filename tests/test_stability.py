@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from fracoepi.model import EquilibriumKind, State, equilibria, equilibrium, preset, rhs
+from fracoepi.model import (
+    PRESETS,
+    EquilibriumKind,
+    State,
+    equilibria,
+    equilibrium,
+    preset,
+    rhs,
+)
 from fracoepi.stability import (
     CubicCharacteristic,
     EigenSpectrum,
@@ -325,3 +333,16 @@ class TestClassification:
         e2 = equilibria(boundary)[2]
         verdict = classify_equilibrium(boundary, e2, 0.9)
         assert verdict.label == "marginal"
+        assert verdict.stable is None
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_stored_verdict_is_the_matignon_verdict(self, name):
+        params = preset(name).params
+        for eq in equilibria(params):
+            if not eq.exists or eq.state is None:
+                continue
+            for alpha in (0.3, 0.6, 2.0 / 3.0, 0.85, 0.95, 1.0):
+                verdict = classify_equilibrium(params, eq, alpha)
+                assert verdict.stable is matignon_check(verdict.spectrum, alpha).stable
+                assert (verdict.stable is None) == (verdict.label == "marginal")
+                assert verdict.label.startswith("stable") == (verdict.stable is True)
