@@ -20,6 +20,13 @@ which transforms its source chunk again (and its kernel too, unless the lag
 equals the chunk length), so past 8192 nodes that part grows as n^2/4096:
 0.008, 0.08 and 1.15 s of 20k-, 60k- and 240k-node solves at order 0.95.
 
+Besides the trajectory's own state rows, a solve of N nodes and d components
+holds the evaluated right-hand sides (d·(N + 1) doubles, 3(N + 1) for the
+model) and two weight tables (2(N + 1)), plus transform buffers bounded by
+``_FFT_CAP``.  It releases them before it fetches its time grid, and every
+live trajectory on one grid (same step and node count) shares one read-only
+times array, so a run holding many trajectories stores their times once.
+
 What remains is Python work per node: two short dot products, two RHS
 calls, the state updates and the divergence check.  The dots stay numpy; the
 arithmetic around them (predictor, corrector, divergence check) runs on
@@ -35,6 +42,7 @@ arithmetic on each step and 18 us (1.06 s) with numpy scalars in the field.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,6 +63,10 @@ GRID_TOL = 1e-9  # relative distance of t_end/step from an integer
 
 _LEAF = 128  # nodes summed directly; a power of two
 _FFT_CAP = 1 << 13  # longest transform; longer blocks are split into chunk pairs
+
+# read-only node times by (step type, step, node count), shared by every live
+# trajectory on that grid; an entry goes with the last array or view holding it
+_GRIDS = weakref.WeakValueDictionary()
 
 
 class DivergenceError(RuntimeError):
@@ -210,7 +222,6 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     a = problem.order
     h = config.step
     n_steps = config.node_count()
-    times = h * np.arange(n_steps + 1)
 
     # until node k is solved, states[k] and rhs_values[k] hold the pending
     # predictor and corrector history sums of the nodes before its block
@@ -218,7 +229,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     states = np.zeros((n_steps + 1, problem.dimension))
     rhs_values = np.zeros((n_steps + 1, problem.dimension))
     states[0] = problem.initial_state
-    f0 = np.asarray(problem.rhs(times[0], states[0]), dtype=float)
+    f0 = np.asarray(problem.rhs(0.0, states[0]), dtype=float)
     if f0.shape != shape:
         raise _shape_error(f0.shape, shape, 0)
     rhs_values[0] = f0
@@ -252,7 +263,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
         pending_c = rhs_values[first_c:stop].tolist()
         rows = []
         for k, t_next, pend, pend_c in zip(
-            range(first_c, stop), times[first_c:stop].tolist(), pending, pending_c
+            range(first_c, stop), (h * np.arange(first_c, stop)).tolist(), pending, pending_c
         ):
             # predictor: fractional rectangle rule over the whole history
             dw = dot(w_lag[k - start], rhs_values[start:k]).tolist()
@@ -282,8 +293,23 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
             # nodes [stop - size, stop) close a left half of length size
             _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
 
+    # the grid comes last, once the history and the tables are gone: a solve's
+    # memory peaks here, as its state rows are only touched as it advances
+    del rhs_values, w, d, spectra
+    times = _grid(h, n_steps)
     metadata = {"step": h, "t_end": float(times[-1])}
     return Trajectory(times=times, states=states, order=a, metadata=metadata)
+
+
+def _grid(step, n_steps: int) -> np.ndarray:
+    """The read-only ``step * np.arange(n_steps + 1)``, one array per live grid."""
+    key = (type(step), step, n_steps)  # an int step gives integer times
+    times = _GRIDS.get(key)  # two threads racing here build two equal grids
+    if times is None:
+        times = step * np.arange(n_steps + 1)
+        times.setflags(write=False)
+        _GRIDS[key] = times
+    return times
 
 
 def _add_block_history(states, rhs_values, w, d, spectra, end, size):
@@ -305,7 +331,7 @@ def _add_block_history(states, rhs_values, w, d, spectra, end, size):
     top = min(end + size, len(rhs_values))
     for k0 in range(end, top, chunk):
         k1 = min(k0 + chunk, top)
-        acc_w = acc_d = 0.0
+        acc_w = acc_d = None
         for j0 in range(end - size, end, chunk):
             lag = k0 - j0
             kernels = spectra.get(lag)
@@ -322,8 +348,15 @@ def _add_block_history(states, rhs_values, w, d, spectra, end, size):
                 spec_d = rfft(source, length, axis=0)
             else:
                 spec_d = spec_w
-            acc_w = acc_w + kernels[0] * spec_w
-            acc_d = acc_d + kernels[1] * spec_d
+            # kernel x spectrum in that operand order: the swapped product
+            # differs in the last bits; spec_w is read before spec_d may reuse it
+            prod_w = kernels[0] * spec_w
+            prod_d = np.multiply(kernels[1], spec_d, out=spec_d)
+            if acc_w is None:
+                acc_w, acc_d = prod_w, prod_d
+            else:
+                acc_w += prod_w
+                acc_d += prod_d
         rows = slice(chunk - 1, chunk - 1 + k1 - k0)
         states[k0:k1] += irfft(acc_w, length, axis=0)[rows]
         rhs_values[k0:k1] += irfft(acc_d, length, axis=0)[rows]

@@ -5,10 +5,11 @@ dimension other than three), LF line endings, %.17g floats so a parsed
 file reproduces the in-memory arrays bit-exactly.  Data files carry no
 timestamps; identical runs yield byte-identical files.
 
-The writer fills one ``%.17g`` row template per row and writes 256 rows
-at a time, from ``tolist()`` of that chunk only; ``"%.17g" % x`` and
-``format(x, ".17g")`` give the same text for every double, so the bytes
-are those of :func:`format_float` applied value by value.
+The writer formats 256 rows at a time with one ``%`` on the ``%.17g`` row
+template repeated once per row, from ``tolist()`` of that chunk only;
+``"%.17g" % x`` and ``format(x, ".17g")`` give the same text for every
+double, so the bytes are those of :func:`format_float` applied value by
+value.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ def save_trajectory_csv(traj: Trajectory, path: Path | str) -> Path:
         fh.write("t," + ",".join(names) + "\n")
         for lo in range(0, len(traj.times), _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
-            times = traj.times[lo:hi].tolist()
-            states = traj.states[lo:hi].tolist()
-            fh.write("".join([row % (t, *values) for t, values in zip(times, states)]))
+            block = np.column_stack((traj.times[lo:hi], traj.states[lo:hi]))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     return path
 
 

@@ -329,7 +329,8 @@ def empirical_lipschitz_ratio(
     import.
     """
     draw = random.Random(seed).random
-    xs, ys = np.array([draw() for _ in range(6 * pairs)]).reshape(2, pairs, 3) * M
+    draws = np.fromiter((draw() for _ in range(6 * pairs)), float, count=6 * pairs)
+    xs, ys = draws.reshape(2, pairs, 3) * M
     gaps = np.abs(xs - ys).sum(axis=1)
     keep = gaps >= 1e-12
     ratios = (

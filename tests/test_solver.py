@@ -14,11 +14,13 @@ from fracoepi.model import EquilibriumKind, State, equilibria, preset, vector_fi
 from fracoepi.runs import cached_solve, solve_many
 from fracoepi.solver import (
     _FFT_CAP,
+    _GRIDS,
     _LEAF,
     DIVERGENCE_LIMIT,
     DivergenceError,
     FodeProblem,
     SolverConfig,
+    _add_block_history,
     _lag_tables,
     abm_weights,
     solve_pece,
@@ -238,6 +240,39 @@ def direct_pece(problem, config):
         states[n + 1] = corrected
         f[n + 1] = f_new
     return states
+
+
+def out_of_place_block_history(states, rhs_values, w, d, spectra, end, size):
+    """``_add_block_history`` with a fresh array for every chunk-pair product and sum."""
+    from numpy.fft import irfft, rfft
+
+    chunk = min(size, _FFT_CAP // 2)
+    length = 2 * chunk
+    top = min(end + size, len(rhs_values))
+    for k0 in range(end, top, chunk):
+        k1 = min(k0 + chunk, top)
+        acc_w = acc_d = 0.0
+        for j0 in range(end - size, end, chunk):
+            lag = k0 - j0
+            kernels = spectra.get(lag)
+            if kernels is None:
+                lags = slice(lag - chunk + 1, lag + chunk)
+                kernels = rfft(w[lags], length)[:, None], rfft(d[lags], length)[:, None]
+                if lag == chunk:
+                    spectra[lag] = kernels
+            source = rhs_values[j0 : j0 + chunk]
+            spec_w = rfft(source, length, axis=0)
+            if j0 == 0:
+                source = source.copy()
+                source[0] = 0.0
+                spec_d = rfft(source, length, axis=0)
+            else:
+                spec_d = spec_w
+            acc_w = acc_w + kernels[0] * spec_w
+            acc_d = acc_d + kernels[1] * spec_d
+        rows = slice(chunk - 1, chunk - 1 + k1 - k0)
+        states[k0:k1] += irfft(acc_w, length, axis=0)[rows]
+        rhs_values[k0:k1] += irfft(acc_d, length, axis=0)[rows]
 
 
 def assert_agrees(states, reference):
@@ -602,6 +637,61 @@ class TestBehavior:
             y.append(corrected)
         manual = np.concatenate(y)
         assert traj.states[:, 0] == pytest.approx(manual, rel=1e-12)
+
+
+class TestMemory:
+    """What a solve keeps and shares: the time grid, the in-place history sums."""
+
+    def test_trajectories_on_one_grid_share_one_read_only_time_array(self):
+        before = set(_GRIDS)
+        config = SolverConfig(step=0.0625, t_end=2.0)
+        first = solve_pece(scalar_decay(0.6), config)
+        second = solve_pece(scalar_decay(0.9), config)
+        assert second.times is first.times
+        assert not first.times.flags.writeable
+        assert first.times.tobytes() == (0.0625 * np.arange(33)).tobytes()
+        other = solve_pece(scalar_decay(0.6), SolverConfig(step=0.0625, t_end=1.0))
+        assert other.times is not first.times
+        assert other.times.tobytes() == (0.0625 * np.arange(17)).tobytes()
+        assert len(set(_GRIDS) - before) == 2
+        del first, second, other
+        assert set(_GRIDS) <= before  # the mapping keeps no grid alive
+
+    def test_an_integer_step_keeps_integer_times(self):
+        floats = solve_pece(scalar_decay(0.6), SolverConfig(step=1.0, t_end=4.0))
+        ints = solve_pece(scalar_decay(0.6), SolverConfig(step=1, t_end=4))
+        assert floats.times.dtype == np.float64
+        assert ints.times.dtype == np.arange(5).dtype  # as 1 * np.arange(5)
+        assert np.array_equal(ints.states, floats.states)
+
+    @pytest.mark.parametrize(
+        "end, size",
+        [
+            (16384, 16384),  # split into 4 x 4 chunk pairs, node 0 in the first source
+            (24576, 8192),  # split into 2 x 2 chunk pairs
+            (2048, 2048),  # one transform, node 0 in the source
+            (3072, 1024),  # one transform
+        ],
+    )
+    def test_block_sums_bit_identical_to_the_out_of_place_form(self, end, size):
+        rng = np.random.default_rng(end + size)
+        rows = min(end + size, 2 * 16384)
+        w, d, _ = _lag_tables(0.85, 0.05, rows)
+        states = rng.standard_normal((rows, 3))
+        rhs_values = rng.standard_normal((rows, 3))
+        expected_states, expected_rhs = states.copy(), rhs_values.copy()
+        spectra, expected_spectra = {}, {}
+        for _ in range(2):  # the second pass reads the kernel spectra the first cached
+            _add_block_history(states, rhs_values, w, d, spectra, end, size)
+            out_of_place_block_history(
+                expected_states, expected_rhs, w, d, expected_spectra, end, size
+            )
+        assert states.tobytes() == expected_states.tobytes()
+        assert rhs_values.tobytes() == expected_rhs.tobytes()
+        assert spectra.keys() == expected_spectra.keys()
+        for lag, kernels in spectra.items():
+            for got, want in zip(kernels, expected_spectra[lag]):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestAgreementWithDirectSums:
