@@ -351,6 +351,14 @@ class TestWeights:
             abm_weights(0.5, -1)
         with pytest.raises(ValueError):
             abm_weights(0.5, 3, step=0.0)
+        for step in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^step must be finite and positive"):
+                abm_weights(0.5, 3, step=step)
+        for n in (4.5, 4.0, "4"):
+            with pytest.raises(ValueError, match="^node index n must be"):
+                abm_weights(0.5, n)
+        for got, want in zip(abm_weights(0.5, np.int64(3)), abm_weights(0.5, 3)):
+            assert np.array_equal(got, want)  # a numpy integer is an integer
 
 
 class TestValidation:
@@ -728,6 +736,29 @@ class TestAgreementWithDirectSums:
         )
         config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
         assert_agrees(solve_pece(problem, config).states, direct_pece(problem, config))
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.95, 1.0])
+    @pytest.mark.parametrize("n_steps", [_LEAF - 1, _LEAF + 1, 2 * _FFT_CAP + 1])
+    def test_float_form_path_matches_the_adapter_path(self, example1, n_steps, alpha):
+        # the model's field steps on its float form; the same field behind a
+        # lambda has none and goes through the ndarray adapter
+        field = vector_field(example1)
+        float_form, calls = field.float_form, []
+
+        def counted(t, y):
+            calls.append(t)
+            return float_form(t, y)
+
+        field.float_form = counted
+        config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
+        initial = np.array([30.0, 5.0, 10.0])
+        floats = solve_pece(FodeProblem(order=alpha, initial_state=initial, rhs=field), config)
+        assert len(calls) == 2 * n_steps  # every step evaluation, node 0 aside
+        adapted = solve_pece(
+            FodeProblem(order=alpha, initial_state=initial, rhs=lambda t, y: field(t, y)), config
+        )
+        assert len(calls) == 2 * n_steps  # the adapter calls the ndarray field
+        assert floats.states.tobytes() == adapted.states.tobytes()
 
     def test_scalar_problem(self):
         config = SolverConfig(step=0.01, t_end=30.0)
