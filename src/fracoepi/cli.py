@@ -109,13 +109,18 @@ def _state_tag(x0: State) -> str:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     SolverConfig(step=cfg.step, t_end=cfg.t_end).node_count()  # a bad grid writes nothing
+    runs: dict[str, tuple[float, State]] = {}  # file name -> (order, initial state)
+    for alpha in cfg.alphas:
+        for j, x0 in enumerate(cfg.initial_states):
+            name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
+            if name in runs:  # a second run would overwrite the first one's file
+                raise ValidationError(f"orders {runs[name][0]!r} and {alpha!r} both write {name}")
+            runs[name] = (alpha, x0)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    runs = [(alpha, j, x0) for alpha in cfg.alphas for j, x0 in enumerate(cfg.initial_states)]
     eta = _eta(cfg.params)
     summary = [f"model: {cfg.preset_name or 'custom'}"]
-    for alpha, j, x0 in runs:  # each run is solved, written and dropped in turn
+    for name, (alpha, x0) in runs.items():  # each run is solved, written and dropped in turn
         traj = solve_model(cfg.params, alpha, x0, cfg.step, cfg.t_end)
-        name = f"traj_alpha{alpha_tag(alpha)}_x{j}.csv"
         save_trajectory_csv(traj, cfg.out_dir / name)
         nn = check_nonnegativity(traj)
         bc = boundedness_certificate(cfg.params, traj, eta)

@@ -142,7 +142,6 @@ class Thresholds:
                              theta1 < theta < theta2
     focus_boundary           1 + r/4; reported node/focus boundary for the
                              predator-free state in terms of R0
-    theta2_reference_susceptible  the S* value theta2 was evaluated at
 
     d1, d2, theta1 require R0 > 1 and are None otherwise; theta2 additionally
     needs an interior susceptible level S* with 2K(lambda*S* - mu) > r and is
@@ -155,7 +154,6 @@ class Thresholds:
     conversion_existence: Optional[float]
     conversion_global: Optional[float]
     focus_boundary: float
-    theta2_reference_susceptible: Optional[float]
     not_applicable: tuple[str, ...] = ()
 
 
@@ -360,7 +358,6 @@ def thresholds(
         conversion_existence=theta1,
         conversion_global=theta2,
         focus_boundary=1.0 + r / 4.0,
-        theta2_reference_susceptible=s_ref,
         not_applicable=tuple(not_applicable),
     )
 
@@ -409,7 +406,8 @@ PRESETS: dict[str, Preset] = {
                 half_saturation=5.0,
                 conversion_efficiency=0.9,
             ),
-            "coexistence equilibrium unstable for orders above 2/3",
+            "coexistence equilibrium unstable for orders above its Matignon critical"
+            " order 0.509; the paper's case (iii) predicts it from 2/3",
             (State(30.0, 5.0, 10.0),),
         ),
         Preset(

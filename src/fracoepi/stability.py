@@ -125,7 +125,6 @@ class StabilityVerdict:
     case: Optional[str] = None
     case_agrees: Optional[bool] = None
     cubic: Optional[CubicCharacteristic] = None
-    notes: tuple[str, ...] = ()
 
 
 def jacobian(params: ModelParams, state) -> np.ndarray:
@@ -281,20 +280,11 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
         spectrum = EigenSpectrum(eigenvalues=np.sort_complex(eigen))
     check = matignon_check(spectrum, alpha)
 
-    notes: list[str] = []
     case = case_agrees = None
     if cubic is not None:
         case = coefficient_case(cubic, alpha)
         if case is not None and check.stable is not None:
             case_agrees = _CASE_PREDICTS_STABLE[case] == check.stable
-            if not case_agrees:
-                notes.append(
-                    f"case ({case}) predicts "
-                    f"{'stable' if _CASE_PREDICTS_STABLE[case] else 'unstable'} "
-                    f"but the eigenvalue criterion says otherwise"
-                )
-    if check.note:
-        notes.append(check.note)
 
     return StabilityVerdict(
         kind=eq.kind,
@@ -307,5 +297,4 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
         case=case,
         case_agrees=case_agrees,
         cubic=cubic,
-        notes=tuple(notes),
     )

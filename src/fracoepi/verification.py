@@ -12,6 +12,7 @@ steps, are what a computed trajectory can certify.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .model import (
     thresholds,
 )
 from .solver import Trajectory
+from .stability import jacobian
 
 __all__ = [
     "BoundednessCertificate",
@@ -298,24 +300,28 @@ def convergence_check(traj: Trajectory, target, tol: float) -> ConvergenceResult
 
 
 def lipschitz_bound(params: ModelParams, M: float) -> float:
-    """Lipschitz constant (1-norm) of the vector field on the radius-M box.
+    """Lipschitz constant (1-norm) of the vector field on the box [0, M]^3.
 
-    Maximum of the three per-component bracket bounds; valid for states with
-    components in [0, M].
+    On a convex set the 1-norm constant of a smooth field is sup ||J||_1, the
+    largest column sum of |J|, and on this box it is reached at a vertex:
+
+    * column S is |affine(S, I)| + lambda I, convex in (S, I);
+    * column I is (r/K + lambda) S + |lambda S - mu - m g| + theta g with
+      g = aP/(a + I)^2, convex in (S, g); g runs over [0, M/a] and takes 0 at
+      P = 0 and M/a at I = 0, P = M, so each corner of the (S, g) range is
+      taken at a vertex of the box;
+    * column P is convex in u = I/(a + I), which is monotone in I.
+
+    Each column sum is a convex function of quantities whose extremes are
+    taken at box vertices, so the largest ||J(v)||_1 over the 8 vertices v is
+    exact.
     """
     if not (math.isfinite(M) and M > 0.0):
         raise ValidationError(f"domain radius must be positive, got {M}")
-    r = params.growth_rate
-    K = params.carrying_capacity
-    lam = params.infection_rate
-    m = params.predation_rate
-    a = params.half_saturation
-    theta = params.conversion_efficiency
-    sat = a * M * (m + theta) / (a + M) ** 2
-    l1 = r + 2.0 * r * M / K + (2.0 * lam + r / K) * M
-    l2 = (2.0 * lam + r / K) * M + params.infected_death_rate + sat
-    l3 = sat + params.predator_death_rate + M**2 * (m + theta) / (a + M) ** 2
-    return max(l1, l2, l3)
+    return max(
+        float(np.abs(jacobian(params, vertex)).sum(axis=0).max())
+        for vertex in itertools.product((0.0, M), repeat=3)
+    )
 
 
 def empirical_lipschitz_ratio(

@@ -74,6 +74,18 @@ class TestSimulate:
                  "--t-end", "5", "--out", str(tmp_path / "x"))
         assert rc == 1
 
+    def test_orders_sharing_a_file_name_rejected(self, tmp_path, capsys):
+        # both orders format as 0.333333, so their runs would write one file
+        out = tmp_path / "o"
+        rc = run("simulate", "--preset", "example1", "--alpha", "0.3333331,0.3333332",
+                 "--t-end", "5", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for part in ("0.3333331", "0.3333332", "traj_alpha0p333333_x0.csv"):
+            assert part in err
+        assert not out.exists()
+
     def test_unknown_preset_rejected(self, tmp_path):
         rc = run("simulate", "--preset", "example9", "--t-end", "5",
                  "--out", str(tmp_path / "x"))

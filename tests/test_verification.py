@@ -5,15 +5,19 @@ the acceptance suite; the well-posedness grid below runs every preset at
 step 0.05 over a 500-long span across the order grid.
 """
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_trajectory, preset_run, scenario_run
 from fracoepi.model import (
     EquilibriumKind,
+    ModelParams,
     PRESETS,
     State,
     ValidationError,
@@ -25,6 +29,7 @@ from fracoepi.model import (
 from fracoepi.reproduce import GLOBAL_SCENARIOS, GlobalScenario
 from fracoepi.runs import cached_solve
 from fracoepi.solver import NODE_CAP, SolverConfig, Trajectory
+from fracoepi.stability import jacobian
 from fracoepi.verification import (
     boundedness_certificate,
     check_nonnegativity,
@@ -357,7 +362,52 @@ class TestLipschitz:
         assert lipschitz_bound(example1, 1e-9) == pytest.approx(2.0, abs=1e-6)
 
     def test_frozen_value_at_radius_100(self, example1):
-        assert lipschitz_bound(example1, 100.0) == pytest.approx(20.0, rel=1e-12)
+        # column S at (100, 100, .): |2(1 - 300/40) - 1.5| + 1.5
+        assert lipschitz_bound(example1, 100.0) == pytest.approx(16.0, rel=1e-12)
+
+    def test_frozen_value_on_the_unstable_preset(self):
+        # the largest column sum is column I at (72, 0, 72), where the
+        # saturation term reaches its supremum M/a
+        params = preset("example1-unstable").params
+        assert lipschitz_bound(params, 72.0) == pytest.approx(27.512, rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [72.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_vertex_maximum_is_the_grid_maximum(self, name, radius):
+        params = preset(name).params
+        axis = np.linspace(0.0, radius, 21)  # holds both ends of the box
+        largest = max(
+            np.abs(jacobian(params, point)).sum(axis=0).max()
+            for point in itertools.product(axis, repeat=3)
+        )
+        assert largest == pytest.approx(lipschitz_bound(params, radius), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bounds_every_difference_quotient(self, data):
+        rate = st.floats(1e-3, 1e3)
+        params = ModelParams(
+            growth_rate=data.draw(rate),
+            carrying_capacity=data.draw(rate),
+            infection_rate=data.draw(rate),
+            predation_rate=data.draw(rate),
+            infected_death_rate=data.draw(rate),
+            half_saturation=data.draw(rate),
+            conversion_efficiency=data.draw(st.floats(1e-3, 1.0)),
+            predator_death_rate=data.draw(rate),
+        )
+        radius = data.draw(st.floats(1e-3, 1e3))
+        # box faces are drawn often, and y differs from x in some components
+        # only: the quotient comes near the constant for a short step from a
+        # vertex along one axis
+        component = st.one_of(st.sampled_from([0.0, radius]), st.floats(0.0, radius))
+        x = np.array([data.draw(component) for _ in range(3)])
+        y = np.array([data.draw(component) if data.draw(st.booleans()) else v for v in x])
+        bound = lipschitz_bound(params, radius)
+        gap = np.abs(rhs(params, x) - rhs(params, y)).sum()
+        # every term of f is at most about 2*bound*radius, so rounding f costs
+        # far less than the absolute 1e-12*bound*radius allowed for nearby pairs
+        assert gap <= bound * (np.abs(x - y).sum() * (1.0 + 1e-12) + 1e-12 * radius)
 
     def test_rejects_nonpositive_radius(self, example1):
         with pytest.raises(ValueError):
