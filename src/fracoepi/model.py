@@ -34,6 +34,7 @@ __all__ = [
     "equilibria",
     "equilibrium",
     "interior_equilibrium",
+    "jacobian",
     "preset",
     "rhs",
     "thresholds",
@@ -211,6 +212,30 @@ def rhs(params: ModelParams, state) -> np.ndarray:
     if np.any(params.half_saturation + y[..., 1] == 0.0):
         raise ValidationError("half_saturation + infected must not vanish")
     return _field(params)(0.0, y.T).T
+
+
+def jacobian(params: ModelParams, state) -> np.ndarray:
+    """Jacobian of the model vector field at a state (a State or 3 numbers).
+
+    Complex-step differentiation of ``_field``: column k is Im f(x + i h e_k)/h
+    (Squire & Trapp, SIAM Rev. 40 (1998) 110-112), with h a power of two, so
+    that dividing by it is exact.  No difference of nearby values is formed,
+    so the result is the derivative to rounding.  This holds while ``_field``
+    stays analytic in the state: no ``abs``, ``min``/``max`` or comparisons
+    on state values.
+    """
+    y = np.asarray(state.as_array() if isinstance(state, State) else state, dtype=float)
+    if y.shape != (3,):
+        raise ValidationError(f"a state must have 3 components, got shape {y.shape}")
+    if params.half_saturation + y[1] <= 0.0:
+        raise ValidationError("Jacobian needs half_saturation + infected > 0")
+    f, h = _field(params).float_form, 2.0**-60
+    columns = []
+    for k in range(3):
+        stepped = y.tolist()
+        stepped[k] += 1j * h
+        columns.append([v.imag / h for v in f(0.0, stepped)])
+    return np.array(columns).T
 
 
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:

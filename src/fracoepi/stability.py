@@ -1,14 +1,14 @@
-"""Jacobians, characteristic cubics and fractional-order stability verdicts.
+"""Characteristic cubics and fractional-order stability verdicts.
 
 An equilibrium of a commensurate Caputo system of order ``alpha`` is
 asymptotically stable iff every Jacobian eigenvalue ``xi`` satisfies
 ``|arg(xi)| > alpha*pi/2``; the verdict therefore depends on the order, and
 an equilibrium that is unstable classically can be stable at small enough
-orders.  For the interior equilibrium the eigenvalues are the roots of a
-monic cubic whose sign pattern (discriminant, coefficients, the product
-A1*A2 - A3) supports order-independent sufficient conditions; those
-hypothesis sets are evaluated here as annotations while the eigenvalue
-criterion remains the ground truth.
+orders.  The Jacobian is ``model.jacobian``, re-exported here.  At the
+interior equilibrium its eigenvalues are the roots of a monic cubic whose
+sign pattern (discriminant, coefficients, the product A1*A2 - A3) supports
+order-independent sufficient conditions; those hypothesis sets are evaluated
+here as annotations while the eigenvalue criterion remains the ground truth.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .model import Equilibrium, EquilibriumKind, ModelParams, State, ValidationError
+from .model import jacobian  # re-exported: the stability layer's Jacobian
 
 __all__ = [
     "CubicCharacteristic",
@@ -127,54 +128,27 @@ class StabilityVerdict:
     cubic: Optional[CubicCharacteristic] = None
 
 
-def jacobian(params: ModelParams, state) -> np.ndarray:
-    """Analytic Jacobian of the model vector field at an arbitrary state."""
-    if isinstance(state, State):
-        s, i, p = state.susceptible, state.infected, state.predator
-    else:
-        s, i, p = (float(x) for x in np.asarray(state, dtype=float))
-    r = params.growth_rate
-    K = params.carrying_capacity
-    lam = params.infection_rate
-    m = params.predation_rate
-    a = params.half_saturation
-    theta = params.conversion_efficiency
-    if a + i <= 0.0:
-        raise ValidationError("Jacobian needs half_saturation + infected > 0")
-    den = (a + i) ** 2
-    return np.array(
-        [
-            [r * (1.0 - (2.0 * s + i) / K) - lam * i, -(r / K + lam) * s, 0.0],
-            [lam * i, lam * s - m * a * p / den - params.infected_death_rate,
-             -m * i / (a + i)],
-            [0.0, theta * a * p / den, theta * i / (a + i) - params.predator_death_rate],
-        ]
-    )
-
-
-def characteristic_cubic(params: ModelParams, estar: State) -> CubicCharacteristic:
-    """Characteristic polynomial coefficients at the interior equilibrium."""
-    s, i, p = estar.susceptible, estar.infected, estar.predator
-    if s <= 0.0 or i <= 0.0 or p <= 0.0:
+def _require_interior(estar: State) -> None:
+    if estar.susceptible <= 0.0 or estar.infected <= 0.0 or estar.predator <= 0.0:
         raise ValidationError(
             f"interior equilibrium must have positive coordinates, got {estar}"
         )
-    r = params.growth_rate
-    K = params.carrying_capacity
-    lam = params.infection_rate
-    m = params.predation_rate
-    a = params.half_saturation
-    d = params.predator_death_rate
-    den = (a + i) ** 2
-    a1 = r * s / K - m * i * p / den
-    a2 = (
-        a * m * d * p / den
-        + r * lam * i * s / K
-        + lam**2 * i * s
-        - r * m * s * i * p / (K * den)
+
+
+def _charpoly(j: np.ndarray) -> CubicCharacteristic:
+    """det(xI - J): a1 = -tr J, a2 the sum of the principal 2x2 minors, a3 = -det J."""
+    minors = (
+        j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        + j[0, 0] * j[2, 2] - j[0, 2] * j[2, 0]
+        + j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1]
     )
-    a3 = r * m * d * a * s * p / (K * den)
-    return CubicCharacteristic(a1, a2, a3)
+    return CubicCharacteristic(float(-np.trace(j)), float(minors), float(-np.linalg.det(j)))
+
+
+def characteristic_cubic(params: ModelParams, estar: State) -> CubicCharacteristic:
+    """Characteristic polynomial at the interior equilibrium, from the Jacobian there."""
+    _require_interior(estar)
+    return _charpoly(jacobian(params, estar))
 
 
 def cubic_roots(cubic: CubicCharacteristic) -> EigenSpectrum:
@@ -257,12 +231,11 @@ def _label(kind: EquilibriumKind, check: MatignonResult, spectrum: EigenSpectrum
 def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> StabilityVerdict:
     """Order-dependent verdict for an existing equilibrium.
 
-    The spectrum is the characteristic cubic's roots at the interior
-    equilibrium and the Jacobian's eigenvalues elsewhere; one Matignon check
-    on it gives the verdict.  The trivial and prey-only equilibria carry plain
-    stable/unstable labels (their spectra are real); the predator-free and
-    interior equilibria get node/focus sub-labels from the eigenvalue
-    structure.  For the interior equilibrium the verdict is annotated with the
+    The spectrum is the eigenvalues of the model's Jacobian at the
+    equilibrium; one Matignon check on it gives the verdict.  The trivial and
+    prey-only equilibria carry plain stable/unstable labels (their spectra are
+    real); the predator-free and interior equilibria get node/focus sub-labels
+    from the eigenvalue structure.  For the interior equilibrium the verdict is annotated with the
     matching coefficient case, and any disagreement between that sufficient
     condition and the eigenvalue criterion is recorded rather than suppressed.
     """
@@ -271,17 +244,15 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
     if eq.state is None:
         raise ValidationError(f"{eq.kind} has no well-defined coordinates")
 
-    if eq.kind is EquilibriumKind.COEXISTENCE:
-        cubic = characteristic_cubic(params, eq.state)
-        spectrum = cubic_roots(cubic)
-    else:
-        cubic = None
-        eigen = np.linalg.eigvals(jacobian(params, eq.state)).astype(complex)
-        spectrum = EigenSpectrum(eigenvalues=np.sort_complex(eigen))
+    j = jacobian(params, eq.state)
+    eigen = np.linalg.eigvals(j).astype(complex)
+    spectrum = EigenSpectrum(eigenvalues=np.sort_complex(eigen))
     check = matignon_check(spectrum, alpha)
 
-    case = case_agrees = None
-    if cubic is not None:
+    cubic = case = case_agrees = None
+    if eq.kind is EquilibriumKind.COEXISTENCE:
+        _require_interior(eq.state)
+        cubic = _charpoly(j)
         case = coefficient_case(cubic, alpha)
         if case is not None and check.stable is not None:
             case_agrees = _CASE_PREDICTS_STABLE[case] == check.stable

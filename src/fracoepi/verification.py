@@ -27,11 +27,11 @@ from .model import (
     ModelParams,
     State,
     ValidationError,
+    jacobian,
     rhs,
     thresholds,
 )
 from .solver import Trajectory
-from .stability import jacobian
 
 __all__ = [
     "BoundednessCertificate",
@@ -177,19 +177,35 @@ def boundedness_certificate(
     )
 
 
+def _lyapunov_weights(params: ModelParams, kind: EquilibriumKind) -> tuple:
+    """(w_S, w_I, w_P) of the Lyapunov function for the target ``kind``."""
+    predator = params.predation_rate / params.conversion_efficiency
+    if kind is EquilibriumKind.COEXISTENCE:
+        return (1.0, 1.0, predator)
+    lam_k = params.infection_rate * params.carrying_capacity
+    return (lam_k / (lam_k + params.growth_rate), 1.0, predator)
+
+
 def _lyapunov_values(
     params: ModelParams, target: Equilibrium, states: np.ndarray
 ) -> np.ndarray:
     """Vectorized V along state rows; NaN where a required log diverges.
 
-    V = sum_j w_j (x_j - x*_j - x*_j ln(x_j / x*_j)) with weights (1, 1, m/theta);
-    a component whose target value is 0 enters as w_j x_j and needs no x_j > 0.
+    V = sum_j w_j (x_j - x*_j - x*_j ln(x_j / x*_j)); a component whose target
+    value is 0 enters as w_j x_j and needs no x_j > 0.  The weights are
+    (1, 1, m/theta) for E* and (w_S, 1, m/theta) with w_S = lambda K/(lambda K + r)
+    for E1 and E2, the S weight that cancels the S-I cross term of grad V . f:
+
+    * E1 = (K, 0, 0): grad V . f = -w_S (r/K)(S - K)^2 + (lambda K - mu) I
+      - (m d/theta) P, which is <= 0 when R0 <= 1;
+    * E2 = (S1, I1, 0): grad V . f = -w_S (r/K)(S - S1)^2
+      + m P (I1/(a + I) - d/theta), which is <= 0 when d >= theta I1/a = d2.
     """
     if not target.exists or target.state is None:
         raise ValidationError(f"target {target.kind} does not exist")
     if target.kind is EquilibriumKind.EXTINCTION:
         raise ValidationError(f"no Lyapunov form is associated with {target.kind}")
-    weights = (1.0, 1.0, params.predation_rate / params.conversion_efficiency)
+    weights = _lyapunov_weights(params, target.kind)
     ok = np.ones(states.shape[0], dtype=bool)
     terms = []
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,18 +1,25 @@
 """Jacobians, cubic roots, discriminants and the fractional stability test."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+import fracoepi
+from fracoepi import model, stability
 from fracoepi.model import (
     PRESETS,
     EquilibriumKind,
+    ModelParams,
     State,
+    ValidationError,
     equilibria,
     equilibrium,
     preset,
     rhs,
+    thresholds,
 )
 from fracoepi.stability import (
     CubicCharacteristic,
@@ -49,7 +56,73 @@ def random_spectrum(rng):
     return EigenSpectrum(eigenvalues=np.sort_complex(values))
 
 
+def hand_jacobian(params, state):
+    """The Jacobian derived by hand: the oracle for the complex-step one."""
+    s, i, p = state
+    r = params.growth_rate
+    K = params.carrying_capacity
+    lam = params.infection_rate
+    m = params.predation_rate
+    a = params.half_saturation
+    theta = params.conversion_efficiency
+    den = (a + i) ** 2
+    return np.array(
+        [
+            [r * (1.0 - (2.0 * s + i) / K) - lam * i, -(r / K + lam) * s, 0.0],
+            [lam * i, lam * s - m * a * p / den - params.infected_death_rate,
+             -m * i / (a + i)],
+            [0.0, theta * a * p / den, theta * i / (a + i) - params.predator_death_rate],
+        ]
+    )
+
+
+def paper_cubic(params, estar):
+    """The paper's closed-form A1-A3, simplified with E*'s identities."""
+    s, i, p = estar.susceptible, estar.infected, estar.predator
+    r = params.growth_rate
+    K = params.carrying_capacity
+    lam = params.infection_rate
+    m = params.predation_rate
+    a = params.half_saturation
+    d = params.predator_death_rate
+    den = (a + i) ** 2
+    a1 = r * s / K - m * i * p / den
+    a2 = (
+        a * m * d * p / den
+        + r * lam * i * s / K
+        + lam**2 * i * s
+        - r * m * s * i * p / (K * den)
+    )
+    a3 = r * m * d * a * s * p / (K * den)
+    return a1, a2, a3
+
+
+def random_params(rng):
+    """Rates log-uniform on [1e-2, 1e2], conversion efficiency on [0.01, 1]."""
+    rates = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=7)).tolist()
+    return ModelParams(*rates[:6], float(rng.uniform(0.01, 1.0)), rates[6])
+
+
 class TestJacobian:
+    def test_one_function_under_every_name(self):
+        assert fracoepi.jacobian is stability.jacobian is model.jacobian
+
+    def test_matches_hand_derived_matrix(self):
+        rng = np.random.default_rng(11)
+        for name in sorted(PRESETS):
+            params = preset(name).params
+            states = [eq.state.as_array() for eq in equilibria(params) if eq.exists]
+            states += list(rng.uniform(0.0, 100.0, size=(200, 3)))
+            for state in states:
+                want = hand_jacobian(params, state)
+                gap = np.abs(jacobian(params, state) - want)
+                assert np.all(gap <= 1e-12 * np.abs(want).max(axis=0)), (name, state)
+
+    @pytest.mark.parametrize("state", [[1.0, 2.0], np.ones((1, 3)), np.ones(4)])
+    def test_rejects_a_state_without_three_components(self, example1, state):
+        with pytest.raises(ValidationError, match=re.escape(f"shape {np.shape(state)}")):
+            jacobian(example1, state)
+
     def test_extinction_is_diagonal(self, example1):
         j = jacobian(example1, State(0.0, 0.0, 0.0))
         assert np.array_equal(j, np.diag([2.0, -0.28, -0.09]))
@@ -107,6 +180,29 @@ class TestCharacteristicCubic:
         assert from_matrix[1:] == pytest.approx(
             (cubic.a1, cubic.a2, cubic.a3), rel=1e-9, abs=1e-12
         )
+
+    def test_matches_paper_closed_form(self):
+        # each coefficient against the size of the terms of J that form it
+        rng = np.random.default_rng(23)
+        leibniz = list(itertools.permutations(range(3)))
+        minors = [(0, 1), (0, 2), (1, 2)]
+        drawn = 0
+        while drawn < 1000:
+            params = random_params(rng)
+            eq = equilibrium(params, COEXISTENCE)
+            if not eq.exists:
+                continue
+            drawn += 1
+            j = np.abs(jacobian(params, eq.state))
+            scales = (
+                np.trace(j),
+                sum(j[x, x] * j[y, y] + j[x, y] * j[y, x] for x, y in minors),
+                sum(j[0, q[0]] * j[1, q[1]] * j[2, q[2]] for q in leibniz),
+            )
+            cubic = characteristic_cubic(params, eq.state)
+            got = (cubic.a1, cubic.a2, cubic.a3)
+            for value, want, scale in zip(got, paper_cubic(params, eq.state), scales):
+                assert abs(value - want) <= 1e-10 * scale, (params, got)
 
     def test_rejects_nonpositive_coordinates(self, example1):
         with pytest.raises(ValueError):
@@ -334,6 +430,24 @@ class TestClassification:
         verdict = classify_equilibrium(boundary, e2, 0.9)
         assert verdict.label == "marginal"
         assert verdict.stable is None
+
+    def test_predator_free_stable_exactly_above_d1(self):
+        # the paper's local threshold d1 against the spectrum of the one Jacobian
+        rng = np.random.default_rng(37)
+        checked = 0
+        while checked < 2000:
+            params = random_params(rng)
+            th = thresholds(params)
+            if th.reproduction_number <= 1.0:
+                continue
+            d1 = th.predator_death_local
+            params = params.replace(predator_death_rate=d1 * 10.0 ** rng.uniform(-1, 1))
+            if abs(params.predator_death_rate - d1) < 1e-6 * d1:
+                continue
+            checked += 1
+            e2 = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
+            verdict = classify_equilibrium(params, e2, 1.0)
+            assert verdict.stable is (params.predator_death_rate > d1), params
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_stored_verdict_is_the_matignon_verdict(self, name):

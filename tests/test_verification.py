@@ -31,6 +31,7 @@ from fracoepi.runs import cached_solve
 from fracoepi.solver import NODE_CAP, SolverConfig, Trajectory
 from fracoepi.stability import jacobian
 from fracoepi.verification import (
+    _lyapunov_weights,
     boundedness_certificate,
     check_nonnegativity,
     convergence_check,
@@ -41,8 +42,8 @@ from fracoepi.verification import (
 )
 
 # V((30,5,10)) against the predator-free target of the low-conversion preset,
-# evaluated in 60-digit arithmetic
-LYAPUNOV_E2_REFERENCE = 75.56960272411120374
+# S weight lambda K/(lambda K + r), evaluated in 60-digit arithmetic
+LYAPUNOV_E2_REFERENCE = 73.66438396957953215
 
 WELLPOSED_ALPHAS = (0.75, 0.85, 0.90, 0.95, 1.0)
 
@@ -179,15 +180,19 @@ def _three_branch_lyapunov(params, target, states):
         return x - x_star - x_star * np.log(x / x_star)
 
     weight = params.predation_rate / params.conversion_efficiency
+    lam_k = params.infection_rate * params.carrying_capacity
+    w_s = lam_k / (lam_k + params.growth_rate)
     s, i, p = states[:, 0], states[:, 1], states[:, 2]
     ts = target.state
     with np.errstate(divide="ignore", invalid="ignore"):
         if target.kind is EquilibriumKind.PREY_ONLY:
-            return np.where(s > 0.0, entropy(s, ts.susceptible) + i + weight * p, np.nan)
+            return np.where(
+                s > 0.0, w_s * entropy(s, ts.susceptible) + i + weight * p, np.nan
+            )
         if target.kind is EquilibriumKind.PREDATOR_FREE:
             return np.where(
                 (s > 0.0) & (i > 0.0),
-                entropy(s, ts.susceptible) + entropy(i, ts.infected) + weight * p,
+                w_s * entropy(s, ts.susceptible) + entropy(i, ts.infected) + weight * p,
                 np.nan,
             )
         return np.where(
@@ -224,6 +229,63 @@ def test_lyapunov_single_sum_bit_identical_to_three_branch_form(name, kind):
         got = lyapunov_monotonicity(params, target, traj).values
     want = _three_branch_lyapunov(params, target, states)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def lyapunov_derivative(params, target, state):
+    """grad V . f at one positive state, and the sum of its terms' magnitudes."""
+    gradient = np.array(_lyapunov_weights(params, target.kind)) * (
+        1.0 - target.state.as_array() / state
+    )
+    terms = gradient * rhs(params, state)
+    return terms.sum(), np.abs(terms).sum()
+
+
+class TestLyapunovDerivative:
+    @pytest.mark.parametrize(
+        "kind", [EquilibriumKind.PREY_ONLY, EquilibriumKind.PREDATOR_FREE]
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_nonincreasing_under_the_global_hypotheses(self, kind, data):
+        # E1 when R0 < 1, E2 when d > d2, at random positive states
+        rate = st.floats(1e-2, 1e2)
+        carrying, mu = data.draw(rate), data.draw(rate)
+        if kind is EquilibriumKind.PREY_ONLY:
+            r0 = data.draw(st.floats(1e-2, 0.999))
+        else:
+            r0 = data.draw(st.floats(1.001, 1e2))
+        params = ModelParams(
+            growth_rate=data.draw(rate),
+            carrying_capacity=carrying,
+            infection_rate=r0 * mu / carrying,
+            predation_rate=data.draw(rate),
+            infected_death_rate=mu,
+            half_saturation=data.draw(rate),
+            conversion_efficiency=data.draw(st.floats(1e-2, 1.0)),
+            predator_death_rate=data.draw(rate),
+        )
+        if kind is EquilibriumKind.PREDATOR_FREE:
+            d2 = thresholds(params).predator_death_global
+            excess = data.draw(st.floats(1e-3, 1e2))
+            params = params.replace(predator_death_rate=d2 * (1.0 + excess))
+        # populations on the scale of K, where the S-I cross term matters
+        state = carrying * np.array([data.draw(st.floats(1e-3, 2.0)) for _ in range(3)])
+        target = equilibrium(params, kind)
+        value, size = lyapunov_derivative(params, target, state)
+        assert value <= 1e-12 * size
+
+    @pytest.mark.parametrize("name", ["example1", "example1-global"])
+    def test_coexistence_counterexample(self, name):
+        # at (S*, I, P*) with I != I*, grad V . f = m P* (I - I*)^2/((a + I)(a + I*))
+        params = preset(name).params
+        target = equilibrium(params, EquilibriumKind.COEXISTENCE)
+        s_star, i_star, p_star = target.state.as_array()
+        m, a = params.predation_rate, params.half_saturation
+        for i in (0.1 * i_star, 0.5 * i_star, 2.0 * i_star, 10.0 * i_star):
+            value, _ = lyapunov_derivative(params, target, np.array([s_star, i, p_star]))
+            closed_form = m * p_star * (i - i_star) ** 2 / ((a + i) * (a + i_star))
+            assert value > 0.0
+            assert value == pytest.approx(closed_form, rel=1e-9)
 
 
 SCENARIO_TARGETS = {
