@@ -27,7 +27,6 @@ from .model import (
     State,
     ValidationError,
     equilibria,
-    interior_equilibrium,
     thresholds,
 )
 from .reproduce import EXAMPLE_IDS, reproduce
@@ -179,15 +178,19 @@ def cmd_report(args) -> int:
     )
     if args.theta2_reference is not None:
         ref_params = params.replace(conversion_efficiency=args.theta2_reference)
-        ref_state = interior_equilibrium(ref_params)
-        if ref_state is None:
+        if args.theta2_reference == params.predator_death_rate:
             value = "n/a (S* undefined at theta = d)"
+        elif args.theta2_reference < params.predator_death_rate:
+            value = "n/a (no E* at theta < d: I* < 0)"
         else:
-            value = _fmt_opt(thresholds(params, theta2_reference=ref_state).conversion_global)
+            value = _fmt_opt(thresholds(ref_params).conversion_global)
         lines.append(
             f"  theta2 (S* at theta={args.theta2_reference:g})      = {value}"
         )
-    lines.append(f"  1 + r/4 (node/focus boundary as R0 value) = {th.focus_boundary:.6g}")
+    lines.append(
+        f"  (1 + sqrt(1 + r/mu))/2 (E2 node/focus boundary as R0 value) "
+        f"= {th.focus_boundary:.6g}"
+    )
     for note in th.not_applicable:
         lines.append(f"  note: {note}")
     lines.append("equilibria:")

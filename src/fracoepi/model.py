@@ -141,8 +141,8 @@ class Thresholds:
                              (given R0 > 1)
     conversion_global        theta2; interior state globally stable if
                              theta1 < theta < theta2
-    focus_boundary           1 + r/4; reported node/focus boundary for the
-                             predator-free state in terms of R0
+    focus_boundary           (1 + sqrt(1 + r/mu))/2; the predator-free state
+                             has a complex pair (a focus) iff R0 exceeds it
 
     d1, d2, theta1 require R0 > 1 and are None otherwise; theta2 additionally
     needs an interior susceptible level S* with 2K(lambda*S* - mu) > r and is
@@ -248,6 +248,15 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarra
     return _field(params)
 
 
+def _endemic_infected(params: ModelParams) -> float:
+    """E2's infected level I1 = r(lambda K - mu)/(lambda (r + lambda K)); > 0 iff R0 > 1."""
+    r = params.growth_rate
+    K = params.carrying_capacity
+    lam = params.infection_rate
+    mu = params.infected_death_rate
+    return r * (lam * K - mu) / (lam * (r + lam * K))
+
+
 def interior_equilibrium(params: ModelParams) -> Optional[State]:
     """Formula value of the interior equilibrium, None when theta == d."""
     theta, d = params.conversion_efficiency, params.predator_death_rate
@@ -269,7 +278,6 @@ def interior_equilibrium(params: ModelParams) -> Optional[State]:
 
 def equilibria(params: ModelParams) -> list[Equilibrium]:
     """All four equilibria with existence flags, in the order E0, E1, E2, E*."""
-    r = params.growth_rate
     K = params.carrying_capacity
     lam = params.infection_rate
     mu = params.infected_death_rate
@@ -285,11 +293,10 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
     ]
 
     endemic = ExistenceCondition("R0 > 1", r0 > 1.0, r0 - 1.0)
-    i1 = r * (lam * K - mu) / (lam * (r + lam * K))
     out.append(
         Equilibrium(
             EquilibriumKind.PREDATOR_FREE,
-            State(mu / lam, i1, 0.0),
+            State(mu / lam, _endemic_infected(params), 0.0),
             endemic.satisfied,
             (endemic,),
         )
@@ -326,16 +333,19 @@ def equilibrium(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
     return {eq.kind: eq for eq in equilibria(params)}[kind]
 
 
-def thresholds(
-    params: ModelParams, theta2_reference: Optional[State] = None
-) -> Thresholds:
-    """Evaluate every closed-form threshold.
+def thresholds(params: ModelParams) -> Thresholds:
+    """Evaluate every closed-form threshold, each read off the state it describes.
 
-    theta2 contains the interior susceptible level S*, which itself depends
-    on theta; by default it is evaluated self-consistently at params'
-    conversion efficiency.  Passing ``theta2_reference`` evaluates it at an
-    explicit reference state instead (useful when theta is being varied
-    around a base parameter set).
+    d1 = theta I1/(a + I1) is where the predator's growth rate at
+    E2 = (mu/lambda, I1, 0) changes sign; d2 = theta I1/a bounds
+    theta I1/(a + I) over I >= 0, as E2's Lyapunov function needs; and
+    theta1 = d (a + I1)/I1 is where E*'s I* = a d/(theta - d) reaches I1.
+    theta enters theta2 = m d K/(2K(lambda S* - mu) - r) only through S*, so
+    theta2 with S* held at a reference theta is
+    ``thresholds(params.replace(conversion_efficiency=ref)).conversion_global``.
+    E2 has a complex pair iff r < 4 mu R0 (R0 - 1) (its S-I block has trace
+    -r/R0 and determinant r mu (1 - 1/R0)), i.e. iff R0 exceeds
+    focus_boundary = (1 + sqrt(1 + r/mu))/2.
     """
     r = params.growth_rate
     K = params.carrying_capacity
@@ -349,32 +359,25 @@ def thresholds(
     r0 = lam * K / mu
     not_applicable: list[str] = []
     d1 = d2 = theta1 = theta2 = None
-    s_ref: Optional[float] = None
 
-    excess = lam * K - mu
-    if excess > 0.0:
-        d1 = theta * r * excess / (a * lam * (lam * K + r) + r * excess)
-        d2 = theta * r * excess / (a * lam * (r + lam * K))
-        theta1 = d + lam * a * d * (r + lam * K) / (r * excess)
+    if r0 > 1.0:
+        i1 = _endemic_infected(params)
+        d1 = theta * i1 / (a + i1)
+        d2 = theta * i1 / a
+        theta1 = d * (a + i1) / i1
     else:
         not_applicable.append("d1, d2, theta1 need R0 > 1")
 
-    if theta2_reference is not None:
-        s_ref = theta2_reference.susceptible
-    else:
-        interior = interior_equilibrium(params)
-        if interior is not None and excess > 0.0 and theta > d:
-            s_ref = interior.susceptible
-        else:
-            not_applicable.append("theta2 needs an interior susceptible level")
-    if s_ref is not None:
-        denom = 2.0 * K * (lam * s_ref - mu) - r
+    if r0 > 1.0 and theta > d:
+        denom = 2.0 * K * (lam * interior_equilibrium(params).susceptible - mu) - r
         if denom > 0.0:
             theta2 = m * d * K / denom
         else:
             not_applicable.append(
                 "theta2 bracket empty: 2K(lambda*S* - mu) <= r"
             )
+    else:
+        not_applicable.append("theta2 needs an interior susceptible level")
 
     return Thresholds(
         reproduction_number=r0,
@@ -382,7 +385,7 @@ def thresholds(
         predator_death_global=d2,
         conversion_existence=theta1,
         conversion_global=theta2,
-        focus_boundary=1.0 + r / 4.0,
+        focus_boundary=0.5 * (1.0 + math.sqrt(1.0 + r / mu)),
         not_applicable=tuple(not_applicable),
     )
 

@@ -50,12 +50,24 @@ def save_trajectory_csv(traj: Trajectory, path: Path | str) -> Path:
 
 def load_trajectory_csv(path: Path | str) -> Trajectory:
     path = Path(path)
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=2):
+            tokens = line.strip().split(",")
+            if tokens == [""]:
+                continue
+            if len(tokens) != len(header):
+                raise ValueError(
+                    f"{path}, line {number}: {len(tokens)} fields, the header has {len(header)}"
+                )
+            try:
+                rows.append([float(tok) for tok in tokens])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: malformed trajectory CSV, no data rows")
     data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"{path}: malformed trajectory CSV")
     times = data[:, 0].copy()
     states = data[:, 1:].copy()
     step = float(times[1] - times[0]) if len(times) > 1 else float("nan")

@@ -150,6 +150,12 @@ def boundedness_certificate(
     cap = max(v0, bound) + ENVELOPE_MARGIN
     envelope_checked = v0 > bound
     if envelope_checked:
+        if math.isnan(traj.order):
+            raise ValidationError(
+                f"V(0) = {v0:.6g} exceeds l/eta = {bound:.6g}, and the decay envelope"
+                " needs the trajectory's order, which it does not record"
+                " (a trajectory read from CSV)"
+            )
         decay = np.array(
             [
                 ml.ml_one(traj.order, -eta * float(t) ** traj.order)

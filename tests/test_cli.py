@@ -243,6 +243,17 @@ class TestReport:
         text = capsys.readouterr().out
         assert "theta2 (S* at theta=0.09)      = n/a (S* undefined at theta = d)" in text
 
+    def test_theta2_reference_below_death_rate_prints_why(self, capsys):
+        # theta = 0.05 < d = 0.09 puts I* below 0: no interior state to read S* from
+        assert run("report", "--preset", "example1", "--theta2-reference", "0.05") == 0
+        text = capsys.readouterr().out
+        assert "theta2 (S* at theta=0.05)      = n/a (no E* at theta < d: I* < 0)" in text
+
+    def test_report_prints_exact_node_focus_boundary(self, capsys):
+        assert run("report", "--preset", "example1") == 0
+        text = capsys.readouterr().out
+        assert "(E2 node/focus boundary as R0 value) = 1.92678" in text
+
     def test_equilibria_subcommand(self, capsys):
         assert run("equilibria", "--preset", "example1") == 0
         text = capsys.readouterr().out

@@ -200,6 +200,28 @@ class TestTrajectoryCsv:
         finite = np.isfinite(traj.states)
         assert loaded.states[finite].tobytes() == traj.states[finite].tobytes()  # -0.0 kept
 
+    def test_ragged_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,S,I,P\n0,1,2,3\n0.5,1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_trajectory_csv(path)
+        assert str(info.value) == f"{path}, line 3: 3 fields, the header has 4"
+
+    def test_non_numeric_token_names_file_and_line(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,S,I,P\n0,1,2,3\n\n0.5,1,x,3\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_trajectory_csv(path)
+        assert str(info.value) == (
+            f"{path}, line 4: could not convert string to float: 'x'"
+        )
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,S,I,P\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_trajectory_csv(path)
+
     @pytest.mark.parametrize(
         "alpha,tag", [(0.95, "0p95"), (0.9, "0p9"), (1.0, "1"), (0.35, "0p35")]
     )

@@ -19,6 +19,7 @@ from fracoepi.model import (
     thresholds,
     vector_field,
 )
+from fracoepi.stability import classify_equilibrium
 
 # high-precision evaluations of the closed forms (frozen)
 E2_REFERENCE = (18.666666666666666667, 16.410256410256410256, 0.0)
@@ -29,6 +30,24 @@ THETA2_AT_BASE = 0.804375
 THETA2_SELF_AT_05 = 0.10138969616908850727
 D1_THETA_008 = 0.041795918367346938776
 D2_THETA_008 = 0.087521367521367521368
+FOCUS_BOUNDARY = 1.9267845968170127797  # (1 + sqrt(1 + r/mu))/2 at r = 2, mu = 0.28
+
+
+def expanded_thresholds(params):
+    """d1, d2, theta1 in expanded form, with I1 written out: the oracle for thresholds."""
+    r = params.growth_rate
+    K = params.carrying_capacity
+    lam = params.infection_rate
+    mu = params.infected_death_rate
+    a = params.half_saturation
+    theta = params.conversion_efficiency
+    d = params.predator_death_rate
+    excess = lam * K - mu
+    return (
+        theta * r * excess / (a * lam * (lam * K + r) + r * excess),
+        theta * r * excess / (a * lam * (r + lam * K)),
+        d + lam * a * d * (r + lam * K) / (r * excess),
+    )
 
 
 def random_params(rng):
@@ -246,8 +265,10 @@ class TestThresholds:
         assert self_consistent.conversion_global == pytest.approx(
             THETA2_SELF_AT_05, rel=1e-13
         )
-        base_interior = interior_equilibrium(example1)
-        referenced = thresholds(raised, theta2_reference=base_interior)
+        # theta enters theta2 only through S*: S* held at the base example's level
+        referenced = thresholds(
+            raised.replace(conversion_efficiency=example1.conversion_efficiency)
+        )
         assert referenced.conversion_global == pytest.approx(THETA2_AT_BASE, rel=1e-13)
 
     def test_predator_death_thresholds(self, example1):
@@ -270,7 +291,57 @@ class TestThresholds:
         assert seen > 200
 
     def test_focus_boundary(self, example1):
-        assert thresholds(example1).focus_boundary == pytest.approx(1.5, rel=1e-15)
+        assert thresholds(example1).focus_boundary == pytest.approx(FOCUS_BOUNDARY, rel=1e-15)
+
+    def test_focus_boundary_separates_real_and_complex_spectra_of_e2(self):
+        rng = np.random.default_rng(29)
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            params = random_params(rng)
+            th = thresholds(params)
+            r0, boundary = th.reproduction_number, th.focus_boundary
+            if r0 <= 1.0 or abs(r0 / boundary - 1.0) < 1e-6:
+                continue
+            e2 = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
+            complex_pair = classify_equilibrium(params, e2, 1.0).spectrum.has_complex_pair
+            assert complex_pair == (r0 > boundary)
+            seen[complex_pair] += 1
+        assert min(seen.values()) > 100  # both sides of the boundary are drawn
+
+    def test_thresholds_match_expanded_forms(self):
+        rng = np.random.default_rng(31)
+        seen = 0
+        for _ in range(2000):
+            params = random_params(rng)
+            th = thresholds(params)
+            if th.reproduction_number <= 1.0:
+                assert th.predator_death_local is None
+                continue
+            seen += 1
+            computed = (
+                th.predator_death_local,
+                th.predator_death_global,
+                th.conversion_existence,
+            )
+            assert computed == pytest.approx(expanded_thresholds(params), rel=1e-13)
+        assert seen > 1000
+
+    def test_existence_threshold_is_positivity_of_interior_state(self):
+        rng = np.random.default_rng(37)
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            params = random_params(rng)
+            th = thresholds(params)
+            if th.reproduction_number <= 1.0:
+                continue
+            theta1 = th.conversion_existence
+            if abs(params.conversion_efficiency / theta1 - 1.0) < 1e-9:
+                continue
+            interior = interior_equilibrium(params)
+            positive = interior is not None and bool(np.all(interior.as_array() > 0.0))
+            assert positive == (params.conversion_efficiency > theta1)
+            seen[positive] += 1
+        assert min(seen.values()) > 100
 
     def test_theta2_empty_bracket_flagged(self, example1):
         # push S* down so 2K(lambda S* - mu) <= r

@@ -30,6 +30,7 @@ from fracoepi.reproduce import GLOBAL_SCENARIOS, GlobalScenario
 from fracoepi.runs import cached_solve
 from fracoepi.solver import NODE_CAP, SolverConfig, Trajectory
 from fracoepi.stability import jacobian
+from fracoepi.trajectory_io import load_trajectory_csv, save_trajectory_csv
 from fracoepi.verification import (
     _lyapunov_weights,
     boundedness_certificate,
@@ -125,6 +126,16 @@ class TestBoundedness:
         cert = boundedness_certificate(example1, traj, eta=0.045)
         assert cert.envelope_checked
         assert cert.passed
+
+    def test_envelope_on_trajectory_without_order_names_the_order(self, example1, tmp_path):
+        start = State(30.0, 5.0, 200.0)  # weighted total 585 > 464.7
+        traj = cached_solve(example1, 0.95, start, 0.05, 10.0)
+        loaded = load_trajectory_csv(save_trajectory_csv(traj, tmp_path / "traj.csv"))
+        with pytest.raises(ValidationError, match="needs the trajectory's order"):
+            boundedness_certificate(example1, loaded, eta=0.045)
+        # below l/eta no envelope is drawn, and the order is not needed
+        below = constant_trajectory([30.0, 5.0, 10.0], order=float("nan"))
+        assert boundedness_certificate(example1, below, eta=0.045).passed
 
     def test_rejects_eta_outside_open_interval(self, example1):
         traj = preset_run("example1", 0.95, t_end=50.0)
@@ -336,8 +347,9 @@ class TestLyapunovMonotonicity:
         self_consistent = lyapunov_monotonicity(params, target, traj)
         assert self_consistent.hypothesis.satisfied is False  # theta2 shrinks
         # with S* held at the base example's value, theta lies inside (theta1, theta2)
-        base_interior = equilibrium(example1, EquilibriumKind.COEXISTENCE).state
-        referenced = thresholds(params, theta2_reference=base_interior)
+        referenced = thresholds(
+            params.replace(conversion_efficiency=example1.conversion_efficiency)
+        )
         assert (referenced.conversion_existence < params.conversion_efficiency
                 < referenced.conversion_global)
         assert self_consistent.monotone
