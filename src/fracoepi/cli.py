@@ -2,13 +2,14 @@
 
 Subcommands: simulate, report, equilibria, sweep, reproduce, verify.
 Exit codes: 0 success, 1 validation/check failure, 2 solver divergence,
-3 reproduction line-item failure.
+3 reproduction line-item failure, 141 stdout closed before all output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from .verification import (
 )
 
 REPORT_ALPHAS = (0.6, 2.0 / 3.0, 0.85, 0.95, 1.0)
+PIPE_CLOSED = 128 + 13  # the shell's code for a process ended by SIGPIPE
 DIVERGENCE_HINT = (
     "hint: the model's solutions from non-negative initial states stay bounded, "
     "so a blow-up is a step-size failure of the explicit predictor-corrector "
@@ -158,8 +160,9 @@ def _equilibria_lines(params: ModelParams) -> list[str]:
     return lines
 
 
-def _fmt_opt(value) -> str:
-    return "n/a" if value is None else f"{value:.6g}"
+def _fmt_threshold(th, name: str) -> str:
+    value = getattr(th, name)
+    return f"n/a ({th.undefined[name]})" if value is None else f"{value:.6g}"
 
 
 def cmd_report(args) -> int:
@@ -169,30 +172,23 @@ def cmd_report(args) -> int:
     lines = [f"model: {cfg.preset_name or 'custom'}"]
     lines.append("thresholds:")
     lines.append(f"  R0 (infection invasion)      = {th.reproduction_number:.6g}")
-    lines.append(f"  d1 (E2 local stability)      = {_fmt_opt(th.predator_death_local)}")
-    lines.append(f"  d2 (E2 global stability)     = {_fmt_opt(th.predator_death_global)}")
-    lines.append(f"  theta1 (E* existence)        = {_fmt_opt(th.conversion_existence)}")
+    lines.append(f"  d1 (E2 local stability)      = {_fmt_threshold(th, 'predator_death_local')}")
+    lines.append(f"  d2 (E2 global stability)     = {_fmt_threshold(th, 'predator_death_global')}")
+    lines.append(f"  theta1 (E* existence)        = {_fmt_threshold(th, 'conversion_existence')}")
     lines.append(
         f"  theta2 (E* global, S* at theta={params.conversion_efficiency:g}) "
-        f"= {_fmt_opt(th.conversion_global)}"
+        f"= {_fmt_threshold(th, 'conversion_global')}"
     )
     if args.theta2_reference is not None:
-        ref_params = params.replace(conversion_efficiency=args.theta2_reference)
-        if args.theta2_reference == params.predator_death_rate:
-            value = "n/a (S* undefined at theta = d)"
-        elif args.theta2_reference < params.predator_death_rate:
-            value = "n/a (no E* at theta < d: I* < 0)"
-        else:
-            value = _fmt_opt(thresholds(ref_params).conversion_global)
+        ref = thresholds(params.replace(conversion_efficiency=args.theta2_reference))
         lines.append(
-            f"  theta2 (S* at theta={args.theta2_reference:g})      = {value}"
+            f"  theta2 (S* at theta={args.theta2_reference:g})      = "
+            + _fmt_threshold(ref, "conversion_global")
         )
     lines.append(
         f"  (1 + sqrt(1 + r/mu))/2 (E2 node/focus boundary as R0 value) "
         f"= {th.focus_boundary:.6g}"
     )
-    for note in th.not_applicable:
-        lines.append(f"  note: {note}")
     lines.append("equilibria:")
     lines += ["  " + line for line in _equilibria_lines(params)]
     lines.append("stability (rows: equilibrium, columns: order):")
@@ -403,7 +399,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits: keep usage errors on code 1
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (say `| head`): stop quietly with the
+        # code of a process ended by SIGPIPE, and send the exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
     except (ValueError, OSError) as exc:  # ConfigError and ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .model import ModelParams, State, ValidationError, preset
+from .solver import validate_order, validate_step
 
 __all__ = ["ConfigError", "MODEL_KEYS", "RunConfig", "parse_config_text", "load_config"]
 
@@ -136,8 +137,8 @@ class RunConfig:
         if not self.alphas:
             raise ValidationError("at least one order is needed")
         for alpha in self.alphas:
-            if not (0.0 < alpha <= 1.0):
-                raise ValidationError(f"order must lie in (0,1], got {alpha}")
+            validate_order(alpha)
+        validate_step(self.step)
         for state in self.initial_states:
             if not state.nonnegative:
                 raise ValidationError(f"initial state must be non-negative, got {state}")

@@ -16,11 +16,13 @@ densities/rates; populations are dimensionless densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
+
+from .solver import ValidationError  # the package's one validation error class
 
 __all__ = [
     "EquilibriumKind",
@@ -40,10 +42,6 @@ __all__ = [
     "thresholds",
     "vector_field",
 ]
-
-
-class ValidationError(ValueError):
-    """Invalid model parameters, states or configuration values."""
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,9 @@ class Thresholds:
     focus_boundary           (1 + sqrt(1 + r/mu))/2; the predator-free state
                              has a complex pair (a focus) iff R0 exceeds it
 
-    d1, d2, theta1 require R0 > 1 and are None otherwise; theta2 additionally
-    needs an interior susceptible level S* with 2K(lambda*S* - mu) > r and is
-    None (with not_applicable reason) when that bracket is empty.
+    d1, d2, theta1 require R0 > 1; theta2 also needs theta > d, where E* has
+    I* > 0, and 2K(lambda*S* - mu) > r.  ``undefined`` maps the name of each
+    field left None, and no other, to the reason.
     """
 
     reproduction_number: float
@@ -155,7 +153,7 @@ class Thresholds:
     conversion_existence: Optional[float]
     conversion_global: Optional[float]
     focus_boundary: float
-    not_applicable: tuple[str, ...] = ()
+    undefined: dict[str, str] = field(default_factory=dict, hash=False)  # stays hashable
 
 
 def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -357,27 +355,27 @@ def thresholds(params: ModelParams) -> Thresholds:
     d = params.predator_death_rate
 
     r0 = lam * K / mu
-    not_applicable: list[str] = []
     d1 = d2 = theta1 = theta2 = None
+    undefined: dict[str, str] = {}
 
-    if r0 > 1.0:
+    if r0 <= 1.0:
+        undefined = dict.fromkeys(("predator_death_local", "predator_death_global",
+                                   "conversion_existence", "conversion_global"), "needs R0 > 1")
+    else:
         i1 = _endemic_infected(params)
         d1 = theta * i1 / (a + i1)
         d2 = theta * i1 / a
         theta1 = d * (a + i1) / i1
-    else:
-        not_applicable.append("d1, d2, theta1 need R0 > 1")
-
-    if r0 > 1.0 and theta > d:
-        denom = 2.0 * K * (lam * interior_equilibrium(params).susceptible - mu) - r
-        if denom > 0.0:
-            theta2 = m * d * K / denom
+        if theta == d:
+            undefined["conversion_global"] = "S* undefined at theta = d"
+        elif theta < d:
+            undefined["conversion_global"] = "no E* at theta < d: I* < 0"
         else:
-            not_applicable.append(
-                "theta2 bracket empty: 2K(lambda*S* - mu) <= r"
-            )
-    else:
-        not_applicable.append("theta2 needs an interior susceptible level")
+            denom = 2.0 * K * (lam * interior_equilibrium(params).susceptible - mu) - r
+            if denom > 0.0:
+                theta2 = m * d * K / denom
+            else:
+                undefined["conversion_global"] = "empty bracket: 2K(lambda*S* - mu) <= r"
 
     return Thresholds(
         reproduction_number=r0,
@@ -386,7 +384,7 @@ def thresholds(params: ModelParams) -> Thresholds:
         conversion_existence=theta1,
         conversion_global=theta2,
         focus_boundary=0.5 * (1.0 + math.sqrt(1.0 + r / mu)),
-        not_applicable=tuple(not_applicable),
+        undefined=undefined,
     )
 
 

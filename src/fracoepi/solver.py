@@ -58,8 +58,11 @@ __all__ = [
     "FodeProblem",
     "SolverConfig",
     "Trajectory",
+    "ValidationError",
     "abm_weights",
     "solve_pece",
+    "validate_order",
+    "validate_step",
 ]
 
 DIVERGENCE_LIMIT = 1e12  # component magnitude treated as blow-up
@@ -72,6 +75,22 @@ _FFT_CAP = 1 << 13  # longest transform; longer blocks are split into chunk pair
 # read-only node times by (step type, step, node count), shared by every live
 # trajectory on that grid; an entry goes with the last array or view holding it
 _GRIDS = weakref.WeakValueDictionary()
+
+
+class ValidationError(ValueError):
+    """Invalid model parameters, states or configuration values."""
+
+
+def validate_order(order: float) -> None:
+    """Reject a fractional order outside (0, 1]."""
+    if not (0.0 < order <= 1.0):
+        raise ValidationError(f"order must lie in (0,1], got {order}")
+
+
+def validate_step(step: float) -> None:
+    """Reject a grid step that is not finite and positive."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValidationError(f"step must be finite and positive, got {step}")
 
 
 class DivergenceError(RuntimeError):
@@ -95,8 +114,7 @@ class FodeProblem:
     rhs: Callable[[float, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if not (0.0 < self.order <= 1.0):
-            raise ValueError(f"order must lie in (0,1], got {self.order}")
+        validate_order(self.order)
         state = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
         if state.ndim != 1 or state.size == 0:
             raise ValueError("initial_state must be a non-empty vector")
@@ -117,8 +135,7 @@ class SolverConfig:
     t_end: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step}")
+        validate_step(self.step)
         if not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
 
@@ -200,12 +217,10 @@ def abm_weights(order: float, n: int, step: float = 1.0) -> tuple[np.ndarray, np
     sum(corrector) = h^a (n+1)^a (a+1) / Gamma(a+2).
     These are the tables :func:`solve_pece` uses, read for one step.
     """
-    if not (0.0 < order <= 1.0):
-        raise ValueError(f"order must lie in (0,1], got {order}")
+    validate_order(order)
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"node index n must be a non-negative integer, got {n!r}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step}")
+    validate_step(step)
     w, d, c0 = _lag_tables(order, step, n + 2)
     predictor = w[n + 1 : 0 : -1].copy()
     corrector = np.empty(n + 2)
@@ -307,7 +322,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 def _grid(step, n_steps: int) -> np.ndarray:
     """The read-only ``step * np.arange(n_steps + 1)``, one array per live grid."""
     key = (type(step), step, n_steps)  # an int step gives integer times
-    times = _GRIDS.get(key)  # two threads racing here build two equal grids
+    times = _GRIDS.get(key)  # None until built, and again once no array holds it
     if times is None:
         times = step * np.arange(n_steps + 1)
         times.setflags(write=False)

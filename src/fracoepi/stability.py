@@ -21,6 +21,7 @@ import numpy as np
 
 from .model import Equilibrium, EquilibriumKind, ModelParams, State, ValidationError
 from .model import jacobian  # re-exported: the stability layer's Jacobian
+from .solver import validate_order
 
 __all__ = [
     "CubicCharacteristic",
@@ -165,8 +166,7 @@ def cubic_roots(cubic: CubicCharacteristic) -> EigenSpectrum:
 
 def matignon_check(spectrum: EigenSpectrum, alpha: float) -> MatignonResult:
     """Fractional-order stability test: min |arg xi| against alpha*pi/2."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValidationError(f"order must lie in (0,1], got {alpha}")
+    validate_order(alpha)
     if spectrum.has_zero:
         # arg(0) is undefined; the boundary case is reported, not adjudicated
         return MatignonResult(

@@ -244,16 +244,16 @@ def _hypothesis(params: ModelParams, target: EquilibriumKind) -> HypothesisCheck
     if target is EquilibriumKind.PREDATOR_FREE:
         d2 = th.predator_death_global
         if d2 is None:
-            return HypothesisCheck("d > d2", None, "d2 not applicable (R0 <= 1)")
+            why = th.undefined["predator_death_global"]
+            return HypothesisCheck("d > d2", None, f"d2 n/a ({why})")
         d = params.predator_death_rate
         return HypothesisCheck("d > d2", d > d2, f"d = {d:.6g}, d2 = {d2:.6g}")
     if target is EquilibriumKind.COEXISTENCE:
         t1, t2 = th.conversion_existence, th.conversion_global
         theta = params.conversion_efficiency
-        if t1 is None or t2 is None:
-            return HypothesisCheck(
-                "theta1 < theta < theta2", None, "thresholds not applicable"
-            )
+        if t2 is None:  # theta1 is undefined only where theta2 is too
+            why = th.undefined["conversion_global"]
+            return HypothesisCheck("theta1 < theta < theta2", None, f"theta2 n/a ({why})")
         ok = t1 < theta < t2
         return HypothesisCheck(
             "theta1 < theta < theta2",

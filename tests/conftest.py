@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from fracoepi.model import preset
+from fracoepi.model import ModelParams, preset
 from fracoepi.reproduce import GLOBAL_SCENARIOS
 from fracoepi.runs import cached_solve
 
@@ -31,3 +32,26 @@ def constant_trajectory(state: np.ndarray, n_nodes: int = 50, step: float = 0.05
     states = np.tile(np.asarray(state, float), (n_nodes, 1))
     times = step * np.arange(n_nodes)
     return Trajectory(times=times, states=states, order=order, metadata={"step": step})
+
+
+def _rate(low: float, high: float):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def model_params(draw):
+    """Valid ModelParams over the ranges of the model tests' random draws, with
+    theta = d drawn on its own as well, since S* is undefined there."""
+    params = ModelParams(
+        growth_rate=draw(_rate(0.1, 5.0)),
+        carrying_capacity=draw(_rate(5.0, 100.0)),
+        infection_rate=draw(_rate(0.001, 0.2)),
+        predation_rate=draw(_rate(0.05, 2.0)),
+        infected_death_rate=draw(_rate(0.02, 1.0)),
+        half_saturation=draw(_rate(0.5, 50.0)),
+        conversion_efficiency=draw(_rate(0.01, 1.0)),
+        predator_death_rate=draw(_rate(0.005, 0.5)),
+    )
+    if draw(st.booleans()):
+        params = params.replace(conversion_efficiency=params.predator_death_rate)
+    return params

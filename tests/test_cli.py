@@ -1,17 +1,25 @@
 """Command-line behavior: files, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracoepi import cli, runs
 from fracoepi.cli import main
 from fracoepi.stability import classify_equilibrium
 from fracoepi.trajectory_io import format_float, load_trajectory_csv
+
+from conftest import model_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -132,6 +140,26 @@ class TestSimulate:
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        # stdout is a pipe nobody reads, as after `| head` exits: unbuffered,
+        # the first print meets the closed pipe; buffered, the final flush does
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fracoepi", "report", "--preset", "example1"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == cli.PIPE_CLOSED == 141
+        assert done.stderr == ""
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         # a stiff parameter set at a coarse step blows the scheme up
         cfg = tmp_path / "explode.cfg"
@@ -248,6 +276,34 @@ class TestReport:
         assert run("report", "--preset", "example1", "--theta2-reference", "0.05") == 0
         text = capsys.readouterr().out
         assert "theta2 (S* at theta=0.05)      = n/a (no E* at theta < d: I* < 0)" in text
+
+    def test_empty_theta2_bracket_at_reference_prints_why(self, capsys):
+        # theta = 0.1 puts S* at -135.5, so 2K(lambda S* - mu) - r < 0
+        assert run("report", "--preset", "example1", "--theta2-reference", "0.1") == 0
+        text = capsys.readouterr().out
+        assert ("theta2 (S* at theta=0.1)      = n/a (empty bracket: 2K(lambda*S* - mu) <= r)"
+                in text)
+
+    def test_undefined_thresholds_print_why_in_place(self, capsys):
+        assert run("report", "--preset", "example3") == 0
+        text = capsys.readouterr().out
+        assert "d1 (E2 local stability)      = n/a (needs R0 > 1)" in text
+        assert "note:" not in text
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(params=model_params(), reference=st.floats(0.001, 1.0))
+    def test_no_bare_not_available_on_random_params(self, params, reference):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "model.cfg"
+            cfg.write_text("".join(f"model.{name} = {value!r}\n"
+                                   for name, value in vars(params).items()),
+                           encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run("report", "--config", str(cfg), "--alpha", "0.9",
+                           "--theta2-reference", repr(reference)) == 0
+        text = out.getvalue()
+        assert re.search(r"n/a(?! \()", text) is None, text
 
     def test_report_prints_exact_node_focus_boundary(self, capsys):
         assert run("report", "--preset", "example1") == 0

@@ -21,6 +21,8 @@ from fracoepi.model import (
 )
 from fracoepi.stability import classify_equilibrium
 
+from conftest import model_params
+
 # high-precision evaluations of the closed forms (frozen)
 E2_REFERENCE = (18.666666666666666667, 16.410256410256410256, 0.0)
 ESTAR_0189 = (22.272727272727272727, 13.636363636363636364, 2.978782581055308328)
@@ -73,6 +75,25 @@ class TestParams:
     def test_rejects_conversion_above_one(self):
         with pytest.raises(ValidationError, match="conversion_efficiency"):
             preset("example1").params.replace(conversion_efficiency=1.5)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        params=model_params(),
+        name=st.sampled_from(sorted(ModelParams.__dataclass_fields__)),
+        bad=st.one_of(
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+            st.floats(max_value=0.0, allow_nan=False),
+        ),
+    )
+    def test_rejects_each_field_at_zero_negative_infinite_and_nan(self, params, name, bad):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            params.replace(**{name: bad})
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(params=model_params(), theta=st.floats(min_value=1.0, exclude_min=True))
+    def test_rejects_conversion_above_one_at_any_value(self, params, theta):
+        with pytest.raises(ValidationError, match="^conversion_efficiency "):
+            params.replace(conversion_efficiency=theta)
 
     def test_state_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
@@ -250,7 +271,7 @@ class TestThresholds:
         assert th.reproduction_number == pytest.approx(0.7143, abs=5e-4)
         assert th.predator_death_local is None
         assert th.conversion_existence is None
-        assert any("R0" in note for note in th.not_applicable)
+        assert th.undefined["conversion_existence"] == "needs R0 > 1"
 
     def test_conversion_thresholds(self, example1):
         th = thresholds(example1)
@@ -343,6 +364,30 @@ class TestThresholds:
             seen[positive] += 1
         assert min(seen.values()) > 100
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(params=model_params())
+    def test_reason_for_exactly_the_undefined_fields(self, params):
+        th = thresholds(params)
+        optional = ("predator_death_local", "predator_death_global",
+                    "conversion_existence", "conversion_global")
+        assert set(th.undefined) == {n for n in optional if getattr(th, n) is None}
+        assert all(th.undefined.values())
+        assert hash(th) == hash(thresholds(params))  # the frozen record stays hashable
+
+    def test_each_theta2_reason(self, example1):
+        # example1: R0 = 2.14, d = 0.09; theta = 0.1 puts S* at -135.5
+        cases = {
+            0.09: "S* undefined at theta = d",
+            0.05: "no E* at theta < d: I* < 0",
+            0.1: "empty bracket: 2K(lambda*S* - mu) <= r",
+        }
+        for theta, reason in cases.items():
+            th = thresholds(example1.replace(conversion_efficiency=theta))
+            assert th.undefined == {"conversion_global": reason}
+        low = thresholds(example1.replace(infection_rate=0.005))  # R0 < 1
+        assert set(low.undefined.values()) == {"needs R0 > 1"}
+        assert thresholds(example1).undefined == {}
+
     def test_theta2_empty_bracket_flagged(self, example1):
         # push S* down so 2K(lambda S* - mu) <= r
         params = example1.replace(conversion_efficiency=0.9999)
@@ -356,7 +401,7 @@ class TestThresholds:
         )
         if denom <= 0:
             assert th.conversion_global is None
-            assert any("bracket" in n for n in th.not_applicable)
+            assert "bracket" in th.undefined["conversion_global"]
         else:
             assert th.conversion_global is not None
 

@@ -371,6 +371,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             FodeProblem(order=0.5, initial_state=np.array([np.nan]), rhs=lambda t, y: -y)
 
+    def test_order_and_step_have_one_message_and_class_everywhere(self):
+        import fracoepi
+        from fracoepi import model, solver
+        from fracoepi.config import config_from_entries
+        from fracoepi.stability import classify_equilibrium, matignon_check
+
+        assert fracoepi.ValidationError is model.ValidationError is solver.ValidationError
+        e2 = equilibria(preset("example1").params)[2]
+        spectrum = classify_equilibrium(preset("example1").params, e2, 0.9).spectrum
+        for order in (0.0, -0.3, 1.5, math.nan):
+            message = re.escape(f"order must lie in (0,1], got {order}")
+            for call in (
+                lambda: FodeProblem(order=order, initial_state=[1.0], rhs=lambda t, y: -y),
+                lambda: abm_weights(order, 3),
+                lambda: matignon_check(spectrum, order),
+                lambda: config_from_entries({"model.preset": "example1",
+                                             "solver.alpha": [order]}),
+            ):
+                with pytest.raises(solver.ValidationError, match=f"^{message}$"):
+                    call()
+        for step in (0.0, -0.1, math.inf, math.nan):
+            message = re.escape(f"step must be finite and positive, got {step}")
+            for call in (
+                lambda: SolverConfig(step=step, t_end=1.0),
+                lambda: abm_weights(0.5, 3, step=step),
+                lambda: config_from_entries({"model.preset": "example1",
+                                             "solver.step": step}),
+            ):
+                with pytest.raises(solver.ValidationError, match=f"^{message}$"):
+                    call()
+
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(step=0.0, t_end=1.0)

@@ -339,6 +339,15 @@ class TestLyapunovMonotonicity:
         )
         assert report.hypothesis.satisfied is True  # d > d2
 
+    def test_undefined_hypothesis_names_the_threshold_and_why(self, example1):
+        # just above theta1 = 0.172266, E* exists but 2K(lambda S* - mu) <= r
+        params = example1.replace(conversion_efficiency=0.1725)
+        target = equilibrium(params, EquilibriumKind.COEXISTENCE)
+        traj = constant_trajectory(target.state.as_array())
+        hypothesis = lyapunov_monotonicity(params, target, traj).hypothesis
+        assert hypothesis.satisfied is None
+        assert hypothesis.detail == "theta2 n/a (empty bracket: 2K(lambda*S* - mu) <= r)"
+
     def test_coexistence_hypothesis_depends_on_convention(self, example1):
         coex = GLOBAL_SCENARIOS["coexistence"]
         params = coex.params
