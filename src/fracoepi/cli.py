@@ -98,11 +98,6 @@ def _resolve_config(args, default_alphas: tuple[float, ...] = ()) -> RunConfig:
     return config_from_entries(entries)
 
 
-def _eta(params: ModelParams) -> float:
-    """Boundedness rate eta = min(mu, d)/2, strictly inside (0, min(mu, d))."""
-    return 0.5 * min(params.infected_death_rate, params.predator_death_rate)
-
-
 def _state_tag(x0: State) -> str:
     return f"({x0.susceptible:g},{x0.infected:g},{x0.predator:g})"
 
@@ -118,13 +113,12 @@ def cmd_simulate(args) -> int:
                 raise ValidationError(f"orders {runs[name][0]!r} and {alpha!r} both write {name}")
             runs[name] = (alpha, x0)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    eta = _eta(cfg.params)
     summary = [f"model: {cfg.preset_name or 'custom'}"]
     for name, (alpha, x0) in runs.items():  # each run is solved, written and dropped in turn
         traj = solve_model(cfg.params, alpha, x0, cfg.step, cfg.t_end)
         save_trajectory_csv(traj, cfg.out_dir / name)
         nn = check_nonnegativity(traj)
-        bc = boundedness_certificate(cfg.params, traj, eta)
+        bc = boundedness_certificate(cfg.params, traj)
         final = ",".join(format_float(v) for v in traj.final_state)
         summary.append(
             f"alpha={alpha:g} x0={_state_tag(x0)} file={name} "
@@ -287,7 +281,6 @@ def cmd_verify(args) -> int:
     params = cfg.params
     tol = args.tolerance if args.tolerance is not None else 0.05
     validate_tolerance(tol)
-    eta = _eta(params)
     all_ok = True
     lines = []
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
@@ -303,13 +296,13 @@ def cmd_verify(args) -> int:
             traj = solve_model(params, alpha, x0, cfg.step, cfg.t_end)
             peak = max(peak, float(np.abs(traj.states).max()))
             nn = check_nonnegativity(traj)
-            bc = boundedness_certificate(params, traj, eta)
+            bc = boundedness_certificate(params, traj)
             lines.append(
                 f"alpha={alpha:g} x0={_state_tag(x0)}: "
                 f"nonnegativity {'pass' if nn.passed else 'fail'} "
                 f"(worst undershoot {nn.worst_undershoot.max():.3g}); "
                 f"boundedness {'pass' if bc.passed else 'fail'} "
-                f"(max V {bc.worst_value:.6g} vs bound {bc.bound:.6g}, eta={eta:g})"
+                f"(max V {bc.worst_value:.6g} vs bound {bc.bound:.6g}, eta={bc.eta:g})"
             )
             all_ok &= nn.passed and bc.passed
 

@@ -28,7 +28,10 @@ live trajectory on one grid (same step and node count) shares one read-only
 times array, so a run holding many trajectories stores their times once.
 
 What remains is Python work per node: two short dot products, two RHS
-calls, the state updates and the divergence check.  The dots stay numpy; the
+calls, the state updates and the divergence check.  Each dot is the ``dot``
+method of its lag's weight view, which reaches numpy's C product without
+the ``__array_function__`` dispatch that ``np.dot`` passes on every call
+(numpy 2.4: 0.85 against 1.1 us a call).  The
 arithmetic around them (predictor, corrector, divergence check) runs on
 Python floats, with the operations of the array form in the same order, so
 every state is bit-identical and a step of a few components avoids the ufunc
@@ -117,9 +120,9 @@ class FodeProblem:
         validate_order(self.order)
         state = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
         if state.ndim != 1 or state.size == 0:
-            raise ValueError("initial_state must be a non-empty vector")
+            raise ValidationError("initial_state must be a non-empty vector")
         if not np.all(np.isfinite(state)):
-            raise ValueError(f"initial_state must be finite, got {state}")
+            raise ValidationError(f"initial_state must be finite, got {state}")
         object.__setattr__(self, "initial_state", state)
 
     @property
@@ -137,21 +140,21 @@ class SolverConfig:
     def __post_init__(self):
         validate_step(self.step)
         if not math.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
+            raise ValidationError("t_end must be finite")
 
     def node_count(self) -> int:
         """Number of steps from t = 0; rejects off-grid spans and spans beyond the node cap."""
         if self.t_end < 0.0:
-            raise ValueError(f"t_end = {self.t_end} lies before t = 0")
+            raise ValidationError(f"t_end = {self.t_end} lies before t = 0")
         ratio = self.t_end / self.step
         steps = int(round(ratio))
         if abs(ratio - steps) > GRID_TOL * max(ratio, 1.0):
-            raise ValueError(
+            raise ValidationError(
                 f"t_end = {self.t_end} is not on the grid of step {self.step} "
                 f"from t = 0: the span holds {ratio!r} steps"
             )
         if steps > NODE_CAP:
-            raise ValueError(f"{steps} nodes exceed the cap of {NODE_CAP}")
+            raise ValidationError(f"{steps} nodes exceed the cap of {NODE_CAP}")
         return steps
 
 
@@ -219,7 +222,7 @@ def abm_weights(order: float, n: int, step: float = 1.0) -> tuple[np.ndarray, np
     """
     validate_order(order)
     if not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"node index n must be a non-negative integer, got {n!r}")
+        raise ValidationError(f"node index n must be a non-negative integer, got {n!r}")
     validate_step(step)
     w, d, c0 = _lag_tables(order, step, n + 2)
     predictor = w[n + 1 : 0 : -1].copy()
@@ -272,7 +275,6 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     y0 = problem.initial_state.tolist()
     rhs_fn = _list_field(problem.rhs, shape)
     limit = DIVERGENCE_LIMIT
-    dot = np.dot
 
     # step arithmetic on Python floats, in the array form's operation order
     # (module docstring); the RHS gets and returns lists
@@ -287,10 +289,10 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
                 range(first_c, stop), (h * np.arange(first_c, stop)).tolist(), pending, pending_c
             ):
                 # predictor: fractional rectangle rule over the whole history
-                dw = dot(w_lag[k - start], rhs_values[start:k]).tolist()
+                dw = w_lag[k - start].dot(rhs_values[start:k]).tolist()
                 predicted = [y + inv_gamma_a * (p + q) for y, p, q in zip(y0, pend, dw)]
                 # corrector history: hat-function weights
-                dd = dot(d_lag[k - first_c], rhs_values[first_c:k]).tolist()
+                dd = d_lag[k - first_c].dot(rhs_values[first_c:k]).tolist()
 
                 f_new = rhs_fn(t_next, predicted)
                 corrected = [

@@ -65,9 +65,6 @@ class CubicCharacteristic:
     def routh_product(self) -> float:
         return self.a1 * self.a2 - self.a3
 
-    def __call__(self, x: complex) -> complex:
-        return ((x + self.a1) * x + self.a2) * x + self.a3
-
     def coefficients(self) -> np.ndarray:
         return np.array([1.0, self.a1, self.a2, self.a3])
 

@@ -126,21 +126,19 @@ def total_population(params: ModelParams, states: np.ndarray) -> np.ndarray:
     return states[:, 0] + states[:, 1] + weight * states[:, 2]
 
 
-def boundedness_certificate(
-    params: ModelParams, traj: Trajectory, eta: float
-) -> BoundednessCertificate:
-    """Check the uniform bound on V = S + I + (m/theta)P.
+def boundedness_certificate(params: ModelParams, traj: Trajectory) -> BoundednessCertificate:
+    """Check the uniform bound on V = S + I + (m/theta)P at eta = min(mu, d)/2.
 
-    Requires 0 < eta < min(infected death rate, predator death rate), which
-    makes max(V(0), l/eta) an upper envelope; when V(0) exceeds l/eta the
-    sharper decay envelope (V(0) - l/eta) E_alpha(-eta t^alpha) + l/eta is
-    checked as well.
+    Any 0 < eta < min(infected death rate, predator death rate) makes
+    max(V(0), l/eta) an upper envelope; when V(0) exceeds l/eta the sharper
+    decay envelope (V(0) - l/eta) E_alpha(-eta t^alpha) + l/eta is checked as
+    well.
     """
-    floor = min(params.infected_death_rate, params.predator_death_rate)
-    if not (0.0 < eta < floor):
-        raise ValidationError(
-            f"eta must lie strictly inside (0, {floor}), got {eta}"
-        )
+    # ModelParams keeps both rates positive and finite, so half the smaller
+    # one lies strictly inside (0, min(mu, d)) unless the halving underflows
+    eta = 0.5 * min(params.infected_death_rate, params.predator_death_rate)
+    if eta == 0.0:  # min(mu, d) = 5e-324: no float lies strictly between it and 0
+        raise ValidationError("no boundedness rate eta lies strictly inside (0, 5e-324)")
     r = params.growth_rate
     level = params.carrying_capacity * (r + eta) ** 2 / (4.0 * r)
     bound = level / eta

@@ -243,9 +243,8 @@ def test_c8_matignon_consistency_suite():
 def test_c9_wellposedness_suite():
     # step 0.025 resolves the near-zero crashes of the unstable preset that
     # undershoot at 0.05 (see the step-0.05 undershoot decision in
-    # CHANGES.md); eta = 0.045 is valid for every preset since
-    # min(mu, d) = 0.09 throughout
-    eta = 0.045
+    # CHANGES.md); the certificate's eta = min(mu, d)/2 is 0.045 for every
+    # preset, since min(mu, d) = 0.09 throughout
     worst_undershoot = 0.0
     bound_ok = True
     example1_bound = None
@@ -257,7 +256,7 @@ def test_c9_wellposedness_suite():
             )
             report = check_nonnegativity(traj)
             worst_undershoot = max(worst_undershoot, report.worst_undershoot.max())
-            cert = boundedness_certificate(params, traj, eta)
+            cert = boundedness_certificate(params, traj)
             bound_ok = bound_ok and report.passed and cert.passed
             if name == "example1":
                 example1_bound = cert.bound

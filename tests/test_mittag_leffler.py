@@ -239,7 +239,7 @@ class TestContourRoute:
         params = preset("example1").params
         traj = cached_solve(params, 0.95, State(30.0, 5.0, 200.0), 0.05, 200.0)
         assert traj.times.size == 4001
-        cert = boundedness_certificate(params, traj, eta=0.045)
+        cert = boundedness_certificate(params, traj)
         assert cert.envelope_checked
         assert cert.passed
 

@@ -20,6 +20,7 @@ from fracoepi.solver import (
     DivergenceError,
     FodeProblem,
     SolverConfig,
+    ValidationError,
     _add_block_history,
     _lag_tables,
     abm_weights,
@@ -401,6 +402,26 @@ class TestValidation:
             ):
                 with pytest.raises(solver.ValidationError, match=f"^{message}$"):
                     call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: FodeProblem(order=0.5, initial_state=[], rhs=lambda t, y: -y),
+             "initial_state must be a non-empty vector"),
+            (lambda: FodeProblem(order=0.5, initial_state=[math.inf], rhs=lambda t, y: -y),
+             "initial_state must be finite"),
+            (lambda: SolverConfig(step=0.1, t_end=math.nan), "t_end must be finite"),
+            (lambda: SolverConfig(step=0.1, t_end=-0.3).node_count(), "lies before t = 0"),
+            (lambda: SolverConfig(step=0.3, t_end=1.0).node_count(), "is not on the grid"),
+            (lambda: SolverConfig(step=1e-6, t_end=10.0).node_count(), "exceed the cap"),
+            (lambda: abm_weights(0.5, -1), "node index n must be"),
+        ],
+        ids=["empty-state", "nonfinite-state", "nonfinite-t_end", "negative-t_end",
+             "off-grid", "node-cap", "node-index"],
+    )
+    def test_every_input_rejection_is_a_validation_error(self, call, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
 
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -95,7 +95,7 @@ class TestNonnegativity:
 class TestBoundedness:
     def test_example1_certificate_numbers(self, example1):
         traj = preset_run("example1", 0.95)
-        cert = boundedness_certificate(example1, traj, eta=0.045)
+        cert = boundedness_certificate(example1, traj)
         # l = K (r+eta)^2 / (4r) and the absorbing bound l/eta
         assert cert.absorbing_level == pytest.approx(20.910125, rel=1e-12)
         assert cert.bound == pytest.approx(464.669444444444, rel=1e-12)
@@ -106,14 +106,13 @@ class TestBoundedness:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_all_presets_within_bound(self, name):
         params = preset(name).params
-        eta = 0.5 * min(params.infected_death_rate, params.predator_death_rate)
         traj = preset_run(name, 0.85, t_end=500.0)
-        assert boundedness_certificate(params, traj, eta).passed
+        assert boundedness_certificate(params, traj).passed
 
     def test_equilibrium_start_stays_constant(self, example1):
         estar = equilibrium(example1, EquilibriumKind.COEXISTENCE).state
         traj = cached_solve(example1, 0.9, estar, 0.05, 50.0)
-        cert = boundedness_certificate(example1, traj, eta=0.045)
+        cert = boundedness_certificate(example1, traj)
         assert cert.passed
         values = traj.states @ np.array(
             [1.0, 1.0, example1.predation_rate / example1.conversion_efficiency]
@@ -123,7 +122,7 @@ class TestBoundedness:
     def test_decay_envelope_checked_when_starting_above_bound(self, example1):
         start = State(30.0, 5.0, 200.0)  # weighted total 585 > 464.7
         traj = cached_solve(example1, 0.95, start, 0.05, 200.0)
-        cert = boundedness_certificate(example1, traj, eta=0.045)
+        cert = boundedness_certificate(example1, traj)
         assert cert.envelope_checked
         assert cert.passed
 
@@ -132,16 +131,20 @@ class TestBoundedness:
         traj = cached_solve(example1, 0.95, start, 0.05, 10.0)
         loaded = load_trajectory_csv(save_trajectory_csv(traj, tmp_path / "traj.csv"))
         with pytest.raises(ValidationError, match="needs the trajectory's order"):
-            boundedness_certificate(example1, loaded, eta=0.045)
+            boundedness_certificate(example1, loaded)
         # below l/eta no envelope is drawn, and the order is not needed
         below = constant_trajectory([30.0, 5.0, 10.0], order=float("nan"))
-        assert boundedness_certificate(example1, below, eta=0.045).passed
+        assert boundedness_certificate(example1, below).passed
 
-    def test_rejects_eta_outside_open_interval(self, example1):
-        traj = preset_run("example1", 0.95, t_end=50.0)
-        for eta in (0.0, -0.1, 0.09, 0.2):
-            with pytest.raises(ValueError):
-                boundedness_certificate(example1, traj, eta)
+    def test_eta_is_half_the_smaller_death_rate(self, example1):
+        run = constant_trajectory([30.0, 5.0, 10.0])
+        for mu, d in ((0.28, 0.09), (0.05, 0.3), (0.2, 0.2)):
+            params = example1.replace(infected_death_rate=mu, predator_death_rate=d)
+            assert boundedness_certificate(params, run).eta == 0.5 * min(mu, d)
+        # at the smallest positive rate no float lies strictly inside (0, min(mu, d))
+        tiny = example1.replace(predator_death_rate=5e-324)
+        with pytest.raises(ValidationError, match="no boundedness rate"):
+            boundedness_certificate(tiny, run)
 
 
 class TestLyapunovValue:
@@ -537,8 +540,10 @@ _RUN = constant_trajectory(np.array([30.0, 5.0, 10.0]), n_nodes=101)
          lambda config: config.node_count() == NODE_CAP == 2_000_000),
         (lambda **kw: check_nonnegativity(_RUN, **kw), {"tol": 1e-8},
          lambda report: report.tolerance == 1e-8),
-        (lambda **kw: boundedness_certificate(_EX1, _RUN, 0.045, **kw),
+        (lambda **kw: boundedness_certificate(_EX1, _RUN, **kw),
          {"epsilon_margin": 1e-6}, lambda cert: cert.epsilon_margin == 1e-6),
+        (lambda **kw: boundedness_certificate(_EX1, _RUN, **kw),
+         {"eta": 0.045}, lambda cert: cert.eta == 0.045),
         (lambda **kw: lyapunov_monotonicity(
             _EX1, equilibrium(_EX1, EquilibriumKind.COEXISTENCE), _RUN, **kw),
          {"slack": 1e-3}, lambda report: report.slack == 1e-3),
@@ -547,7 +552,7 @@ _RUN = constant_trajectory(np.array([30.0, 5.0, 10.0]), n_nodes=101)
         (lambda **kw: GlobalScenario("s", "example3", EquilibriumKind.PREY_ONLY, **kw),
          {"tol": 1e-2}, lambda scenario: scenario.tol == 1e-2),
     ],
-    ids=["node_cap", "tol", "epsilon_margin", "slack", "tail_fraction", "scenario-tol"],
+    ids=["node_cap", "tol", "epsilon_margin", "eta", "slack", "tail_fraction", "scenario-tol"],
 )
 def test_fixed_limits_are_constants_not_keywords(call, removed, carried):
     with pytest.raises(TypeError):
