@@ -32,23 +32,16 @@ DEFAULT_ALPHAS = (0.85, 0.95)
 DEFAULT_STEP = 0.05
 DEFAULT_T_END = 500.0
 
-MODEL_KEYS = {
+MODEL_KEYS = {  # the paper's symbol, then every field under its own name
     "r": "growth_rate",
-    "growth_rate": "growth_rate",
     "k": "carrying_capacity",
-    "carrying_capacity": "carrying_capacity",
     "lambda": "infection_rate",
-    "infection_rate": "infection_rate",
     "m": "predation_rate",
-    "predation_rate": "predation_rate",
     "mu": "infected_death_rate",
-    "infected_death_rate": "infected_death_rate",
     "a": "half_saturation",
-    "half_saturation": "half_saturation",
     "theta": "conversion_efficiency",
-    "conversion_efficiency": "conversion_efficiency",
     "d": "predator_death_rate",
-    "predator_death_rate": "predator_death_rate",
+    **{name: name for name in ModelParams.__dataclass_fields__},
 }
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")

@@ -29,7 +29,7 @@ from .model import (
     thresholds,
 )
 from .runs import cached_solve, solve_many
-from .solver import Trajectory
+from .solver import Trajectory, ValidationError
 from .stability import characteristic_cubic, classify_equilibrium
 from .trajectory_io import alpha_tag, save_trajectory_csv
 from .verification import convergence_check
@@ -166,7 +166,6 @@ def _truncate(traj: Trajectory, t_max: float) -> Trajectory:
         times=traj.times[:keep],
         states=traj.states[:keep],
         order=traj.order,
-        metadata=dict(traj.metadata, truncated_to=t_max),
     )
 
 
@@ -438,7 +437,7 @@ def reproduce(example_id: str, out_dir: Path | str = "out") -> ReproReport:
     """Run one bundled scenario and compare against its recorded references."""
     if example_id not in _EXAMPLES:
         known = ", ".join(EXAMPLE_IDS)
-        raise ValueError(f"unknown example id {example_id!r}; known ids: {known}")
+        raise ValidationError(f"unknown example id {example_id!r}; known ids: {known}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     items, files = [], []

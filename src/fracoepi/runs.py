@@ -14,7 +14,7 @@ from typing import Sequence
 from .model import ModelParams, State, vector_field
 from .solver import FodeProblem, SolverConfig, Trajectory, solve_pece
 
-__all__ = ["cached_solve", "solve_model", "solve_many", "clear_cache"]
+__all__ = ["cached_solve", "solve_model", "solve_many"]
 
 _CACHE: dict = {}
 
@@ -47,10 +47,6 @@ def cached_solve(
     traj = solve_model(*key)
     _CACHE[key] = traj
     return traj
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
 
 
 def solve_many(jobs: Sequence[tuple]) -> list[Trajectory]:

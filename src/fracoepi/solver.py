@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -165,7 +165,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     order: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times.setflags(write=False)
@@ -317,8 +316,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     # memory peaks here, as its state rows are only touched as it advances
     del rhs_values, w, d, spectra
     times = _grid(h, n_steps)
-    metadata = {"step": h, "t_end": float(times[-1])}
-    return Trajectory(times=times, states=states, order=a, metadata=metadata)
+    return Trajectory(times=times, states=states, order=a)
 
 
 def _grid(step, n_steps: int) -> np.ndarray:
@@ -409,4 +407,4 @@ def _list_field(rhs, shape):
 
 
 def _shape_error(got, expected, node):
-    return ValueError(f"rhs returned shape {got}, expected {expected} at node {node}")
+    return ValidationError(f"rhs returned shape {got}, expected {expected} at node {node}")

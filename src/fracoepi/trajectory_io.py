@@ -70,10 +70,8 @@ def load_trajectory_csv(path: Path | str) -> Trajectory:
     data = np.array(rows)
     times = data[:, 0].copy()
     states = data[:, 1:].copy()
-    step = float(times[1] - times[0]) if len(times) > 1 else float("nan")
     return Trajectory(
         times=times,
         states=states,
         order=float("nan"),  # the file does not record the order
-        metadata={"step": step, "source": str(path)},
     )

@@ -74,7 +74,6 @@ class BoundednessCertificate:
     passed: bool
     worst_value: float                # max V along the run
     envelope_checked: bool            # sharper Mittag-Leffler envelope applied
-    violated_nodes: tuple[tuple[float, float], ...]  # (time, V)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ class HypothesisCheck:
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    target: EquilibriumKind
     values: np.ndarray                # V per node, NaN where undefined
     max_increase: float
     monotone: bool
@@ -165,19 +163,14 @@ def boundedness_certificate(params: ModelParams, traj: Trajectory) -> Boundednes
     else:
         limit = np.full_like(values, cap)
 
-    bad = np.nonzero(values > limit)[0]
-    violated = tuple(
-        (float(traj.times[n]), float(values[n])) for n in bad[:_MAX_LISTED_NODES]
-    )
     return BoundednessCertificate(
         eta=eta,
         absorbing_level=level,
         bound=bound,
         epsilon_margin=ENVELOPE_MARGIN,
-        passed=bad.size == 0,
+        passed=not np.any(values > limit),  # a NaN V compares False: no violation
         worst_value=float(values.max()),
         envelope_checked=envelope_checked,
-        violated_nodes=violated,
     )
 
 
@@ -246,19 +239,18 @@ def _hypothesis(params: ModelParams, target: EquilibriumKind) -> HypothesisCheck
             return HypothesisCheck("d > d2", None, f"d2 n/a ({why})")
         d = params.predator_death_rate
         return HypothesisCheck("d > d2", d > d2, f"d = {d:.6g}, d2 = {d2:.6g}")
-    if target is EquilibriumKind.COEXISTENCE:
-        t1, t2 = th.conversion_existence, th.conversion_global
-        theta = params.conversion_efficiency
-        if t2 is None:  # theta1 is undefined only where theta2 is too
-            why = th.undefined["conversion_global"]
-            return HypothesisCheck("theta1 < theta < theta2", None, f"theta2 n/a ({why})")
-        ok = t1 < theta < t2
-        return HypothesisCheck(
-            "theta1 < theta < theta2",
-            ok,
-            f"theta1 = {t1:.6g}, theta = {theta:.6g}, theta2 = {t2:.6g}",
-        )
-    return HypothesisCheck("none", None, f"{target} has no global-stability claim")
+    # COEXISTENCE: _lyapunov_values has already rejected E0
+    t1, t2 = th.conversion_existence, th.conversion_global
+    theta = params.conversion_efficiency
+    if t2 is None:  # theta1 is undefined only where theta2 is too
+        why = th.undefined["conversion_global"]
+        return HypothesisCheck("theta1 < theta < theta2", None, f"theta2 n/a ({why})")
+    ok = t1 < theta < t2
+    return HypothesisCheck(
+        "theta1 < theta < theta2",
+        ok,
+        f"theta1 = {t1:.6g}, theta = {theta:.6g}, theta2 = {t2:.6g}",
+    )
 
 
 def lyapunov_monotonicity(
@@ -287,7 +279,6 @@ def lyapunov_monotonicity(
         and max_increase <= LYAPUNOV_SLACK
     )
     return LyapunovReport(
-        target=target.kind,
         values=values,
         max_increase=max_increase,
         monotone=monotone,

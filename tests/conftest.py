@@ -31,7 +31,7 @@ def constant_trajectory(state: np.ndarray, n_nodes: int = 50, step: float = 0.05
 
     states = np.tile(np.asarray(state, float), (n_nodes, 1))
     times = step * np.arange(n_nodes)
-    return Trajectory(times=times, states=states, order=order, metadata={"step": step})
+    return Trajectory(times=times, states=states, order=order)
 
 
 def _rate(low: float, high: float):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracoepi.config import (
+    MODEL_KEYS,
     ConfigError,
     config_from_entries,
     load_config,
@@ -11,7 +12,7 @@ from fracoepi.config import (
 )
 from fracoepi.model import ValidationError
 from fracoepi.runs import solve_model
-from fracoepi.model import State, preset
+from fracoepi.model import ModelParams, State, preset
 from fracoepi.solver import Trajectory
 from fracoepi.trajectory_io import (
     alpha_tag,
@@ -72,6 +73,8 @@ class TestParsing:
         long = config_from_entries(parse_config_text(
             "model.preset = example1\nmodel.infection_rate = 0.005\n"))
         assert short.params == long.params
+        for name in ModelParams.__dataclass_fields__:
+            assert MODEL_KEYS[name] == name
 
     def test_fully_explicit_model(self):
         text = "\n".join([

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fracoepi.model import ValidationError
 from fracoepi.reproduce import KNOWN, PASS, reproduce
 
 
@@ -126,13 +127,13 @@ class TestUnstable:
 
 
 def test_unknown_id_rejected(tmp_path):
-    with pytest.raises(ValueError, match="unknown example id"):
+    with pytest.raises(ValidationError, match="unknown example id"):
         reproduce("ex7", out_dir=tmp_path)
 
 
 def test_unknown_id_creates_no_directory(tmp_path):
     out = tmp_path / "never"
-    with pytest.raises(ValueError, match="unknown example id"):
+    with pytest.raises(ValidationError, match="unknown example id"):
         reproduce("nope", out_dir=out)
     assert not out.exists()
 

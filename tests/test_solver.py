@@ -629,7 +629,7 @@ class TestBehavior:
 
         problem = FodeProblem(order=0.8, initial_state=np.ones(3), rhs=field)
         expected = f"rhs returned shape {bad_shape}, expected (3,) at node {node}"
-        with pytest.raises(ValueError, match=re.escape(expected)):
+        with pytest.raises(ValidationError, match=re.escape(expected)):
             solve_pece(problem, SolverConfig(step=0.01, t_end=4.0))
         assert len(calls) == bad_call + 1
 
@@ -637,7 +637,7 @@ class TestBehavior:
         problem = FodeProblem(
             order=0.8, initial_state=np.ones(3), rhs=lambda t, y: np.zeros(2)
         )
-        with pytest.raises(ValueError, match=re.escape("expected (3,) at node 0")):
+        with pytest.raises(ValidationError, match=re.escape("expected (3,) at node 0")):
             solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
 
     def test_rhs_receives_node_times_and_fresh_arrays(self):

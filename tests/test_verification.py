@@ -67,7 +67,6 @@ class TestNonnegativity:
             times=traj.times.copy(),
             states=traj.states * np.array([1.0, -1.0, 1.0]),
             order=traj.order,
-            metadata=dict(traj.metadata),
         )
         report = check_nonnegativity(flipped)
         assert not report.passed
@@ -381,9 +380,7 @@ class TestLyapunovMonotonicity:
         target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
         states = np.tile(target.state.as_array() + np.array([1.0, 1.0, 0.5]), (100, 1))
         states[::20, 1] = 0.0  # 5% of nodes on the log boundary
-        traj = Trajectory(
-            times=0.05 * np.arange(100), states=states, order=0.9, metadata={}
-        )
+        traj = Trajectory(times=0.05 * np.arange(100), states=states, order=0.9)
         report = lyapunov_monotonicity(params, target, traj)
         assert report.skipped_nodes == 5
         assert not report.monotone
