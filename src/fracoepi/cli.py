@@ -36,6 +36,7 @@ from .solver import DivergenceError, SolverConfig
 from .stability import classify_equilibrium
 from .trajectory_io import alpha_tag, format_float, save_trajectory_csv
 from .verification import (
+    LYAPUNOV_SLACK,
     boundedness_certificate,
     check_nonnegativity,
     convergence_check,
@@ -319,7 +320,7 @@ def cmd_verify(args) -> int:
                     lines.append(
                         f"  Lyapunov decrease toward {stable_target.kind.value}: "
                         f"{'pass' if ly.monotone else 'fail'} "
-                        f"(max increase {ly.max_increase:.3g}, slack {ly.slack:g}; "
+                        f"(max increase {ly.max_increase:.3g}, slack {LYAPUNOV_SLACK:g}; "
                         f"hypothesis {ly.hypothesis.description}: {ly.hypothesis.satisfied}, "
                         f"{ly.hypothesis.detail})"
                     )

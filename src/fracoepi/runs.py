@@ -2,21 +2,21 @@
 
 Long global-stability runs (tens of thousands of nodes) appear in several
 places (reproduction bundles, verification sweeps, the test suite); the memo
-avoids recomputing identical solves inside one process.  Nothing here starts
-a thread: a single solve is sequential and holds the interpreter lock, so many
-solves run one after another through the memo.
+avoids recomputing identical solves inside one process and keeps the 128
+most recently used ones.  Nothing here starts a thread: a single solve is
+sequential and holds the interpreter lock, so many solves run one after
+another through the memo.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .model import ModelParams, State, vector_field
 from .solver import FodeProblem, SolverConfig, Trajectory, solve_pece
 
 __all__ = ["cached_solve", "solve_model", "solve_many"]
-
-_CACHE: dict = {}
 
 
 def solve_model(
@@ -32,6 +32,7 @@ def solve_model(
     return solve_pece(problem, SolverConfig(step=step, t_end=t_end))
 
 
+@functools.lru_cache(maxsize=128)
 def cached_solve(
     params: ModelParams,
     order: float,
@@ -39,14 +40,11 @@ def cached_solve(
     step: float,
     t_end: float,
 ) -> Trajectory:
-    """Memoized full-memory solve; returned trajectories are read-only."""
-    key = (params, order, initial, step, t_end)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    traj = solve_model(*key)
-    _CACHE[key] = traj
-    return traj
+    """Memoized full-memory solve; returned trajectories are read-only.
+
+    Call it positionally: the memo keys a keyword call apart from a positional one.
+    """
+    return solve_model(params, order, initial, step, t_end)
 
 
 def solve_many(jobs: Sequence[tuple]) -> list[Trajectory]:

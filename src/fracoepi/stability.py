@@ -106,16 +106,16 @@ class MatignonResult:
 class StabilityVerdict:
     """Order-dependent classification of one equilibrium.
 
-    ``label`` is one of stable-node, stable-focus, stable-matignon (stable
-    only through the fractional criterion, some eigenvalue has non-negative
-    real part), marginal, unstable-node, unstable-focus, unstable.
+    The equilibrium and the order are the caller's arguments and are not
+    repeated here.  ``label`` is one of stable-node, stable-focus,
+    stable-matignon (stable only through the fractional criterion, some
+    eigenvalue has non-negative real part), marginal, unstable-node,
+    unstable-focus, unstable.
     ``case`` tags the matching coefficient-based hypothesis set (i)-(iv) for
     the interior equilibrium, with ``case_agrees`` recording whether that
     prediction matches the eigenvalue verdict.
     """
 
-    kind: EquilibriumKind
-    order: float
     label: str
     stable: Optional[bool]  # the Matignon verdict; None when marginal
     margin: float
@@ -255,8 +255,6 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
             case_agrees = _CASE_PREDICTS_STABLE[case] == check.stable
 
     return StabilityVerdict(
-        kind=eq.kind,
-        order=alpha,
         label=_label(eq.kind, check, spectrum),
         stable=check.stable,
         margin=check.margin,

@@ -52,25 +52,19 @@ ENVELOPE_MARGIN = 1e-6  # added to the boundedness envelope
 LYAPUNOV_SLACK = 1e-3  # largest forward increase of V read as a decrease
 TAIL_FRACTION = 0.1  # trailing share of the nodes the convergence check reads
 
-_MAX_LISTED_NODES = 20
 _MAX_SKIPPED_FRACTION = 0.01  # Lyapunov nodes allowed to graze the boundary
 
 
 @dataclass(frozen=True)
 class NonnegativityReport:
     passed: bool
-    tolerance: float
-    worst_undershoot: np.ndarray      # per component, >= 0
-    offending_nodes: tuple[tuple[int, float, int, float], ...]  # (node, t, comp, value)
-    offending_count: int
+    worst_undershoot: np.ndarray      # per component, >= 0; NaN where a state is NaN
 
 
 @dataclass(frozen=True)
 class BoundednessCertificate:
     eta: float
-    absorbing_level: float            # l = K (r+eta)^2 / (4 r)
-    bound: float                      # l / eta
-    epsilon_margin: float
+    bound: float                      # l / eta with l = K (r+eta)^2 / (4 r)
     passed: bool
     worst_value: float                # max V along the run
     envelope_checked: bool            # sharper Mittag-Leffler envelope applied
@@ -88,7 +82,6 @@ class LyapunovReport:
     values: np.ndarray                # V per node, NaN where undefined
     max_increase: float
     monotone: bool
-    slack: float
     skipped_nodes: int
     hypothesis: HypothesisCheck
 
@@ -97,24 +90,17 @@ class LyapunovReport:
 class ConvergenceResult:
     converged: bool
     max_tail_distance: float
-    tail_nodes: int
 
 
 def check_nonnegativity(traj: Trajectory) -> NonnegativityReport:
-    """Pass when every component stays above -NEGATIVE_TOL at every node."""
-    states = traj.states
-    worst = np.maximum(0.0, -states.min(axis=0))
-    bad = np.argwhere(states < -NEGATIVE_TOL)
-    listed = tuple(
-        (int(n), float(traj.times[n]), int(c), float(states[n, c]))
-        for n, c in bad[:_MAX_LISTED_NODES]
-    )
+    """Pass when every component's worst undershoot is within NEGATIVE_TOL.
+
+    A NaN state makes its component's undershoot NaN, which is within no
+    limit, so the report fails.
+    """
+    worst = np.maximum(0.0, -traj.states.min(axis=0))
     return NonnegativityReport(
-        passed=bad.size == 0,
-        tolerance=NEGATIVE_TOL,
-        worst_undershoot=worst,
-        offending_nodes=listed,
-        offending_count=int(bad.shape[0]),
+        passed=bool(np.all(worst <= NEGATIVE_TOL)), worst_undershoot=worst
     )
 
 
@@ -143,7 +129,7 @@ def boundedness_certificate(params: ModelParams, traj: Trajectory) -> Boundednes
     values = total_population(params, traj.states)
     v0 = float(values[0])
 
-    cap = max(v0, bound) + ENVELOPE_MARGIN
+    limit = max(v0, bound) + ENVELOPE_MARGIN
     envelope_checked = v0 > bound
     if envelope_checked:
         if math.isnan(traj.order):
@@ -159,16 +145,12 @@ def boundedness_certificate(params: ModelParams, traj: Trajectory) -> Boundednes
             ]
         )
         envelope = (v0 - bound) * decay + bound + ENVELOPE_MARGIN
-        limit = np.minimum(cap, envelope)
-    else:
-        limit = np.full_like(values, cap)
+        limit = np.minimum(limit, envelope)
 
     return BoundednessCertificate(
         eta=eta,
-        absorbing_level=level,
         bound=bound,
-        epsilon_margin=ENVELOPE_MARGIN,
-        passed=not np.any(values > limit),  # a NaN V compares False: no violation
+        passed=bool(np.all(values <= limit)),  # a NaN V is within no limit
         worst_value=float(values.max()),
         envelope_checked=envelope_checked,
     )
@@ -260,13 +242,14 @@ def lyapunov_monotonicity(
 
     The theory bounds the fractional derivative of V; the observable
     consequence on a discrete solution is (near-)monotone decrease, checked
-    with slack for discretization and fractional-memory effects.  Nodes where
-    a required logarithm is undefined are skipped and counted; more than 1%
-    of them fails the report outright.
+    with slack for discretization and fractional-memory effects.  Finite
+    states where a required logarithm is undefined are skipped and counted;
+    more than 1% of them, or any non-finite state, fails the report outright.
     """
     values = _lyapunov_values(params, target, traj.states)
     valid = ~np.isnan(values)
-    skipped = int(values.size - valid.sum())
+    finite = np.isfinite(traj.states).all(axis=1)
+    skipped = int(np.count_nonzero(finite & ~valid))
     kept = values[valid]
     if kept.size >= 2:
         max_increase = float(np.max(np.diff(kept)))
@@ -274,7 +257,8 @@ def lyapunov_monotonicity(
         max_increase = math.nan
     hypothesis = _hypothesis(params, target.kind)
     monotone = (
-        skipped <= _MAX_SKIPPED_FRACTION * values.size
+        bool(finite.all())
+        and skipped <= _MAX_SKIPPED_FRACTION * values.size
         and kept.size >= 2
         and max_increase <= LYAPUNOV_SLACK
     )
@@ -282,7 +266,6 @@ def lyapunov_monotonicity(
         values=values,
         max_increase=max_increase,
         monotone=monotone,
-        slack=LYAPUNOV_SLACK,
         skipped_nodes=skipped,
         hypothesis=hypothesis,
     )
@@ -306,7 +289,6 @@ def convergence_check(traj: Trajectory, target, tol: float) -> ConvergenceResult
     return ConvergenceResult(
         converged=bool(distance <= tol),
         max_tail_distance=float(distance),
-        tail_nodes=tail,
     )
 
 

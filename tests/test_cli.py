@@ -117,10 +117,10 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: field solver.t_end: expected")
 
     def test_leaves_the_solve_memo_unchanged(self, tmp_path, capsys):
-        before = dict(runs._CACHE)
+        before = runs.cached_solve.cache_info()
         assert run("simulate", "--preset", "example3", "--alpha", "0.9",
                    "--step", "0.1", "--t-end", "5", "--out", str(tmp_path)) == 0
-        assert runs._CACHE == before
+        assert runs.cached_solve.cache_info() == before
 
     def test_missing_config_file(self):
         assert run("simulate", "--config", "/nonexistent/run.cfg") == 1
@@ -452,10 +452,10 @@ class TestVerify:
         assert capsys.readouterr().out.count("convergence to") == 4
 
     def test_leaves_the_solve_memo_unchanged(self, capsys):
-        before = dict(runs._CACHE)
+        before = runs.cached_solve.cache_info()
         run("verify", "--preset", "example3", "--alpha", "0.95", "--t-end", "10")
         assert "Lipschitz bound" in capsys.readouterr().out
-        assert runs._CACHE == before
+        assert runs.cached_solve.cache_info() == before
 
     def test_verify_does_not_load_numpy_random(self):
         probe = (

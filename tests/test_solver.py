@@ -553,6 +553,10 @@ class TestBehavior:
         for result, job in zip(results, jobs):
             assert result is cached_solve(*job)
 
+    def test_solve_memo_is_bounded(self):
+        # more than the solves the test suite or one reproduce bundle keeps
+        assert cached_solve.cache_parameters()["maxsize"] == 128
+
     def test_nan_field_reports_divergence(self):
         problem = FodeProblem(
             order=0.8, initial_state=np.array([1.0]),

@@ -54,6 +54,13 @@ WELLPOSED_ALPHAS = (0.75, 0.85, 0.90, 0.95, 1.0)
 UNDERSHOOT_AT_COARSE_STEP = {("example1-unstable", 0.95), ("example1-unstable", 1.0)}
 
 
+def nan_trajectory(row: int, state=(30.0, 5.0, 10.0), n_nodes: int = 50) -> Trajectory:
+    """Constant run at ``state`` whose S is NaN at node ``row``."""
+    states = np.tile(state, (n_nodes, 1))
+    states[row, 0] = np.nan
+    return Trajectory(times=0.05 * np.arange(n_nodes), states=states, order=0.9)
+
+
 class TestNonnegativity:
     def test_constant_zero_passes_with_zero_undershoot(self):
         traj = constant_trajectory(np.zeros(3))
@@ -71,8 +78,18 @@ class TestNonnegativity:
         report = check_nonnegativity(flipped)
         assert not report.passed
         assert report.worst_undershoot[1] > 1.0
-        assert report.offending_count > 0
-        assert report.offending_nodes[0][2] == 1  # infected column
+        assert np.array_equal(report.worst_undershoot[[0, 2]], np.zeros(2))
+
+    def test_undershoot_limit_is_inclusive(self):
+        assert check_nonnegativity(constant_trajectory(np.full(3, -1e-8))).passed
+        below = np.nextafter(-1e-8, -1.0)
+        assert not check_nonnegativity(constant_trajectory(np.full(3, below))).passed
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_state_fails(self, row):
+        report = check_nonnegativity(nan_trajectory(row))
+        assert not report.passed
+        assert math.isnan(report.worst_undershoot[0])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     @pytest.mark.parametrize("alpha", WELLPOSED_ALPHAS)
@@ -96,11 +113,24 @@ class TestBoundedness:
         traj = preset_run("example1", 0.95)
         cert = boundedness_certificate(example1, traj)
         # l = K (r+eta)^2 / (4r) and the absorbing bound l/eta
-        assert cert.absorbing_level == pytest.approx(20.910125, rel=1e-12)
+        assert cert.bound * cert.eta == pytest.approx(20.910125, rel=1e-12)
         assert cert.bound == pytest.approx(464.669444444444, rel=1e-12)
         assert cert.bound == pytest.approx(464.7, abs=0.05)
         assert cert.passed
         assert cert.worst_value < cert.bound
+
+    def test_flat_cap_is_inclusive(self, example1):
+        # I = P = 0, so V is S exactly; V(0) = 1 lies below l/eta
+        bound = boundedness_certificate(example1, constant_trajectory([1.0, 0.0, 0.0])).bound
+        cap = max(1.0, bound) + 1e-6
+        for top, passed in ((cap, True), (np.nextafter(cap, math.inf), False)):
+            states = np.array([[1.0, 0.0, 0.0], [top, 0.0, 0.0]])
+            traj = Trajectory(times=np.array([0.0, 0.05]), states=states, order=0.9)
+            assert boundedness_certificate(example1, traj).passed is passed
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_state_fails(self, example1, row):
+        assert not boundedness_certificate(example1, nan_trajectory(row)).passed
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_all_presets_within_bound(self, name):
@@ -385,6 +415,14 @@ class TestLyapunovMonotonicity:
         assert report.skipped_nodes == 5
         assert not report.monotone
 
+    def test_nan_state_fails(self, example1):
+        # a NaN state is no boundary node: one in 200 fails the report
+        target = equilibrium(example1, EquilibriumKind.COEXISTENCE)
+        traj = nan_trajectory(100, target.state.as_array(), n_nodes=200)
+        report = lyapunov_monotonicity(example1, target, traj)
+        assert report.skipped_nodes == 0
+        assert not report.monotone
+
 
 class TestConvergence:
     def test_constant_at_target(self):
@@ -523,9 +561,8 @@ class TestLipschitz:
             assert observed <= bound, name
 
 
-# each fixed limit: a call, the keyword it must refuse, and the value its
-# result carries; the run has 101 constant nodes, so the convergence tail is
-# ceil(0.1 * 101) = 11 nodes
+# each fixed limit: a call, the keyword it must refuse, and what its result
+# says without the keyword; the run holds (30, 5, 10) at 101 nodes
 _EX1 = preset("example1").params
 _RUN = constant_trajectory(np.array([30.0, 5.0, 10.0]), n_nodes=101)
 
@@ -536,16 +573,16 @@ _RUN = constant_trajectory(np.array([30.0, 5.0, 10.0]), n_nodes=101)
         (lambda **kw: SolverConfig(step=1.0, t_end=2e6, **kw), {"node_cap": 1000},
          lambda config: config.node_count() == NODE_CAP == 2_000_000),
         (lambda **kw: check_nonnegativity(_RUN, **kw), {"tol": 1e-8},
-         lambda report: report.tolerance == 1e-8),
+         lambda report: report.passed),
         (lambda **kw: boundedness_certificate(_EX1, _RUN, **kw),
-         {"epsilon_margin": 1e-6}, lambda cert: cert.epsilon_margin == 1e-6),
+         {"epsilon_margin": 1e-6}, lambda cert: cert.passed),
         (lambda **kw: boundedness_certificate(_EX1, _RUN, **kw),
          {"eta": 0.045}, lambda cert: cert.eta == 0.045),
         (lambda **kw: lyapunov_monotonicity(
             _EX1, equilibrium(_EX1, EquilibriumKind.COEXISTENCE), _RUN, **kw),
-         {"slack": 1e-3}, lambda report: report.slack == 1e-3),
+         {"slack": 1e-3}, lambda report: report.monotone),
         (lambda **kw: convergence_check(_RUN, np.zeros(3), tol=0.05, **kw),
-         {"tail_fraction": 0.1}, lambda result: result.tail_nodes == 11),
+         {"tail_fraction": 0.1}, lambda result: result.max_tail_distance == 30.0),
         (lambda **kw: GlobalScenario("s", "example3", EquilibriumKind.PREY_ONLY, **kw),
          {"tol": 1e-2}, lambda scenario: scenario.tol == 1e-2),
     ],
