@@ -57,7 +57,6 @@ from .verification import (
     convergence_check,
     lipschitz_bound,
     lyapunov_monotonicity,
-    lyapunov_value,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "jacobian",
     "lipschitz_bound",
     "lyapunov_monotonicity",
-    "lyapunov_value",
     "matignon_check",
     "ml_one",
     "ml_two",

@@ -280,7 +280,7 @@ def cmd_reproduce(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     params = cfg.params
-    tol = args.tolerance if args.tolerance is not None else 0.05
+    tol = args.tolerance
     validate_tolerance(tol)
     all_ok = True
     lines = []
@@ -315,16 +315,16 @@ def cmd_verify(args) -> int:
                     f"(max tail distance {conv.max_tail_distance:.4g}, tol {tol:g})"
                 )
                 all_ok &= conv.converged
-                if stable_target.kind is not EquilibriumKind.EXTINCTION:
-                    ly = lyapunov_monotonicity(params, stable_target, traj)
-                    lines.append(
-                        f"  Lyapunov decrease toward {stable_target.kind.value}: "
-                        f"{'pass' if ly.monotone else 'fail'} "
-                        f"(max increase {ly.max_increase:.3g}, slack {LYAPUNOV_SLACK:g}; "
-                        f"hypothesis {ly.hypothesis.description}: {ly.hypothesis.satisfied}, "
-                        f"{ly.hypothesis.detail})"
-                    )
-                    all_ok &= ly.monotone
+                # E0 is never the target: its Jacobian has the eigenvalue r > 0
+                ly = lyapunov_monotonicity(params, stable_target, traj)
+                lines.append(
+                    f"  Lyapunov decrease toward {stable_target.kind.value}: "
+                    f"{'pass' if ly.monotone else 'fail'} "
+                    f"(max increase {ly.max_increase:.3g}, slack {LYAPUNOV_SLACK:g}; "
+                    f"hypothesis {ly.hypothesis.description}: {ly.hypothesis.satisfied}, "
+                    f"{ly.hypothesis.detail})"
+                )
+                all_ok &= ly.monotone
             else:
                 lines.append("  no stable equilibrium at this order; convergence skipped")
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery on a run")
     _add_flags(p, "alpha", "step", "t-end")
-    p.add_argument("--tolerance", type=float, help="convergence tolerance")
+    p.add_argument("--tolerance", type=float, default=0.05, help="convergence tolerance")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -26,7 +26,7 @@ from typing import Optional
 from .model import ModelParams, State, ValidationError, preset
 from .solver import validate_order, validate_step
 
-__all__ = ["ConfigError", "MODEL_KEYS", "RunConfig", "parse_config_text", "load_config"]
+__all__ = ["ConfigError", "MODEL_KEYS", "RunConfig", "parse_config_text"]
 
 DEFAULT_ALPHAS = (0.85, 0.95)
 DEFAULT_STEP = 0.05
@@ -48,7 +48,7 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 _TOKEN_RE = re.compile(r"\[|\]|,|[^\[\],\s]+")
 
 
-class ConfigError(ValueError):
+class ConfigError(ValidationError):
     """Malformed configuration text, annotated with line and field context."""
 
 
@@ -216,8 +216,3 @@ def config_from_entries(entries: dict) -> RunConfig:
         out_dir=Path(str(out_dir)),
         preset_name=None if preset_name is None else str(preset_name),
     )
-
-
-def load_config(path: Path | str) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return config_from_entries(parse_config_text(text))

@@ -37,6 +37,8 @@ import sys
 
 import mpmath
 
+from .solver import ValidationError
+
 __all__ = ["AccuracyError", "ml_one", "ml_two", "recip_gamma"]
 
 REL_TOL = 1e-10
@@ -265,16 +267,16 @@ def _mp_series(alpha: float, beta: float, z: float) -> float:
 def ml_two(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z), real z.
 
-    Raises ValueError for alpha <= 0, beta <= 0 or non-finite arguments and
-    AccuracyError when the value cannot be certified to REL_TOL (for example
-    when it exceeds the double-precision range).
+    Raises ValidationError for alpha <= 0, beta <= 0 or non-finite
+    arguments and AccuracyError when the value cannot be certified to
+    REL_TOL (for example when it exceeds the double-precision range).
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"first parameter must be finite and positive, got {alpha}")
+        raise ValidationError(f"first parameter must be finite and positive, got {alpha}")
     if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"second parameter must be finite and positive, got {beta}")
+        raise ValidationError(f"second parameter must be finite and positive, got {beta}")
     if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z}")
+        raise ValidationError(f"argument must be finite, got {z}")
     if z == 0.0:
         return recip_gamma(beta)
     if alpha == 1.0 and beta == 1.0:

@@ -81,7 +81,8 @@ _GRIDS = weakref.WeakValueDictionary()
 
 
 class ValidationError(ValueError):
-    """Invalid model parameters, states or configuration values."""
+    """A rejected input: model parameters, states, configuration values,
+    function arguments or a trajectory file."""
 
 
 def validate_order(order: float) -> None:
@@ -118,16 +119,14 @@ class FodeProblem:
 
     def __post_init__(self):
         validate_order(self.order)
-        state = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
+        # a read-only copy: a later write to the caller's array leaves the problem alone
+        state = np.atleast_1d(np.array(self.initial_state, dtype=float))
         if state.ndim != 1 or state.size == 0:
             raise ValidationError("initial_state must be a non-empty vector")
         if not np.all(np.isfinite(state)):
             raise ValidationError(f"initial_state must be finite, got {state}")
+        state.setflags(write=False)
         object.__setattr__(self, "initial_state", state)
-
-    @property
-    def dimension(self) -> int:
-        return self.initial_state.size
 
 
 @dataclass(frozen=True)
@@ -245,20 +244,16 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     h = config.step
     n_steps = config.node_count()
 
+    y0 = problem.initial_state.tolist()
+    shape = problem.initial_state.shape
+    rhs_fn = _list_field(problem.rhs, shape)
     # until node k is solved, states[k] and rhs_values[k] hold the pending
     # predictor and corrector history sums of the nodes before its block
-    shape = problem.initial_state.shape
-    states = np.zeros((n_steps + 1, problem.dimension))
-    rhs_values = np.zeros((n_steps + 1, problem.dimension))
-    states[0] = problem.initial_state
-    f0 = np.asarray(problem.rhs(0.0, states[0]), dtype=float)
-    if f0.shape != shape:
-        raise _shape_error(f0.shape, shape, 0)
-    rhs_values[0] = f0
+    states = np.zeros((n_steps + 1, len(y0)))
+    rhs_values = np.zeros((n_steps + 1, len(y0)))
+    states[0] = y0
 
     w, d, c0 = _lag_tables(a, h, n_steps + 1)
-    np.multiply(c0[1:, None], rhs_values[0], out=rhs_values[1:])  # node 0's corrector term
-    del c0  # one table less held through the solve
     # in-block lag tables, reversed so that each per-step dot runs on
     # contiguous slices: leaf_w[-m:] lines up with rhs_values[k-m:k]; the
     # views for every lag m are made once
@@ -271,13 +266,15 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 
     inv_gamma_a = 1.0 / math.gamma(a)
     corr_scale = h**a / math.gamma(a + 2.0)
-    y0 = problem.initial_state.tolist()
-    rhs_fn = _list_field(problem.rhs, shape)
     limit = DIVERGENCE_LIMIT
 
     # step arithmetic on Python floats, in the array form's operation order
-    # (module docstring); the RHS gets and returns lists
+    # (module docstring); the RHS gets and returns lists, node 0's included
+    k = 0
     try:
+        rhs_values[0] = rhs_fn(0.0, y0)
+        np.multiply(c0[1:, None], rhs_values[0], out=rhs_values[1:])  # node 0's corrector term
+        del c0  # one table less held through the solve
         for start in range(0, n_steps + 1, _LEAF):
             stop = min(start + _LEAF, n_steps + 1)
             first_c = max(start, 1)  # node 0 enters the corrector through c0
@@ -310,7 +307,9 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
                 # nodes [stop - size, stop) close a left half of length size
                 _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
     except _ShapeMismatch as exc:
-        raise _shape_error(exc.args[0], shape, k) from None
+        raise ValidationError(
+            f"rhs returned shape {exc.args[0]}, expected {shape} at node {k}"
+        ) from None
 
     # the grid comes last, once the history and the tables are gone: a solve's
     # memory peaks here, as its state rows are only touched as it advances
@@ -404,7 +403,3 @@ def _list_field(rhs, shape):
         return value.tolist()
 
     return adapter
-
-
-def _shape_error(got, expected, node):
-    return ValidationError(f"rhs returned shape {got}, expected {expected} at node {node}")

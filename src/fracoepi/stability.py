@@ -99,7 +99,6 @@ class MatignonResult:
     marginal: bool
     margin: float           # min |arg xi| - alpha*pi/2
     critical_order: float   # (2/pi) min |arg xi|, capped at 1
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,7 @@ class StabilityVerdict:
     eigenvalue has non-negative real part), marginal, unstable-node,
     unstable-focus, unstable.
     ``case`` tags the matching coefficient-based hypothesis set (i)-(iv) for
-    the interior equilibrium, with ``case_agrees`` recording whether that
-    prediction matches the eigenvalue verdict.
+    the interior equilibrium.
     """
 
     label: str
@@ -122,7 +120,6 @@ class StabilityVerdict:
     critical_order: float
     spectrum: EigenSpectrum
     case: Optional[str] = None
-    case_agrees: Optional[bool] = None
     cubic: Optional[CubicCharacteristic] = None
 
 
@@ -171,14 +168,17 @@ def matignon_check(spectrum: EigenSpectrum, alpha: float) -> MatignonResult:
             marginal=True,
             margin=-alpha * math.pi / 2.0,
             critical_order=0.0,
-            note="zero eigenvalue",
         )
     min_arg = spectrum.min_abs_arg
     margin = min_arg - alpha * math.pi / 2.0
     critical = min(1.0, 2.0 * min_arg / math.pi)
     if abs(margin) <= TIE_TOLERANCE:
-        return MatignonResult(None, True, margin, critical, "on the stability boundary")
-    return MatignonResult(margin > 0.0, False, margin, critical)
+        return MatignonResult(
+            stable=None, marginal=True, margin=margin, critical_order=critical
+        )
+    return MatignonResult(
+        stable=margin > 0.0, marginal=False, margin=margin, critical_order=critical
+    )
 
 
 def coefficient_case(cubic: CubicCharacteristic, alpha: float) -> Optional[str]:
@@ -208,9 +208,6 @@ def coefficient_case(cubic: CubicCharacteristic, alpha: float) -> Optional[str]:
     return None
 
 
-_CASE_PREDICTS_STABLE = {"i": True, "ii": True, "iii": False, "iv": True}
-
-
 def _label(kind: EquilibriumKind, check: MatignonResult, spectrum: EigenSpectrum) -> str:
     """Plain label for E0 and E1 (real spectra), node/focus sub-label otherwise."""
     if check.marginal:
@@ -233,8 +230,8 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
     prey-only equilibria carry plain stable/unstable labels (their spectra are
     real); the predator-free and interior equilibria get node/focus sub-labels
     from the eigenvalue structure.  For the interior equilibrium the verdict is annotated with the
-    matching coefficient case, and any disagreement between that sufficient
-    condition and the eigenvalue criterion is recorded rather than suppressed.
+    matching coefficient case; the eigenvalue criterion alone decides ``stable``,
+    so a caller compares the case's prediction with it.
     """
     if not eq.exists:
         raise ValidationError(f"{eq.kind} does not exist for these parameters")
@@ -246,13 +243,11 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
     spectrum = EigenSpectrum(eigenvalues=np.sort_complex(eigen))
     check = matignon_check(spectrum, alpha)
 
-    cubic = case = case_agrees = None
+    cubic = case = None
     if eq.kind is EquilibriumKind.COEXISTENCE:
         _require_interior(eq.state)
         cubic = _charpoly(j)
         case = coefficient_case(cubic, alpha)
-        if case is not None and check.stable is not None:
-            case_agrees = _CASE_PREDICTS_STABLE[case] == check.stable
 
     return StabilityVerdict(
         label=_label(eq.kind, check, spectrum),
@@ -261,6 +256,5 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
         critical_order=check.critical_order,
         spectrum=spectrum,
         case=case,
-        case_agrees=case_agrees,
         cubic=cubic,
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import Trajectory
+from .solver import Trajectory, ValidationError
 
 __all__ = ["alpha_tag", "save_trajectory_csv", "load_trajectory_csv", "format_float"]
 
@@ -58,15 +58,15 @@ def load_trajectory_csv(path: Path | str) -> Trajectory:
             if tokens == [""]:
                 continue
             if len(tokens) != len(header):
-                raise ValueError(
+                raise ValidationError(
                     f"{path}, line {number}: {len(tokens)} fields, the header has {len(header)}"
                 )
             try:
                 rows.append([float(tok) for tok in tokens])
             except ValueError as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
+                raise ValidationError(f"{path}, line {number}: {exc}") from None
     if not rows:
-        raise ValueError(f"{path}: malformed trajectory CSV, no data rows")
+        raise ValidationError(f"{path}: malformed trajectory CSV, no data rows")
     data = np.array(rows)
     times = data[:, 0].copy()
     states = data[:, 1:].copy()

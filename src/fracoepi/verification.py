@@ -44,7 +44,6 @@ __all__ = [
     "convergence_check",
     "lipschitz_bound",
     "lyapunov_monotonicity",
-    "lyapunov_value",
 ]
 
 NEGATIVE_TOL = 1e-8  # undershoot below zero still read as non-negative
@@ -165,7 +164,7 @@ def _lyapunov_weights(params: ModelParams, kind: EquilibriumKind) -> tuple:
     return (lam_k / (lam_k + params.growth_rate), 1.0, predator)
 
 
-def _lyapunov_values(
+def _lyapunov_rows(
     params: ModelParams, target: Equilibrium, states: np.ndarray
 ) -> np.ndarray:
     """Vectorized V along state rows; NaN where a required log diverges.
@@ -197,18 +196,6 @@ def _lyapunov_values(
     return np.where(ok, terms[0] + terms[1] + terms[2], np.nan)
 
 
-def lyapunov_value(params: ModelParams, target: Equilibrium, state: State) -> float:
-    """Candidate Lyapunov value at one state; zero exactly at the target."""
-    values = _lyapunov_values(params, target, state.as_array()[None, :])
-    value = float(values[0])
-    if math.isnan(value):
-        raise ValidationError(
-            f"state {state} lies on the boundary where the {target.kind} "
-            "Lyapunov function diverges"
-        )
-    return value
-
-
 def _hypothesis(params: ModelParams, target: EquilibriumKind) -> HypothesisCheck:
     th = thresholds(params)
     if target is EquilibriumKind.PREY_ONLY:
@@ -221,7 +208,7 @@ def _hypothesis(params: ModelParams, target: EquilibriumKind) -> HypothesisCheck
             return HypothesisCheck("d > d2", None, f"d2 n/a ({why})")
         d = params.predator_death_rate
         return HypothesisCheck("d > d2", d > d2, f"d = {d:.6g}, d2 = {d2:.6g}")
-    # COEXISTENCE: _lyapunov_values has already rejected E0
+    # COEXISTENCE: _lyapunov_rows has already rejected E0
     t1, t2 = th.conversion_existence, th.conversion_global
     theta = params.conversion_efficiency
     if t2 is None:  # theta1 is undefined only where theta2 is too
@@ -246,7 +233,7 @@ def lyapunov_monotonicity(
     states where a required logarithm is undefined are skipped and counted;
     more than 1% of them, or any non-finite state, fails the report outright.
     """
-    values = _lyapunov_values(params, target, traj.states)
+    values = _lyapunov_rows(params, target, traj.states)
     valid = ~np.isnan(values)
     finite = np.isfinite(traj.states).all(axis=1)
     skipped = int(np.count_nonzero(finite & ~valid))

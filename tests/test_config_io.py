@@ -7,7 +7,6 @@ from fracoepi.config import (
     MODEL_KEYS,
     ConfigError,
     config_from_entries,
-    load_config,
     parse_config_text,
 )
 from fracoepi.model import ValidationError
@@ -155,7 +154,8 @@ class TestParsing:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(GOOD_CONFIG, encoding="utf-8")
-        assert load_config(path).t_end == 120.0
+        text = path.read_text(encoding="utf-8")
+        assert config_from_entries(parse_config_text(text)).t_end == 120.0
 
 
 class TestTrajectoryCsv:

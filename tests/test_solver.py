@@ -227,7 +227,7 @@ def direct_pece(problem, config):
     inv_gamma_a = 1.0 / math.gamma(a)
     corr_scale = h**a / math.gamma(a + 2.0)
     times = h * np.arange(big_n + 1)
-    states = np.empty((big_n + 1, problem.dimension))
+    states = np.empty((big_n + 1, problem.initial_state.size))
     f = np.empty_like(states)
     states[0] = problem.initial_state
     f[0] = problem.rhs(times[0], states[0])
@@ -666,6 +666,24 @@ class TestBehavior:
         corrector_args = np.array([y for _, y in seen[2::2]])
         assert np.array_equal(corrector_args, traj.states[1:])
 
+    def test_problem_keeps_its_own_initial_state(self):
+        given = np.array([1.0, 2.0])
+        problem = FodeProblem(order=0.7, initial_state=given, rhs=lambda t, y: -y)
+        given[0] = 99.0
+        assert problem.initial_state.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            problem.initial_state[0] = 7.0
+
+    def test_field_writing_its_argument_leaves_row_0_alone(self):
+        # node 0's evaluation gets a fresh array too, not a view of states[0]
+        def doubling(t, y):
+            y *= 2.0
+            return -y
+
+        problem = FodeProblem(order=0.7, initial_state=np.array([1.0, 2.0]), rhs=doubling)
+        traj = solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
+        assert traj.states[0].tolist() == [1.0, 2.0]
+
     def test_grid_is_uniform_and_starts_exactly(self):
         traj = solve_pece(scalar_decay(0.6), SolverConfig(step=0.25, t_end=2.0))
         assert traj.states[0, 0] == 1.0
@@ -809,11 +827,12 @@ class TestAgreementWithDirectSums:
         config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
         initial = np.array([30.0, 5.0, 10.0])
         floats = solve_pece(FodeProblem(order=alpha, initial_state=initial, rhs=field), config)
-        assert len(calls) == 2 * n_steps  # every step evaluation, node 0 aside
+        # node 0 takes the float form too, like every later evaluation
+        assert len(calls) == 2 * n_steps + 1
         adapted = solve_pece(
             FodeProblem(order=alpha, initial_state=initial, rhs=lambda t, y: field(t, y)), config
         )
-        assert len(calls) == 2 * n_steps  # the adapter calls the ndarray field
+        assert len(calls) == 2 * n_steps + 1  # the adapter calls the ndarray field
         assert floats.states.tobytes() == adapted.states.tobytes()
 
     def test_scalar_problem(self):

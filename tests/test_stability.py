@@ -43,6 +43,9 @@ UNSTABLE_REAL_ROOT = -1.4771922134352239
 UNSTABLE_PAIR = complex(1.2023738844953897, 1.2365405218807486)
 UNSTABLE_PAIR_ARG = 0.79940620012187852
 COEXISTENCE = EquilibriumKind.COEXISTENCE
+# what each coefficient case (i)-(iv) predicts, per the hypothesis sets of
+# coefficient_case: the oracle a verdict's eigenvalue criterion must match
+CASE_PREDICTS_STABLE = {"i": True, "ii": True, "iii": False, "iv": True}
 
 
 def random_spectrum(rng):
@@ -303,7 +306,8 @@ class TestMatignon:
         spectrum = EigenSpectrum(np.array([0.0, -1.0, -2.0], dtype=complex))
         result = matignon_check(spectrum, 0.7)
         assert result.marginal and result.stable is None
-        assert "zero eigenvalue" in result.note
+        assert result.critical_order == 0.0
+        assert result.margin == -0.7 * math.pi / 2.0
 
     def test_rejects_bad_order(self):
         spectrum = EigenSpectrum(np.array([-1.0, -2.0, -3.0], dtype=complex))
@@ -345,6 +349,19 @@ class TestClassification:
             assert verdict.label == "unstable"
             assert verdict.stable is False
 
+    def test_extinction_unstable_for_random_parameters_and_orders(self):
+        # E0's Jacobian has the eigenvalue r > 0, so no order makes it stable:
+        # verify never takes E0 as its convergence or Lyapunov target
+        rng = np.random.default_rng(2023)
+        names = [n for n in ModelParams.__dataclass_fields__ if n != "conversion_efficiency"]
+        for _ in range(2000):
+            fields = dict(zip(names, 10.0 ** rng.uniform(-3.0, 3.0, size=len(names))))
+            fields["conversion_efficiency"] = 1.0 - rng.uniform(0.0, 0.999)
+            params = ModelParams(**fields)
+            alpha = 1.0 - rng.uniform(0.0, 0.999)
+            e0 = equilibrium(params, EquilibriumKind.EXTINCTION)
+            assert classify_equilibrium(params, e0, alpha).stable is False
+
     def test_prey_only_stable_when_infection_dies(self):
         params = preset("example3").params
         e1 = equilibria(params)[1]
@@ -368,7 +385,7 @@ class TestClassification:
             verdict = classify_equilibrium(example1, estar, alpha)
             assert verdict.stable is True
             assert verdict.case == "i"
-            assert verdict.case_agrees is True
+            assert CASE_PREDICTS_STABLE[verdict.case] == verdict.stable
             assert verdict.label == "stable-node"
             assert verdict.critical_order == 1.0
 
@@ -378,7 +395,7 @@ class TestClassification:
         verdict = classify_equilibrium(params, estar, 0.85)
         assert verdict.stable is False
         assert verdict.case == "iii"
-        assert verdict.case_agrees is True
+        assert CASE_PREDICTS_STABLE[verdict.case] == verdict.stable
         assert verdict.label == "unstable-focus"
         expected_critical = 2.0 * UNSTABLE_PAIR_ARG / math.pi
         assert verdict.critical_order == pytest.approx(expected_critical, rel=1e-9)

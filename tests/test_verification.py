@@ -39,7 +39,6 @@ from fracoepi.verification import (
     empirical_lipschitz_ratio,
     lipschitz_bound,
     lyapunov_monotonicity,
-    lyapunov_value,
 )
 
 # V((30,5,10)) against the predator-free target of the low-conversion preset,
@@ -176,6 +175,13 @@ class TestBoundedness:
             boundedness_certificate(tiny, run)
 
 
+def lyapunov_along(params, target, states):
+    """V at each state, read off the monotonicity report of a run through them."""
+    run = Trajectory(times=np.arange(len(states), dtype=float),
+                     states=np.array(states, dtype=float), order=0.9)
+    return lyapunov_monotonicity(params, target, run).values
+
+
 class TestLyapunovValue:
     def test_zero_exactly_at_each_target(self):
         cases = [
@@ -186,35 +192,30 @@ class TestLyapunovValue:
         for name, kind in cases:
             params = preset(name).params
             target = equilibrium(params, kind)
-            assert lyapunov_value(params, target, target.state) == 0.0
+            assert lyapunov_along(params, target, [target.state.as_array()])[0] == 0.0
 
     def test_frozen_value_at_reference_state(self):
         params = preset("example2").params
         target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
-        value = lyapunov_value(params, target, State(30.0, 5.0, 10.0))
+        value = lyapunov_along(params, target, [[30.0, 5.0, 10.0]])[0]
         assert value == pytest.approx(LYAPUNOV_E2_REFERENCE, rel=1e-13)
 
     def test_positive_away_from_target(self):
         params = preset("example1-global").params
         target = equilibrium(params, EquilibriumKind.COEXISTENCE)
         rng = np.random.default_rng(13)
-        for _ in range(200):
-            state = State(*rng.uniform(0.2, 60.0, size=3))
-            if np.allclose(state.as_array(), target.state.as_array()):
-                continue
-            assert lyapunov_value(params, target, state) > 0.0
-
-    def test_boundary_state_rejected(self):
-        params = preset("example2").params
-        target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
-        with pytest.raises(ValueError):
-            lyapunov_value(params, target, State(10.0, 0.0, 1.0))
+        states = [
+            state
+            for state in rng.uniform(0.2, 60.0, size=(200, 3))
+            if not np.allclose(state, target.state.as_array())
+        ]
+        assert np.all(lyapunov_along(params, target, states) > 0.0)
 
     def test_missing_target_rejected(self):
         params = preset("example3").params
         absent = equilibrium(params, EquilibriumKind.COEXISTENCE)
-        with pytest.raises(ValueError):
-            lyapunov_value(params, absent, State(1.0, 1.0, 1.0))
+        with pytest.raises(ValidationError, match="does not exist"):
+            lyapunov_along(params, absent, [[1.0, 1.0, 1.0]])
 
 
 def _three_branch_lyapunov(params, target, states):
