@@ -17,12 +17,14 @@ from fracoepi.solver import (
     _GRIDS,
     _LEAF,
     DIVERGENCE_LIMIT,
+    NODE_CAP,
     DivergenceError,
     FodeProblem,
     SolverConfig,
     ValidationError,
     _add_block_history,
     _lag_tables,
+    _leaf_loop,
     abm_weights,
     solve_pece,
 )
@@ -205,6 +207,7 @@ FROZEN_40K = [  # example1-global, order 0.95, step 0.05, t_end 2000
 
 
 LINEAR_2D = np.array([[-0.3, 1.0], [-1.0, -0.2]])  # a damped rotation
+LINEAR_7D = -0.5 * np.eye(7) + np.eye(7, k=1) - np.eye(7, k=-1)  # a chain of them
 
 
 def scalar_decay(alpha):
@@ -443,6 +446,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="cap"):
             solve_pece(scalar_decay(0.8), config)
 
+    @pytest.mark.parametrize(
+        "step, t_end, ratio",
+        [(5e-324, 1.0, "inf"), (1e-300, 1e10, "inf"), (1.0, 1e308, "1e+308"),
+         (1.0, NODE_CAP + 3.0, str(NODE_CAP + 3))],
+    )
+    def test_node_count_beyond_int_range_rejected(self, step, t_end, ratio):
+        # the ratio meets the cap before it becomes an int: no OverflowError
+        # for an infinite ratio, no 309-digit node count for a finite one, and
+        # a count just past the cap in full
+        expected = f"{ratio} nodes exceed the cap of {NODE_CAP}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            SolverConfig(step=step, t_end=t_end).node_count()
+
     def test_degenerate_span_gives_single_node(self):
         traj = solve_pece(scalar_decay(0.8), SolverConfig(step=0.1, t_end=0.0))
         assert traj.states.shape == (1, 1)
@@ -553,6 +569,17 @@ class TestBehavior:
         for result, job in zip(results, jobs):
             assert result is cached_solve(*job)
 
+    def test_leaf_loops_are_built_once_per_dimension_and_bounded(self):
+        problem = FodeProblem(order=0.7, initial_state=np.ones(4), rhs=lambda t, y: -y)
+        config = SolverConfig(step=0.1, t_end=1.0)
+        solve_pece(problem, config)
+        before = _leaf_loop.cache_info()
+        solve_pece(problem, config)
+        after = _leaf_loop.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        maxsize = _leaf_loop.cache_parameters()["maxsize"]
+        assert maxsize is not None and 0 < maxsize <= 64
+
     def test_solve_memo_is_bounded(self):
         # more than the solves the test suite or one reproduce bundle keeps
         assert cached_solve.cache_parameters()["maxsize"] == 128
@@ -577,6 +604,12 @@ class TestBehavior:
             ([0.0, -4.0 * DIVERGENCE_LIMIT, 0.0], True),
             ([0.0, 0.0, 4.0 * np.nextafter(DIVERGENCE_LIMIT, math.inf)], False),
             ([0.0, -4.0 * np.nextafter(DIVERGENCE_LIMIT, math.inf), 0.0], False),
+            # the loop is written out per dimension: spikes in the last of 1 and 5
+            ([math.nan], False),
+            ([4.0 * DIVERGENCE_LIMIT], True),
+            ([0.0, 0.0, 0.0, 0.0, -math.inf], False),
+            ([0.0, 0.0, 0.0, 0.0, 4.0 * DIVERGENCE_LIMIT], True),
+            ([0.0, 0.0, 0.0, 0.0, 4.0 * np.nextafter(DIVERGENCE_LIMIT, math.inf)], False),
         ],
     )
     def test_divergence_check_on_three_components(self, node, spike, accepted):
@@ -586,9 +619,9 @@ class TestBehavior:
         step = 0.5
 
         def field(t, y):
-            return np.array(spike) if t == node * step else np.zeros(3)
+            return np.array(spike) if t == node * step else np.zeros(len(spike))
 
-        problem = FodeProblem(order=1.0, initial_state=np.zeros(3), rhs=field)
+        problem = FodeProblem(order=1.0, initial_state=np.zeros(len(spike)), rhs=field)
         config = SolverConfig(step=step, t_end=node * step)
         if accepted:
             final = solve_pece(problem, config).final_state
@@ -847,8 +880,9 @@ class TestAgreementWithDirectSums:
             (lambda t, y: LINEAR_2D @ y, [1.0, -0.5]),
             (lambda t, y: y, [1.0, 0.25]),  # hands its own argument back
             (lambda t, y: [-0.5 * v for v in y], [2.0, 1.0, 0.5]),  # a plain list
+            (lambda t, y: LINEAR_7D @ y, np.linspace(-1.0, 1.0, 7)),  # no other test's dimension
         ],
-        ids=["scalar", "linear-2d", "identity", "list"],
+        ids=["scalar", "linear-2d", "identity", "list", "linear-7d"],
     )
     @pytest.mark.parametrize("n_steps", [_LEAF - 1, 1000])
     def test_fields_that_are_not_the_model(self, field, initial, n_steps):
