@@ -71,7 +71,9 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def _resolve_config(args, default_alphas: tuple[float, ...] = ()) -> RunConfig:
+def _resolve_config(
+    args, default_alphas: tuple[float, ...] = (), default_out: str = ""
+) -> RunConfig:
     entries: dict = {}
     if args.config:
         path = Path(args.config)
@@ -96,6 +98,8 @@ def _resolve_config(args, default_alphas: tuple[float, ...] = ()) -> RunConfig:
         entries["solver.t_end"] = args.t_end
     if getattr(args, "out", None):
         entries["output.directory"] = args.out
+    if default_out:
+        entries.setdefault("output.directory", default_out)
     return config_from_entries(entries)
 
 
@@ -190,7 +194,7 @@ def cmd_report(args) -> int:
     header = "  {:4s} ".format("") + " ".join(f"{a:>18.4g}" for a in alphas)
     lines.append(header)
     for eq in equilibria(params):
-        if not eq.exists or eq.state is None:
+        if not eq.exists:
             lines.append(f"  {eq.kind.value:4s} " + " ".join(["{:>18s}".format("-")] * len(alphas)))
             continue
         cells = []
@@ -227,14 +231,14 @@ _SWEEP_FIELDS = ("exists", "S", "I", "P", "label", "margin", "critical_order")
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, default_out=".")  # a config file's output.directory, else here
     name, grid = _parse_grid(args.vary)
     field = MODEL_KEYS.get(name.lower())
     if field is None:
         raise ValidationError(f"unknown model parameter {name!r}")
 
-    out_path = Path(args.out) if args.out else Path("sweep.csv")
-    if out_path.is_dir() or (args.out and args.out.endswith("/")):
+    out_path = cfg.out_dir  # --out names a file or a directory, a config file a directory
+    if not args.out or out_path.is_dir() or args.out.endswith("/"):
         out_path = out_path / "sweep.csv"
 
     kinds = [k.value for k in EquilibriumKind]
@@ -253,7 +257,7 @@ def cmd_sweep(args) -> int:
             cells = [name, format_float(value), format_float(alpha)]
             for eq in equilibria(params):
                 coords = (math.nan,) * 3 if eq.state is None else eq.state.as_array()
-                if eq.exists and eq.state is not None:
+                if eq.exists:
                     verdict = classify_equilibrium(params, eq, alpha)
                     flag, label = "1", verdict.label
                     margin, critical = verdict.margin, verdict.critical_order
@@ -286,13 +290,11 @@ def cmd_verify(args) -> int:
     lines = []
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
     for alpha in cfg.alphas:
-        stable_target = None
-        for eq in equilibria(params):
-            if not eq.exists or eq.state is None:
-                continue
-            if classify_equilibrium(params, eq, alpha).stable:
-                stable_target = eq
-                break
+        stable_target = next(
+            (eq for eq in equilibria(params)
+             if eq.exists and classify_equilibrium(params, eq, alpha).stable),
+            None,
+        )
         for x0 in cfg.initial_states:
             traj = solve_model(params, alpha, x0, cfg.step, cfg.t_end)
             peak = max(peak, float(np.abs(traj.states).max()))

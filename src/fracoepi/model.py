@@ -116,16 +116,22 @@ class EquilibriumKind(Enum):
 @dataclass(frozen=True)
 class ExistenceCondition:
     name: str
-    satisfied: bool
     margin: Optional[float]  # positive means satisfied with room; None if undefined
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin is not None and self.margin > 0.0
 
 
 @dataclass(frozen=True)
 class Equilibrium:
     kind: EquilibriumKind
     state: Optional[State]  # None when the defining formulas are singular
-    exists: bool
     conditions: tuple[ExistenceCondition, ...] = ()
+
+    @property
+    def exists(self) -> bool:
+        return all(c.satisfied for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -275,55 +281,34 @@ def interior_equilibrium(params: ModelParams) -> Optional[State]:
 
 
 def equilibria(params: ModelParams) -> list[Equilibrium]:
-    """All four equilibria with existence flags, in the order E0, E1, E2, E*."""
-    K = params.carrying_capacity
-    lam = params.infection_rate
-    mu = params.infected_death_rate
-    theta = params.conversion_efficiency
-    d = params.predator_death_rate
-
+    """All four equilibria with their existence conditions, in the order E0, E1, E2, E*."""
     th = thresholds(params)
-    r0 = th.reproduction_number
-
-    out = [
-        Equilibrium(EquilibriumKind.EXTINCTION, State(0.0, 0.0, 0.0), True),
-        Equilibrium(EquilibriumKind.PREY_ONLY, State(K, 0.0, 0.0), True),
-    ]
-
-    endemic = ExistenceCondition("R0 > 1", r0 > 1.0, r0 - 1.0)
-    out.append(
+    theta1 = th.conversion_existence
+    endemic = ExistenceCondition("R0 > 1", th.reproduction_number - 1.0)
+    return [
+        Equilibrium(EquilibriumKind.EXTINCTION, State(0.0, 0.0, 0.0)),
+        Equilibrium(EquilibriumKind.PREY_ONLY, State(params.carrying_capacity, 0.0, 0.0)),
         Equilibrium(
             EquilibriumKind.PREDATOR_FREE,
-            State(mu / lam, _endemic_infected(params), 0.0),
-            endemic.satisfied,
+            State(params.infected_death_rate / params.infection_rate,
+                  _endemic_infected(params), 0.0),
             (endemic,),
-        )
-    )
-
-    conds = [endemic]
-    conds.append(
-        ExistenceCondition("theta > d", theta > d, theta - d)
-    )
-    if th.conversion_existence is None:
-        conds.append(ExistenceCondition("theta > theta1", False, None))
-    else:
-        conds.append(
-            ExistenceCondition(
-                "theta > theta1",
-                theta > th.conversion_existence,
-                theta - th.conversion_existence,
-            )
-        )
-    interior = interior_equilibrium(params)
-    out.append(
+        ),
         Equilibrium(
             EquilibriumKind.COEXISTENCE,
-            interior,
-            all(c.satisfied for c in conds),
-            tuple(conds),
-        )
-    )
-    return out
+            interior_equilibrium(params),
+            (
+                endemic,
+                ExistenceCondition(
+                    "theta > d", params.conversion_efficiency - params.predator_death_rate
+                ),
+                ExistenceCondition(
+                    "theta > theta1",
+                    None if theta1 is None else params.conversion_efficiency - theta1,
+                ),
+            ),
+        ),
+    ]
 
 
 def equilibrium(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
@@ -405,9 +390,7 @@ def _example_base(**overrides) -> ModelParams:
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     params: ModelParams
-    description: str
     initial_states: tuple[State, ...]
 
 
@@ -416,45 +399,37 @@ class Preset:
 #: algebraically slow fractional decay reaches convergence tolerances within
 #: desk-scale spans (components along slow modes sized accordingly).
 PRESETS: dict[str, Preset] = {
-    p.name: p
-    for p in [
-        Preset(
-            "example1",
-            _example_base(),
-            "coexistence equilibrium stable for every order in (0,1]",
-            (State(30.0, 5.0, 10.0), State(25.0, 8.0, 6.0), State(35.0, 3.0, 12.0)),
+    # coexistence equilibrium stable for every order in (0,1]
+    "example1": Preset(
+        _example_base(),
+        (State(30.0, 5.0, 10.0), State(25.0, 8.0, 6.0), State(35.0, 3.0, 12.0)),
+    ),
+    # coexistence equilibrium unstable for orders above its Matignon critical
+    # order 0.509; the paper's case (iii) predicts it from 2/3
+    "example1-unstable": Preset(
+        _example_base(
+            carrying_capacity=200.0,
+            infection_rate=0.15,
+            half_saturation=5.0,
+            conversion_efficiency=0.9,
         ),
-        Preset(
-            "example1-unstable",
-            _example_base(
-                carrying_capacity=200.0,
-                infection_rate=0.15,
-                half_saturation=5.0,
-                conversion_efficiency=0.9,
-            ),
-            "coexistence equilibrium unstable for orders above its Matignon critical"
-            " order 0.509; the paper's case (iii) predicts it from 2/3",
-            (State(30.0, 5.0, 10.0),),
-        ),
-        Preset(
-            "example1-global",
-            _example_base(conversion_efficiency=0.5),
-            "globally stable coexistence (theta raised into the global band)",
-            (State(33.0, 4.0, 8.0), State(38.0, 2.5, 10.0), State(35.0, 3.0, 9.5)),
-        ),
-        Preset(
-            "example2",
-            _example_base(conversion_efficiency=0.08),
-            "globally stable predator-free state (low conversion efficiency)",
-            (State(16.0, 14.0, 0.5), State(12.0, 20.0, 0.5), State(17.0, 18.0, 0.6)),
-        ),
-        Preset(
-            "example3",
-            _example_base(infection_rate=0.005),
-            "globally stable infection- and predator-free state (R0 < 1)",
-            (State(35.0, 1.5, 1.0), State(42.0, 1.0, 2.0), State(38.0, 0.5, 1.5)),
-        ),
-    ]
+        (State(30.0, 5.0, 10.0),),
+    ),
+    # globally stable coexistence (theta raised into the global band)
+    "example1-global": Preset(
+        _example_base(conversion_efficiency=0.5),
+        (State(33.0, 4.0, 8.0), State(38.0, 2.5, 10.0), State(35.0, 3.0, 9.5)),
+    ),
+    # globally stable predator-free state (low conversion efficiency)
+    "example2": Preset(
+        _example_base(conversion_efficiency=0.08),
+        (State(16.0, 14.0, 0.5), State(12.0, 20.0, 0.5), State(17.0, 18.0, 0.6)),
+    ),
+    # globally stable infection- and predator-free state (R0 < 1)
+    "example3": Preset(
+        _example_base(infection_rate=0.005),
+        (State(35.0, 1.5, 1.0), State(42.0, 1.0, 2.0), State(38.0, 0.5, 1.5)),
+    ),
 }
 
 

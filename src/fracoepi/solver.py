@@ -48,8 +48,7 @@ passes it a fresh array and checks the shape of its value at every
 evaluation.  A 60 000-node solve of the model costs about 4.8 us per node
 (0.287 s, best of 15 on a shared 2-core Xeon VM, the best of three
 processes), against 7.5 us (0.451 s) when the same field goes through the
-adapter; measured the same way, the list-comprehension loop before the
-generated one took 6.7 us (0.400 s) and 9.2 us (0.551 s).
+adapter.
 """
 
 from __future__ import annotations

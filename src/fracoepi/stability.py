@@ -76,12 +76,8 @@ class EigenSpectrum:
     eigenvalues: np.ndarray  # complex, length 3, conjugate pairs exact
 
     @property
-    def args(self) -> np.ndarray:
-        return np.angle(self.eigenvalues)
-
-    @property
     def min_abs_arg(self) -> float:
-        return float(np.min(np.abs(self.args)))
+        return float(np.min(np.abs(np.angle(self.eigenvalues))))
 
     @property
     def has_complex_pair(self) -> bool:
@@ -96,14 +92,18 @@ class EigenSpectrum:
 @dataclass(frozen=True)
 class MatignonResult:
     stable: Optional[bool]  # None when marginal
-    marginal: bool
     margin: float           # min |arg xi| - alpha*pi/2
     critical_order: float   # (2/pi) min |arg xi|, capped at 1
 
+    @property
+    def marginal(self) -> bool:
+        return self.stable is None
+
 
 @dataclass(frozen=True)
-class StabilityVerdict:
-    """Order-dependent classification of one equilibrium.
+class StabilityVerdict(MatignonResult):
+    """Order-dependent classification of one equilibrium: its Matignon result
+    with a label, the spectrum it was read from and, for E*, the cubic.
 
     The equilibrium and the order are the caller's arguments and are not
     repeated here.  ``label`` is one of stable-node, stable-focus,
@@ -115,9 +115,6 @@ class StabilityVerdict:
     """
 
     label: str
-    stable: Optional[bool]  # the Matignon verdict; None when marginal
-    margin: float
-    critical_order: float
     spectrum: EigenSpectrum
     case: Optional[str] = None
     cubic: Optional[CubicCharacteristic] = None
@@ -165,19 +162,15 @@ def matignon_check(spectrum: EigenSpectrum, alpha: float) -> MatignonResult:
         # arg(0) is undefined; the boundary case is reported, not adjudicated
         return MatignonResult(
             stable=None,
-            marginal=True,
             margin=-alpha * math.pi / 2.0,
             critical_order=0.0,
         )
     min_arg = spectrum.min_abs_arg
     margin = min_arg - alpha * math.pi / 2.0
-    critical = min(1.0, 2.0 * min_arg / math.pi)
-    if abs(margin) <= TIE_TOLERANCE:
-        return MatignonResult(
-            stable=None, marginal=True, margin=margin, critical_order=critical
-        )
     return MatignonResult(
-        stable=margin > 0.0, marginal=False, margin=margin, critical_order=critical
+        stable=None if abs(margin) <= TIE_TOLERANCE else margin > 0.0,
+        margin=margin,
+        critical_order=min(1.0, 2.0 * min_arg / math.pi),
     )
 
 
@@ -250,10 +243,8 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium, alpha: float) -> 
         case = coefficient_case(cubic, alpha)
 
     return StabilityVerdict(
+        **vars(check),
         label=_label(eq.kind, check, spectrum),
-        stable=check.stable,
-        margin=check.margin,
-        critical_order=check.critical_order,
         spectrum=spectrum,
         case=case,
         cubic=cubic,

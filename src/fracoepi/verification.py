@@ -56,17 +56,24 @@ _MAX_SKIPPED_FRACTION = 0.01  # Lyapunov nodes allowed to graze the boundary
 
 @dataclass(frozen=True)
 class NonnegativityReport:
-    passed: bool
     worst_undershoot: np.ndarray      # per component, >= 0; NaN where a state is NaN
+
+    @property
+    def passed(self) -> bool:
+        return bool(np.all(self.worst_undershoot <= NEGATIVE_TOL))
 
 
 @dataclass(frozen=True)
 class BoundednessCertificate:
     eta: float
     bound: float                      # l / eta with l = K (r+eta)^2 / (4 r)
-    passed: bool
+    margin: float                     # min over nodes of limit - V; NaN if any V is NaN
     worst_value: float                # max V along the run
     envelope_checked: bool            # sharper Mittag-Leffler envelope applied
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,7 @@ def check_nonnegativity(traj: Trajectory) -> NonnegativityReport:
     limit, so the report fails.
     """
     worst = np.maximum(0.0, -traj.states.min(axis=0))
-    return NonnegativityReport(
-        passed=bool(np.all(worst <= NEGATIVE_TOL)), worst_undershoot=worst
-    )
+    return NonnegativityReport(worst_undershoot=worst)
 
 
 def total_population(params: ModelParams, states: np.ndarray) -> np.ndarray:
@@ -149,7 +154,7 @@ def boundedness_certificate(params: ModelParams, traj: Trajectory) -> Boundednes
     return BoundednessCertificate(
         eta=eta,
         bound=bound,
-        passed=bool(np.all(values <= limit)),  # a NaN V is within no limit
+        margin=float(np.min(limit - values)),  # >= 0 exactly where every V <= limit
         worst_value=float(values.max()),
         envelope_checked=envelope_checked,
     )

@@ -369,6 +369,22 @@ class TestSweep:
         alpha = rows[0].index("alpha")
         assert [row[alpha] for row in rows[1:]] == [format_float(0.6)] * 3
 
+    @pytest.mark.parametrize("directory, argv, written", [
+        ("output.directory = runs\n", (), "runs/sweep.csv"),
+        ("output.directory = runs\n", ("--out", "mine.csv"), "mine.csv"),
+        ("", (), "sweep.csv"),
+    ], ids=["config-directory", "out-wins", "working-directory"])
+    def test_output_directory_from_config_file(self, directory, argv, written, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("model.preset = example1\n" + directory, encoding="utf-8")
+        rc = run("sweep", "--config", "run.cfg", "--vary", "theta=0.1:0.5:3", *argv)
+        assert rc == 0
+        assert capsys.readouterr().out == f"wrote 6 sweep row(s) to {written}\n"
+        csvs = sorted(str(p) for p in Path().rglob("*.csv"))
+        assert csvs == [written]
+        assert len(Path(written).read_text().splitlines()) == 1 + 6
+
     def test_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         rc = run("sweep", "--preset", "example1", "--vary", "theta=0.2:0.4:0",

@@ -246,6 +246,28 @@ class TestEquilibria:
                     assert np.all(eq.state.as_array() > 0.0)
         assert count > 20  # the draw domain hits genuine coexistence cases
 
+    @given(model_params())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_flags_are_the_strict_comparisons_they_name(self, params):
+        th = thresholds(params)
+        theta, theta1 = params.conversion_efficiency, th.conversion_existence
+        expected = {
+            "R0 > 1": th.reproduction_number > 1.0,
+            "theta > d": theta > params.predator_death_rate,
+            "theta > theta1": theta1 is not None and theta > theta1,
+        }
+        named = {
+            EquilibriumKind.EXTINCTION: [],
+            EquilibriumKind.PREY_ONLY: [],
+            EquilibriumKind.PREDATOR_FREE: ["R0 > 1"],
+            EquilibriumKind.COEXISTENCE: ["R0 > 1", "theta > d", "theta > theta1"],
+        }
+        for eq in equilibria(params):
+            assert [c.name for c in eq.conditions] == named[eq.kind]
+            for c in eq.conditions:
+                assert c.satisfied is expected[c.name], (eq.kind, c)
+            assert eq.exists is all(expected[name] for name in named[eq.kind])
+
     def test_lookup_matches_listing(self, example1):
         undefined = example1.replace(conversion_efficiency=example1.predator_death_rate)
         for params in [preset(name).params for name in PRESETS] + [undefined]:

@@ -11,6 +11,7 @@ import fracoepi
 from fracoepi import model, stability
 from fracoepi.model import (
     PRESETS,
+    Equilibrium,
     EquilibriumKind,
     ModelParams,
     State,
@@ -31,6 +32,9 @@ from fracoepi.stability import (
     matignon_check,
     coefficient_case,
 )
+from fracoepi.verification import lyapunov_monotonicity
+
+from conftest import constant_trajectory
 
 # frozen high-precision evaluations (closed forms + polyroots at 60 digits)
 EX1_CUBIC = (1.0878787878787879, 0.26999146005509642, 0.0028397727272727273)
@@ -342,6 +346,19 @@ class TestMatignon:
 
 
 class TestClassification:
+    @pytest.mark.parametrize("kind", list(EquilibriumKind))
+    @pytest.mark.parametrize("call", [
+        lambda params, eq: classify_equilibrium(params, eq, 0.9),
+        lambda params, eq: lyapunov_monotonicity(
+            params, eq, constant_trajectory([30.0, 5.0, 10.0])),
+    ], ids=["classify_equilibrium", "lyapunov_monotonicity"])
+    def test_hand_built_equilibrium_without_a_state_rejected(self, call, kind, example1):
+        # no conditions, so it exists; the missing state is what is rejected
+        eq = Equilibrium(kind, None)
+        assert eq.exists
+        with pytest.raises(ValidationError):
+            call(example1, eq)
+
     def test_extinction_always_unstable(self, example1):
         e0 = equilibria(example1)[0]
         for alpha in (0.3, 0.6, 1.0):
