@@ -48,6 +48,10 @@ from .verification import (
 
 REPORT_ALPHAS = (0.6, 2.0 / 3.0, 0.85, 0.95, 1.0)
 PIPE_CLOSED = 128 + 13  # the shell's code for a process ended by SIGPIPE
+E_STAR_NOTE = (  # verify's E* row names the theta band without relying on it
+    ", the paper's condition; no V of this form decreases everywhere toward E*:"
+    " grad V . f > 0 at (S*, I, P*) with I != I*"
+)
 DIVERGENCE_HINT = (
     "hint: the model's solutions from non-negative initial states stay bounded, "
     "so a blow-up is a step-size failure of the explicit predictor-corrector "
@@ -137,6 +141,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _condition(c) -> str:
+    """One condition as ``name: yes|no (margin m)``, or ``name: n/a (reason)``."""
+    if c.margin is None:
+        return f"{c.name}: n/a ({c.undefined})"
+    return f"{c.name}: {'yes' if c.satisfied else 'no'} (margin {c.margin:.4g})"
+
+
 def _equilibria_lines(params: ModelParams) -> list[str]:
     lines = []
     for eq in equilibria(params):
@@ -147,11 +158,7 @@ def _equilibria_lines(params: ModelParams) -> list[str]:
                 f"({eq.state.susceptible:.6g}, {eq.state.infected:.6g}, "
                 f"{eq.state.predator:.6g})"
             )
-        conds = "; ".join(
-            f"{c.name}: {'yes' if c.satisfied else 'no'}"
-            + (f" (margin {c.margin:.4g})" if c.margin is not None else "")
-            for c in eq.conditions
-        )
+        conds = "; ".join(map(_condition, eq.conditions))
         lines.append(
             f"{eq.kind.value:3s} {coords} exists={'yes' if eq.exists else 'no'}"
             + (f" [{conds}]" if conds else "")
@@ -175,15 +182,9 @@ def cmd_report(args) -> int:
     lines.append(f"  d2 (E2 global stability)     = {_fmt_threshold(th, 'predator_death_global')}")
     lines.append(f"  theta1 (E* existence)        = {_fmt_threshold(th, 'conversion_existence')}")
     lines.append(
-        f"  theta2 (E* global, S* at theta={params.conversion_efficiency:g}) "
+        f"  theta2 (paper's E* condition, S* at theta={params.conversion_efficiency:g}) "
         f"= {_fmt_threshold(th, 'conversion_global')}"
     )
-    if args.theta2_reference is not None:
-        ref = thresholds(params.replace(conversion_efficiency=args.theta2_reference))
-        lines.append(
-            f"  theta2 (S* at theta={args.theta2_reference:g})      = "
-            + _fmt_threshold(ref, "conversion_global")
-        )
     lines.append(
         f"  (1 + sqrt(1 + r/mu))/2 (E2 node/focus boundary as R0 value) "
         f"= {th.focus_boundary:.6g}"
@@ -323,8 +324,9 @@ def cmd_verify(args) -> int:
                     f"  Lyapunov decrease toward {stable_target.kind.value}: "
                     f"{'pass' if ly.monotone else 'fail'} "
                     f"(max increase {ly.max_increase:.3g}, slack {LYAPUNOV_SLACK:g}; "
-                    f"hypothesis {ly.hypothesis.description}: {ly.hypothesis.satisfied}, "
-                    f"{ly.hypothesis.detail})"
+                    f"hypothesis {_condition(ly.hypothesis)}"
+                    + (E_STAR_NOTE if stable_target.kind is EquilibriumKind.COEXISTENCE else "")
+                    + ")"
                 )
                 all_ok &= ly.monotone
             else:
@@ -359,11 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="thresholds, equilibria and stability table")
     _add_flags(p, "alpha")
-    p.add_argument(
-        "--theta2-reference",
-        type=float,
-        help="also report theta2 with S* evaluated at this conversion efficiency",
-    )
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("equilibria", help="list the four equilibria")

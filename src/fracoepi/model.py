@@ -25,9 +25,9 @@ import numpy as np
 from .solver import ValidationError  # the package's one validation error class
 
 __all__ = [
+    "Condition",
     "EquilibriumKind",
     "Equilibrium",
-    "ExistenceCondition",
     "ModelParams",
     "PRESETS",
     "State",
@@ -114,9 +114,10 @@ class EquilibriumKind(Enum):
 
 
 @dataclass(frozen=True)
-class ExistenceCondition:
+class Condition:
     name: str
     margin: Optional[float]  # positive means satisfied with room; None if undefined
+    undefined: str = ""      # why the margin is None
 
     @property
     def satisfied(self) -> bool:
@@ -127,7 +128,7 @@ class ExistenceCondition:
 class Equilibrium:
     kind: EquilibriumKind
     state: Optional[State]  # None when the defining formulas are singular
-    conditions: tuple[ExistenceCondition, ...] = ()
+    conditions: tuple[Condition, ...] = ()
 
     @property
     def exists(self) -> bool:
@@ -143,8 +144,10 @@ class Thresholds:
     predator_death_global    d2; predator-free state globally stable if d > d2
     conversion_existence     theta1; interior equilibrium exists iff theta > theta1
                              (given R0 > 1)
-    conversion_global        theta2; interior state globally stable if
-                             theta1 < theta < theta2
+    conversion_global        theta2; theta1 < theta < theta2 is the paper's
+                             condition for E*'s global stability, which does
+                             not imply it: no Volterra-type V decreases
+                             everywhere toward E*, and E* can be unstable
     focus_boundary           (1 + sqrt(1 + r/mu))/2; the predator-free state
                              has a complex pair (a focus) iff R0 exceeds it
 
@@ -284,7 +287,7 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
     """All four equilibria with their existence conditions, in the order E0, E1, E2, E*."""
     th = thresholds(params)
     theta1 = th.conversion_existence
-    endemic = ExistenceCondition("R0 > 1", th.reproduction_number - 1.0)
+    endemic = Condition("R0 > 1", th.reproduction_number - 1.0)
     return [
         Equilibrium(EquilibriumKind.EXTINCTION, State(0.0, 0.0, 0.0)),
         Equilibrium(EquilibriumKind.PREY_ONLY, State(params.carrying_capacity, 0.0, 0.0)),
@@ -299,12 +302,11 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
             interior_equilibrium(params),
             (
                 endemic,
-                ExistenceCondition(
-                    "theta > d", params.conversion_efficiency - params.predator_death_rate
-                ),
-                ExistenceCondition(
+                Condition("theta > d", params.conversion_efficiency - params.predator_death_rate),
+                Condition(
                     "theta > theta1",
                     None if theta1 is None else params.conversion_efficiency - theta1,
+                    th.undefined.get("conversion_existence", ""),
                 ),
             ),
         ),
@@ -415,7 +417,8 @@ PRESETS: dict[str, Preset] = {
         ),
         (State(30.0, 5.0, 10.0),),
     ),
-    # globally stable coexistence (theta raised into the global band)
+    # theta raised to 0.5: E* stable, and runs from these starts converge to
+    # it; theta lies in the paper's band only with S* held at theta = 0.189
     "example1-global": Preset(
         _example_base(conversion_efficiency=0.5),
         (State(33.0, 4.0, 8.0), State(38.0, 2.5, 10.0), State(35.0, 3.0, 9.5)),

@@ -315,7 +315,7 @@ def _fig2(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     items = _coordinate_items("E*(theta=0.5)", target, (35.7195, 3.2927, 8.9983), COORD_TOL)
     items += _convergence_items(scenario, target)
     files = _scenario_bundle(
-        scenario, out_dir, "fig2", "globally stable coexistence (theta = 0.5)"
+        scenario, out_dir, "fig2", "coexistence, runs converging to E* (theta = 0.5)"
     )
     return items, files
 

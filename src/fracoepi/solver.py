@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -77,6 +78,8 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12  # component magnitude treated as blow-up
 NODE_CAP = 2_000_000  # most nodes one solve may allocate
 GRID_TOL = 1e-9  # relative distance of t_end/step from an integer
+# smallest order whose reciprocal, and so Gamma(order) ~ 1/order, is finite
+MIN_ORDER = math.nextafter(1.0 / sys.float_info.max, 1.0)
 
 _LEAF = 128  # nodes summed directly; a power of two
 _FFT_CAP = 1 << 13  # longest transform; longer blocks are split into chunk pairs
@@ -92,9 +95,14 @@ class ValidationError(ValueError):
 
 
 def validate_order(order: float) -> None:
-    """Reject a fractional order outside (0, 1]."""
+    """Reject a fractional order outside (0, 1], or below MIN_ORDER."""
     if not (0.0 < order <= 1.0):
         raise ValidationError(f"order must lie in (0,1], got {order}")
+    if order < MIN_ORDER:
+        raise ValidationError(
+            f"order {order} is too small: its reciprocal overflows;"
+            f" the smallest order accepted is {MIN_ORDER!r}"
+        )
 
 
 def validate_step(step: float) -> None:

@@ -3,8 +3,10 @@
 Solutions started in the positive orthant are non-negative and uniformly
 bounded (the weighted total population V = S + I + (m/theta)P is absorbed
 below l/eta with l = K(r+eta)^2/(4r) for any eta below both death rates), and
-under the respective threshold conditions each stable equilibrium comes with
-a Lyapunov function that decreases along solutions.  These facts are checked
+under R0 < 1 and d > d2 the equilibria E1 and E2 come with a Lyapunov
+function that decreases along solutions.  For E* the paper's condition
+theta1 < theta < theta2 gives no such function: no V of the Volterra form
+decreases everywhere toward E*.  These facts are checked
 here on discrete trajectories with explicit slack for discretization, rather
 than re-derived symbolically: the conclusions of the theory, not its proof
 steps, are what a computed trajectory can certify.
@@ -16,12 +18,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import mittag_leffler as ml
 from .model import (
+    Condition,
     Equilibrium,
     EquilibriumKind,
     ModelParams,
@@ -36,7 +38,6 @@ from .solver import Trajectory
 __all__ = [
     "BoundednessCertificate",
     "ConvergenceResult",
-    "HypothesisCheck",
     "LyapunovReport",
     "NonnegativityReport",
     "boundedness_certificate",
@@ -77,19 +78,12 @@ class BoundednessCertificate:
 
 
 @dataclass(frozen=True)
-class HypothesisCheck:
-    description: str
-    satisfied: Optional[bool]
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class LyapunovReport:
     values: np.ndarray                # V per node, NaN where undefined
     max_increase: float
     monotone: bool
     skipped_nodes: int
-    hypothesis: HypothesisCheck
+    hypothesis: Condition             # the theory's condition for the target
 
 
 @dataclass(frozen=True)
@@ -201,30 +195,22 @@ def _lyapunov_rows(
     return np.where(ok, terms[0] + terms[1] + terms[2], np.nan)
 
 
-def _hypothesis(params: ModelParams, target: EquilibriumKind) -> HypothesisCheck:
+def _hypothesis(params: ModelParams, target: EquilibriumKind) -> Condition:
+    """The paper's condition for the target as a margin: 1 - R0, d - d2, or
+    min(theta - theta1, theta2 - theta); for floats x - y > 0 exactly when x > y."""
     th = thresholds(params)
     if target is EquilibriumKind.PREY_ONLY:
-        r0 = th.reproduction_number
-        return HypothesisCheck("R0 < 1", r0 < 1.0, f"R0 = {r0:.6g}")
+        return Condition("R0 < 1", 1.0 - th.reproduction_number)
     if target is EquilibriumKind.PREDATOR_FREE:
         d2 = th.predator_death_global
-        if d2 is None:
-            why = th.undefined["predator_death_global"]
-            return HypothesisCheck("d > d2", None, f"d2 n/a ({why})")
-        d = params.predator_death_rate
-        return HypothesisCheck("d > d2", d > d2, f"d = {d:.6g}, d2 = {d2:.6g}")
-    # COEXISTENCE: _lyapunov_rows has already rejected E0
+        margin = None if d2 is None else params.predator_death_rate - d2
+        return Condition("d > d2", margin, th.undefined.get("predator_death_global", ""))
+    # COEXISTENCE: _lyapunov_rows has already rejected E0; theta1 is
+    # undefined only where theta2 is too
     t1, t2 = th.conversion_existence, th.conversion_global
     theta = params.conversion_efficiency
-    if t2 is None:  # theta1 is undefined only where theta2 is too
-        why = th.undefined["conversion_global"]
-        return HypothesisCheck("theta1 < theta < theta2", None, f"theta2 n/a ({why})")
-    ok = t1 < theta < t2
-    return HypothesisCheck(
-        "theta1 < theta < theta2",
-        ok,
-        f"theta1 = {t1:.6g}, theta = {theta:.6g}, theta2 = {t2:.6g}",
-    )
+    margin = None if t2 is None else min(theta - t1, t2 - theta)
+    return Condition("theta1 < theta < theta2", margin, th.undefined.get("conversion_global", ""))
 
 
 def lyapunov_monotonicity(

@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -5,6 +8,16 @@ from hypothesis import strategies as st
 from fracoepi.model import ModelParams, preset
 from fracoepi.reproduce import GLOBAL_SCENARIOS
 from fracoepi.runs import cached_solve
+
+# A failing @given test makes hypothesis's pytest plugin import its patch
+# writer inside a report hook.  That import pulls in libcst, which warns
+# (DeprecationWarning), and filterwarnings = error then turns the warning into
+# an INTERNALERROR that ends the whole run.  Loading the module once here, with
+# warnings silenced, leaves the hook nothing to import; without libcst the
+# plugin skips the patch and there is nothing to load.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore")
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

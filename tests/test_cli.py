@@ -125,6 +125,22 @@ class TestSimulate:
     def test_missing_config_file(self):
         assert run("simulate", "--config", "/nonexistent/run.cfg") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_order_with_an_overflowing_reciprocal_is_one_error_line(
+        self, command, tmp_path, capsys
+    ):
+        argv = [command, "--preset", "example1", "--alpha", "1e-310", "--t-end", "1"]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: order 1e-310 is too small: its reciprocal overflows;"
+            " the smallest order accepted is 5.56268464626801e-309"
+        ]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["equilibria", "--config", "{tmp}"],
         ["simulate", "--preset", "example1", "--t-end", "1", "--out", "{tmp}/taken"],
@@ -231,6 +247,16 @@ def _orders_config(tmp_path):
     return str(cfg)
 
 
+THETA2_LABEL = "theta2 (paper's E* condition, S* at theta={:g})"
+
+
+def _theta_config(tmp_path, theta):
+    """example1 with its conversion efficiency set to theta."""
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text(f"model.preset = example1\nmodel.theta = {theta!r}\n", encoding="utf-8")
+    return str(cfg)
+
+
 class TestReport:
     def test_orders_from_config_file(self, tmp_path, capsys):
         assert run("report", "--config", _orders_config(tmp_path)) == 0
@@ -259,30 +285,37 @@ class TestReport:
         assert "0.714286" in text
 
     def test_both_theta2_conventions(self, capsys):
-        assert run("report", "--preset", "example1-global",
-                   "--theta2-reference", "0.189") == 0
+        # theta enters theta2 only through S*, so theta2 with S* held at a
+        # reference theta is the theta2 line of a report run at that theta
+        assert run("report", "--preset", "example1-global") == 0
         text = capsys.readouterr().out
-        assert "0.10139" in text    # self-consistent value at theta = 0.5
-        assert "0.804375" in text   # value at the reference level
-
-    def test_undefined_theta2_reference_prints_why(self, capsys):
-        # theta = d = 0.09 leaves the reference interior state undefined
-        assert run("report", "--preset", "example1", "--theta2-reference", "0.09") == 0
+        assert f"{THETA2_LABEL.format(0.5)} = 0.10139" in text  # self-consistent
+        assert run("report", "--preset", "example1") == 0
         text = capsys.readouterr().out
-        assert "theta2 (S* at theta=0.09)      = n/a (S* undefined at theta = d)" in text
+        assert f"{THETA2_LABEL.format(0.189)} = 0.804375" in text  # the reference level
 
-    def test_theta2_reference_below_death_rate_prints_why(self, capsys):
+    def test_undefined_theta2_reference_prints_why(self, tmp_path, capsys):
+        # theta = d = 0.09 leaves the interior state undefined
+        assert run("report", "--config", _theta_config(tmp_path, 0.09)) == 0
+        text = capsys.readouterr().out
+        assert f"{THETA2_LABEL.format(0.09)} = n/a (S* undefined at theta = d)" in text
+
+    def test_theta2_reference_below_death_rate_prints_why(self, tmp_path, capsys):
         # theta = 0.05 < d = 0.09 puts I* below 0: no interior state to read S* from
-        assert run("report", "--preset", "example1", "--theta2-reference", "0.05") == 0
+        assert run("report", "--config", _theta_config(tmp_path, 0.05)) == 0
         text = capsys.readouterr().out
-        assert "theta2 (S* at theta=0.05)      = n/a (no E* at theta < d: I* < 0)" in text
+        assert f"{THETA2_LABEL.format(0.05)} = n/a (no E* at theta < d: I* < 0)" in text
 
-    def test_empty_theta2_bracket_at_reference_prints_why(self, capsys):
+    def test_empty_theta2_bracket_at_reference_prints_why(self, tmp_path, capsys):
         # theta = 0.1 puts S* at -135.5, so 2K(lambda S* - mu) - r < 0
-        assert run("report", "--preset", "example1", "--theta2-reference", "0.1") == 0
+        assert run("report", "--config", _theta_config(tmp_path, 0.1)) == 0
         text = capsys.readouterr().out
-        assert ("theta2 (S* at theta=0.1)      = n/a (empty bracket: 2K(lambda*S* - mu) <= r)"
+        assert (f"{THETA2_LABEL.format(0.1)} = n/a (empty bracket: 2K(lambda*S* - mu) <= r)"
                 in text)
+
+    def test_theta2_reference_option_is_gone(self, capsys):
+        assert run("report", "--preset", "example1", "--theta2-reference", "0.189") == 1
+        assert "unrecognized arguments: --theta2-reference" in capsys.readouterr().err
 
     def test_undefined_thresholds_print_why_in_place(self, capsys):
         assert run("report", "--preset", "example3") == 0
@@ -293,17 +326,18 @@ class TestReport:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(params=model_params(), reference=st.floats(0.001, 1.0))
     def test_no_bare_not_available_on_random_params(self, params, reference):
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "model.cfg"
-            cfg.write_text("".join(f"model.{name} = {value!r}\n"
-                                   for name, value in vars(params).items()),
-                           encoding="utf-8")
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert run("report", "--config", str(cfg), "--alpha", "0.9",
-                           "--theta2-reference", repr(reference)) == 0
-        text = out.getvalue()
-        assert re.search(r"n/a(?! \()", text) is None, text
+        # the parameters as drawn, and with theta moved to a reference level
+        for case in (params, params.replace(conversion_efficiency=reference)):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = Path(tmp) / "model.cfg"
+                cfg.write_text("".join(f"model.{name} = {value!r}\n"
+                                       for name, value in vars(case).items()),
+                               encoding="utf-8")
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert run("report", "--config", str(cfg), "--alpha", "0.9") == 0
+            text = out.getvalue()
+            assert re.search(r"n/a(?! \()", text) is None, text
 
     def test_report_prints_exact_node_focus_boundary(self, capsys):
         assert run("report", "--preset", "example1") == 0
@@ -315,6 +349,11 @@ class TestReport:
         text = capsys.readouterr().out
         assert "E2" in text and "18.6667" in text
         assert "E*" in text and "22.2727" in text
+
+    def test_undefined_condition_prints_why(self, capsys):
+        # R0 < 1 leaves theta1, and so E*'s last margin, undefined
+        assert run("equilibria", "--preset", "example3") == 0
+        assert "theta > theta1: n/a (needs R0 > 1)]" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -428,6 +467,19 @@ class TestVerify:
         assert "nonnegativity pass" in text
         assert "boundedness pass" in text
         assert "Lipschitz bound" in text
+        # the theta band is named as the paper's condition, with no verdict word of its own
+        rows = [line for line in text.splitlines() if "Lyapunov decrease toward E*" in line]
+        assert len(rows) == 3  # one per initial state
+        for row in rows:
+            clause = row.partition("hypothesis ")[2]
+            assert clause.startswith("theta1 < theta < theta2: no (margin -0.3986), the paper's")
+            assert "grad V . f > 0 at (S*, I, P*)" in clause
+            assert re.search(r"\b(pass|fail)\b", clause) is None
+
+    def test_lyapunov_row_prints_the_hypothesis_margin(self, capsys):
+        run("verify", "--preset", "example2", "--alpha", "0.95", "--t-end", "20")
+        text = capsys.readouterr().out
+        assert "hypothesis d > d2: yes (margin 0.002479))" in text  # d 0.09, d2 0.0875214
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

@@ -266,6 +266,11 @@ class TestEquilibria:
             assert [c.name for c in eq.conditions] == named[eq.kind]
             for c in eq.conditions:
                 assert c.satisfied is expected[c.name], (eq.kind, c)
+                if c.margin is None:  # only theta1 can be undefined, and it says why
+                    assert c.name == "theta > theta1"
+                    assert c.undefined == th.undefined["conversion_existence"]
+                else:
+                    assert c.undefined == ""
             assert eq.exists is all(expected[name] for name in named[eq.kind])
 
     def test_lookup_matches_listing(self, example1):

@@ -395,6 +395,22 @@ class TestValidation:
             ):
                 with pytest.raises(solver.ValidationError, match=f"^{message}$"):
                     call()
+        # Gamma(order) ~ 1/order overflows below the smallest accepted order
+        smallest = math.nextafter(1.0 / sys.float_info.max, 1.0)
+        assert smallest == solver.MIN_ORDER and math.isinf(1.0 / math.nextafter(smallest, 0.0))
+        for order in (1e-310, math.nextafter(smallest, 0.0), 5e-324):
+            message = re.escape(f"order {order} is too small: its reciprocal overflows;"
+                                f" the smallest order accepted is {smallest!r}")
+            for call in (
+                lambda: FodeProblem(order=order, initial_state=[1.0], rhs=lambda t, y: -y),
+                lambda: abm_weights(order, 3),
+                lambda: matignon_check(spectrum, order),
+                lambda: config_from_entries({"model.preset": "example1",
+                                             "solver.alpha": [order]}),
+            ):
+                with pytest.raises(solver.ValidationError, match=f"^{message}$"):
+                    call()
+        assert math.isfinite(math.gamma(smallest))
         for step in (0.0, -0.1, math.inf, math.nan):
             message = re.escape(f"step must be finite and positive, got {step}")
             for call in (

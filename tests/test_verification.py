@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_trajectory, preset_run, scenario_run
+from conftest import constant_trajectory, model_params, preset_run, scenario_run
 from fracoepi.model import (
     EquilibriumKind,
     ModelParams,
@@ -29,9 +29,10 @@ from fracoepi.model import (
 from fracoepi.reproduce import GLOBAL_SCENARIOS, GlobalScenario
 from fracoepi.runs import cached_solve
 from fracoepi.solver import NODE_CAP, SolverConfig, Trajectory
-from fracoepi.stability import jacobian
+from fracoepi.stability import classify_equilibrium, jacobian
 from fracoepi.trajectory_io import load_trajectory_csv, save_trajectory_csv
 from fracoepi.verification import (
+    _hypothesis,
     _lyapunov_weights,
     boundedness_certificate,
     check_nonnegativity,
@@ -378,8 +379,34 @@ class TestLyapunovMonotonicity:
         target = equilibrium(params, EquilibriumKind.COEXISTENCE)
         traj = constant_trajectory(target.state.as_array())
         hypothesis = lyapunov_monotonicity(params, target, traj).hypothesis
-        assert hypothesis.satisfied is None
-        assert hypothesis.detail == "theta2 n/a (empty bracket: 2K(lambda*S* - mu) <= r)"
+        assert hypothesis.satisfied is False
+        assert hypothesis.margin is None
+        assert hypothesis.undefined == "empty bracket: 2K(lambda*S* - mu) <= r"
+
+    @given(model_params())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_hypothesis_verdicts_are_the_strict_comparisons_they_name(self, params):
+        th = thresholds(params)
+        theta, d = params.conversion_efficiency, params.predator_death_rate
+        t1, d2, t2 = th.conversion_existence, th.predator_death_global, th.conversion_global
+        expected = {
+            EquilibriumKind.PREY_ONLY: ("R0 < 1", th.reproduction_number < 1.0, None),
+            EquilibriumKind.PREDATOR_FREE: (
+                "d > d2", d2 is not None and d > d2, th.undefined.get("predator_death_global")
+            ),
+            EquilibriumKind.COEXISTENCE: (
+                "theta1 < theta < theta2",
+                t2 is not None and t1 < theta < t2,
+                th.undefined.get("conversion_global"),
+            ),
+        }
+        for kind, (name, verdict, why) in expected.items():
+            condition = _hypothesis(params, kind)
+            assert condition.name == name
+            assert condition.satisfied is verdict, (kind, condition)
+            # a margin, or no margin and the undefined threshold's reason
+            assert (condition.margin is None) is bool(why)
+            assert condition.undefined == (why or "")
 
     def test_coexistence_hypothesis_depends_on_convention(self, example1):
         coex = GLOBAL_SCENARIOS["coexistence"]
@@ -422,6 +449,51 @@ class TestLyapunovMonotonicity:
         traj = nan_trajectory(100, target.state.as_array(), n_nodes=200)
         report = lyapunov_monotonicity(example1, target, traj)
         assert report.skipped_nodes == 0
+        assert not report.monotone
+
+
+@pytest.fixture(scope="module")
+def band_witness():
+    """A parameter set where theta1 < theta < theta2 holds, yet E* is an
+    unstable node at every order: the theta band does not imply stability."""
+    return ModelParams(
+        growth_rate=3.1463,
+        carrying_capacity=129.3506,
+        infection_rate=0.0038,
+        predation_rate=1.4494,
+        infected_death_rate=0.0782,
+        half_saturation=7.963,
+        conversion_efficiency=0.048,
+        predator_death_rate=0.0285,
+    )
+
+
+class TestThetaBandWitness:
+    def test_band_holds_at_an_unstable_node(self, band_witness):
+        th = thresholds(band_witness)
+        assert th.conversion_existence == pytest.approx(0.03091, abs=1e-5)
+        assert th.conversion_global == pytest.approx(0.05901, abs=1e-5)
+        target = equilibrium(band_witness, EquilibriumKind.COEXISTENCE)
+        assert target.exists
+        assert target.state.as_array() == pytest.approx((115.894, 11.638, 4.898), abs=1e-3)
+        eigenvalues = np.linalg.eigvals(jacobian(band_witness, target.state))
+        assert np.all(eigenvalues.imag == 0.0)
+        assert np.sort(eigenvalues.real) == pytest.approx((-2.771, 0.0315, 0.1353), abs=5e-4)
+        for alpha in (0.5, 0.9, 1.0):
+            assert classify_equilibrium(band_witness, target, alpha).label == "unstable-node"
+
+    @pytest.mark.parametrize("alpha, distance", [(0.6, 10.0), (0.95, 12.7)])
+    def test_runs_leave_coexistence_while_its_condition_holds(
+        self, band_witness, alpha, distance
+    ):
+        target = equilibrium(band_witness, EquilibriumKind.COEXISTENCE)
+        x0 = State(*(1.05 * target.state.as_array()))
+        traj = cached_solve(band_witness, alpha, x0, 0.05, 300.0)
+        gap = np.abs(traj.final_state - target.state.as_array()).max()
+        assert gap == pytest.approx(distance, abs=0.05)
+        report = lyapunov_monotonicity(band_witness, target, traj)
+        assert report.hypothesis.satisfied  # the paper's condition for E* holds
+        assert classify_equilibrium(band_witness, target, alpha).stable is False
         assert not report.monotone
 
 
