@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: simulate, report, equilibria, sweep, reproduce, verify.
+Subcommands: simulate, report, sweep, reproduce, verify.
 Exit codes: 0 success, 1 validation/check failure, 2 solver divergence,
 3 reproduction line-item failure, 141 stdout closed before all output was written.
 """
@@ -17,14 +17,12 @@ import numpy as np
 
 from .config import (
     MODEL_KEYS,
-    ConfigError,
     RunConfig,
     config_from_entries,
     parse_config_text,
 )
 from .model import (
     EquilibriumKind,
-    ModelParams,
     State,
     ValidationError,
     equilibria,
@@ -37,6 +35,7 @@ from .stability import classify_equilibrium
 from .trajectory_io import alpha_tag, format_float, save_trajectory_csv
 from .verification import (
     LYAPUNOV_SLACK,
+    _hypothesis,
     boundedness_certificate,
     check_nonnegativity,
     convergence_check,
@@ -82,12 +81,12 @@ def _resolve_config(
     if args.config:
         path = Path(args.config)
         if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+            raise ValidationError(f"config file not found: {path}")
         entries = parse_config_text(path.read_text(encoding="utf-8"))
     if args.preset:
         entries["model.preset"] = args.preset
     if not any(k.startswith("model.") for k in entries):
-        raise ConfigError("no model given: use --preset or a config file")
+        raise ValidationError("no model given: use --preset or a config file")
     alpha = getattr(args, "alpha", None)
     if alpha is not None:
         try:
@@ -148,24 +147,6 @@ def _condition(c) -> str:
     return f"{c.name}: {'yes' if c.satisfied else 'no'} (margin {c.margin:.4g})"
 
 
-def _equilibria_lines(params: ModelParams) -> list[str]:
-    lines = []
-    for eq in equilibria(params):
-        if eq.state is None:
-            coords = "undefined"
-        else:
-            coords = (
-                f"({eq.state.susceptible:.6g}, {eq.state.infected:.6g}, "
-                f"{eq.state.predator:.6g})"
-            )
-        conds = "; ".join(map(_condition, eq.conditions))
-        lines.append(
-            f"{eq.kind.value:3s} {coords} exists={'yes' if eq.exists else 'no'}"
-            + (f" [{conds}]" if conds else "")
-        )
-    return lines
-
-
 def _fmt_threshold(th, name: str) -> str:
     value = getattr(th, name)
     return f"n/a ({th.undefined[name]})" if value is None else f"{value:.6g}"
@@ -190,7 +171,19 @@ def cmd_report(args) -> int:
         f"= {th.focus_boundary:.6g}"
     )
     lines.append("equilibria:")
-    lines += ["  " + line for line in _equilibria_lines(params)]
+    for eq in equilibria(params):
+        if eq.state is None:
+            coords = "undefined"
+        else:
+            coords = (
+                f"({eq.state.susceptible:.6g}, {eq.state.infected:.6g}, "
+                f"{eq.state.predator:.6g})"
+            )
+        conds = "; ".join(map(_condition, eq.conditions))
+        lines.append(
+            f"  {eq.kind.value:3s} {coords} exists={'yes' if eq.exists else 'no'}"
+            + (f" [{conds}]" if conds else "")
+        )
     lines.append("stability (rows: equilibrium, columns: order):")
     header = "  {:4s} ".format("") + " ".join(f"{a:>18.4g}" for a in alphas)
     lines.append(header)
@@ -205,12 +198,6 @@ def cmd_report(args) -> int:
             cells.append(f"{tag:>18s}")
         lines.append(f"  {eq.kind.value:4s} " + " ".join(cells))
     print("\n".join(lines))
-    return 0
-
-
-def cmd_equilibria(args) -> int:
-    cfg = _resolve_config(args)
-    print("\n".join(_equilibria_lines(cfg.params)))
     return 0
 
 
@@ -290,12 +277,18 @@ def cmd_verify(args) -> int:
     all_ok = True
     lines = []
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
+    band = _hypothesis(params, EquilibriumKind.COEXISTENCE)  # the paper's condition for E*
     for alpha in cfg.alphas:
-        stable_target = next(
-            (eq for eq in equilibria(params)
-             if eq.exists and classify_equilibrium(params, eq, alpha).stable),
-            None,
-        )
+        verdicts = {eq.kind: (eq, classify_equilibrium(params, eq, alpha))
+                    for eq in equilibria(params) if eq.exists}
+        stable_target = next((eq for eq, verdict in verdicts.values() if verdict.stable), None)
+        skipped = "  no stable equilibrium at this order; convergence skipped"
+        if stable_target is None and EquilibriumKind.COEXISTENCE in verdicts and band.satisfied:
+            verdict = verdicts[EquilibriumKind.COEXISTENCE][1]
+            skipped += (
+                f"; the paper's E* condition {_condition(band)}, yet E* is not stable"
+                f" at this order ({verdict.label}, critical order {verdict.critical_order:.4g})"
+            )
         for x0 in cfg.initial_states:
             traj = solve_model(params, alpha, x0, cfg.step, cfg.t_end)
             peak = max(peak, float(np.abs(traj.states).max()))
@@ -330,7 +323,7 @@ def cmd_verify(args) -> int:
                 )
                 all_ok &= ly.monotone
             else:
-                lines.append("  no stable equilibrium at this order; convergence skipped")
+                lines.append(skipped)
 
     radius = 1.2 * peak
     bound = lipschitz_bound(params, radius)
@@ -362,10 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="thresholds, equilibria and stability table")
     _add_flags(p, "alpha")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("equilibria", help="list the four equilibria")
-    _add_flags(p)
-    p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("sweep", help="classification grid over one parameter")
     _add_flags(p, "alpha", "out")
@@ -400,7 +389,7 @@ def main(argv=None) -> int:
         # code of a process ended by SIGPIPE, and send the exit flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return PIPE_CLOSED
-    except (ValueError, OSError) as exc:  # ConfigError and ValidationError included
+    except (ValueError, OSError) as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

@@ -26,7 +26,7 @@ from typing import Optional
 from .model import ModelParams, State, ValidationError, preset
 from .solver import validate_order, validate_step
 
-__all__ = ["ConfigError", "MODEL_KEYS", "RunConfig", "parse_config_text"]
+__all__ = ["MODEL_KEYS", "RunConfig", "parse_config_text"]
 
 DEFAULT_ALPHAS = (0.85, 0.95)
 DEFAULT_STEP = 0.05
@@ -48,10 +48,6 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 _TOKEN_RE = re.compile(r"\[|\]|,|[^\[\],\s]+")
 
 
-class ConfigError(ValidationError):
-    """Malformed configuration text, annotated with line and field context."""
-
-
 def _parse_scalar(token: str):
     try:
         return int(token)
@@ -66,20 +62,20 @@ def _parse_scalar(token: str):
 def _parse_value(text: str, line_no: int):
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
-        raise ConfigError(f"line {line_no}: missing value")
+        raise ValidationError(f"line {line_no}: missing value")
     pos = 0
 
     def parse_item():
         nonlocal pos
         if pos >= len(tokens):
-            raise ConfigError(f"line {line_no}: unexpected end of value")
+            raise ValidationError(f"line {line_no}: unexpected end of value")
         tok = tokens[pos]
         if tok == "[":
             pos += 1
             items = []
             while True:
                 if pos >= len(tokens):
-                    raise ConfigError(f"line {line_no}: unclosed '['")
+                    raise ValidationError(f"line {line_no}: unclosed '['")
                 if tokens[pos] == "]":
                     pos += 1
                     return items
@@ -87,13 +83,13 @@ def _parse_value(text: str, line_no: int):
                 if pos < len(tokens) and tokens[pos] == ",":
                     pos += 1
         if tok in ("]", ","):
-            raise ConfigError(f"line {line_no}: unexpected {tok!r}")
+            raise ValidationError(f"line {line_no}: unexpected {tok!r}")
         pos += 1
         return _parse_scalar(tok)
 
     value = parse_item()
     if pos != len(tokens):
-        raise ConfigError(f"line {line_no}: trailing tokens after value")
+        raise ValidationError(f"line {line_no}: trailing tokens after value")
     return value
 
 
@@ -105,11 +101,11 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value'")
+            raise ValidationError(f"line {line_no}: expected 'key = value'")
         key, _, value_text = line.partition("=")
         key = key.strip().lower()
         if not _KEY_RE.match(key):
-            raise ConfigError(f"line {line_no}: invalid key {key!r}")
+            raise ValidationError(f"line {line_no}: invalid key {key!r}")
         entries[key] = _parse_value(value_text.strip(), line_no)
     return entries
 
@@ -139,7 +135,7 @@ class RunConfig:
 
 def _number(value, key: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"field {key}: expected a number, got {value!r}")
+        raise ValidationError(f"field {key}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -149,12 +145,12 @@ def _as_float_list(value, key: str) -> list[float]:
 
 def _as_states(value, key: str) -> list[State]:
     if not isinstance(value, list):
-        raise ConfigError(f"field {key}: expected a list of [S, I, P] triples")
+        raise ValidationError(f"field {key}: expected a list of [S, I, P] triples")
     triples = value if value and isinstance(value[0], list) else [value]
     states = []
     for triple in triples:
         if not (isinstance(triple, list) and len(triple) == 3):
-            raise ConfigError(f"field {key}: each state needs exactly 3 components")
+            raise ValidationError(f"field {key}: each state needs exactly 3 components")
         states.append(State(*(_number(x, key) for x in triple)))
     return states
 
@@ -174,14 +170,14 @@ def config_from_entries(entries: dict) -> RunConfig:
     for key in [k for k in entries if k.startswith("model.")]:
         short = key.split(".", 1)[1]
         if short not in MODEL_KEYS:
-            raise ConfigError(f"field {key}: unknown model parameter")
+            raise ValidationError(f"field {key}: unknown model parameter")
         overrides[MODEL_KEYS[short]] = _number(entries.pop(key), key)
     if base is None:
         missing = sorted(
             set(ModelParams.__dataclass_fields__) - set(overrides)
         )
         if missing:
-            raise ConfigError(
+            raise ValidationError(
                 "model is underspecified: set model.preset or all of "
                 + ", ".join(missing)
             )
@@ -201,11 +197,11 @@ def config_from_entries(entries: dict) -> RunConfig:
     t_end = _number(entries.pop("solver.t_end", DEFAULT_T_END), "solver.t_end")
     out_dir = entries.pop("output.directory", "out")
     if isinstance(out_dir, list):
-        raise ConfigError(f"field output.directory: expected one path, got {out_dir!r}")
+        raise ValidationError(f"field output.directory: expected one path, got {out_dir!r}")
 
     if entries:
         unknown = ", ".join(sorted(entries))
-        raise ConfigError(f"unknown configuration keys: {unknown}")
+        raise ValidationError(f"unknown configuration keys: {unknown}")
 
     return RunConfig(
         params=params,

@@ -306,15 +306,12 @@ def _ex1(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
         for alpha in (0.75, 0.85, 0.95, 1.0)
     )
     files = _write_bundle(out_dir, "fig1", "stable coexistence across fractional orders", runs)
-    return items, files
 
-
-def _fig2(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     scenario = GLOBAL_SCENARIOS["coexistence"]
     target = scenario.target_state
-    items = _coordinate_items("E*(theta=0.5)", target, (35.7195, 3.2927, 8.9983), COORD_TOL)
+    items += _coordinate_items("E*(theta=0.5)", target, (35.7195, 3.2927, 8.9983), COORD_TOL)
     items += _convergence_items(scenario, target)
-    files = _scenario_bundle(
+    files += _scenario_bundle(
         scenario, out_dir, "fig2", "coexistence, runs converging to E* (theta = 0.5)"
     )
     return items, files
@@ -418,18 +415,7 @@ def _ex3(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     return items, files
 
 
-# example id -> the parts it runs, in order; also the order of EXAMPLE_IDS
-_EXAMPLES = {
-    "ex1": (_ex1, _fig2),
-    "ex1-unstable": (_ex1_unstable,),
-    "ex2": (_ex2,),
-    "ex3": (_ex3,),
-    "fig1": (_ex1,),
-    "fig2": (_fig2,),
-    "fig3": (_ex1_unstable,),
-    "fig4": (_ex2,),
-    "fig5": (_ex3,),
-}
+_EXAMPLES = {"ex1": _ex1, "ex1-unstable": _ex1_unstable, "ex2": _ex2, "ex3": _ex3}
 EXAMPLE_IDS = tuple(_EXAMPLES)
 
 
@@ -440,9 +426,5 @@ def reproduce(example_id: str, out_dir: Path | str = "out") -> ReproReport:
         raise ValidationError(f"unknown example id {example_id!r}; known ids: {known}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    items, files = [], []
-    for part in _EXAMPLES[example_id]:
-        part_items, part_files = part(out)
-        items += part_items
-        files += part_files
+    items, files = _EXAMPLES[example_id](out)
     return ReproReport(example_id=example_id, items=tuple(items), files=tuple(files))

@@ -142,7 +142,7 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["equilibria", "--config", "{tmp}"],
+        ["report", "--config", "{tmp}"],
         ["simulate", "--preset", "example1", "--t-end", "1", "--out", "{tmp}/taken"],
     ], ids=["config-is-a-directory", "out-is-a-file"])
     def test_file_errors_print_one_line_not_a_traceback(self, argv, tmp_path):
@@ -230,9 +230,9 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ("verify", "--preset", "example1", "--out", "x"),
         ("sweep", "--preset", "example1", "--vary", "theta=0.2:0.4:2", "--step", "0.1"),
-        ("equilibria", "--preset", "example1", "--alpha", "0.9"),
+        ("report", "--preset", "example1", "--step", "0.1"),
         ("simulate", "--preset", "example1", "--t-end", "1", "--format", "csv"),
-    ], ids=["verify-out", "sweep-step", "equilibria-alpha", "simulate-format"])
+    ], ids=["verify-out", "sweep-step", "report-step", "simulate-format"])
     def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, tmp_path,
                                                            monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -344,16 +344,37 @@ class TestReport:
         text = capsys.readouterr().out
         assert "(E2 node/focus boundary as R0 value) = 1.92678" in text
 
-    def test_equilibria_subcommand(self, capsys):
-        assert run("equilibria", "--preset", "example1") == 0
-        text = capsys.readouterr().out
-        assert "E2" in text and "18.6667" in text
-        assert "E*" in text and "22.2727" in text
+    def test_report_lists_the_equilibria(self, capsys):
+        assert run("report", "--preset", "example1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("equilibria:") + 1
+        assert lines[start:start + 4] == [
+            "  E0  (0, 0, 0) exists=yes",
+            "  E1  (40, 0, 0) exists=yes",
+            "  E2  (18.6667, 16.4103, 0) exists=yes [R0 > 1: yes (margin 1.143)]",
+            "  E*  (22.2727, 13.6364, 2.97878) exists=yes [R0 > 1: yes (margin 1.143);"
+            " theta > d: yes (margin 0.099); theta > theta1: yes (margin 0.01673)]",
+        ]
+        assert lines[start + 4].startswith("stability")
 
     def test_undefined_condition_prints_why(self, capsys):
         # R0 < 1 leaves theta1, and so E*'s last margin, undefined
-        assert run("equilibria", "--preset", "example3") == 0
+        assert run("report", "--preset", "example3") == 0
         assert "theta > theta1: n/a (needs R0 > 1)]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("equilibria", "--preset", "example1"),
+        ("reproduce", "fig3"),
+    ], ids=["equilibria", "reproduce-fig3"])
+    def test_removed_entry_points_are_usage_errors(self, argv, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: fracoepi")
+        assert "invalid choice" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
@@ -475,6 +496,34 @@ class TestVerify:
             assert clause.startswith("theta1 < theta < theta2: no (margin -0.3986), the paper's")
             assert "grad V . f > 0 at (S*, I, P*)" in clause
             assert re.search(r"\b(pass|fail)\b", clause) is None
+
+    def test_unstable_coexistence_inside_the_band_is_named(self, tmp_path, capsys):
+        # the theta band holds, yet E* is an unstable node (see TestThetaBandWitness)
+        cfg = tmp_path / "witness.cfg"
+        cfg.write_text(
+            "model.r = 3.1463\nmodel.k = 129.3506\nmodel.lambda = 0.0038\n"
+            "model.m = 1.4494\nmodel.mu = 0.0782\nmodel.a = 7.963\n"
+            "model.theta = 0.048\nmodel.d = 0.0285\n",
+            encoding="utf-8",
+        )
+        assert run("verify", "--config", str(cfg), "--alpha", "0.9", "--t-end", "20") == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == (
+            "  no stable equilibrium at this order; convergence skipped; the paper's E*"
+            " condition theta1 < theta < theta2: yes (margin 0.01101), yet E* is not stable"
+            " at this order (unstable-node, critical order 0)"
+        )
+        assert re.search(r"\b(pass|fail)\b", row) is None
+
+    def test_unstable_coexistence_outside_the_band_is_not_named(self, capsys):
+        # example1-unstable: theta2 = 0.000824 < theta, so the line stays bare
+        assert run("verify", "--preset", "example1-unstable", "--alpha", "0.9",
+                   "--t-end", "20") == 0
+        skipped = [line for line in capsys.readouterr().out.splitlines()
+                   if "convergence skipped" in line]
+        assert skipped and set(skipped) == {
+            "  no stable equilibrium at this order; convergence skipped"
+        }
 
     def test_lyapunov_row_prints_the_hypothesis_margin(self, capsys):
         run("verify", "--preset", "example2", "--alpha", "0.95", "--t-end", "20")

@@ -5,7 +5,6 @@ import pytest
 
 from fracoepi.config import (
     MODEL_KEYS,
-    ConfigError,
     config_from_entries,
     parse_config_text,
 )
@@ -85,24 +84,24 @@ class TestParsing:
         assert cfg.params == preset("example1").params
 
     def test_missing_assignment_reports_line(self):
-        with pytest.raises(ConfigError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             parse_config_text("model.preset = example1\njust words\n")
 
     def test_unclosed_bracket_reports_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             parse_config_text("solver.alpha = [0.85, 0.95\n")
 
     def test_trailing_tokens_rejected(self):
-        with pytest.raises(ConfigError, match="trailing"):
+        with pytest.raises(ValidationError, match="trailing"):
             parse_config_text("solver.step = 0.05 0.1\n")
 
     def test_unknown_model_field_named(self):
-        with pytest.raises(ConfigError, match="model.growth"):
+        with pytest.raises(ValidationError, match="model.growth"):
             config_from_entries(parse_config_text(
                 "model.preset = example1\nmodel.growth = 3\n"))
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="unknown configuration keys"):
+        with pytest.raises(ValidationError, match="unknown configuration keys"):
             config_from_entries(parse_config_text(
                 "model.preset = example1\nsolverr.step = 1\n"))
 
@@ -111,17 +110,17 @@ class TestParsing:
         ("solver.corrector_iterations", 2),
     ])
     def test_removed_memory_window_key_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}$"):
+        with pytest.raises(ValidationError, match=f"unknown configuration keys: {key}$"):
             config_from_entries(parse_config_text(
                 f"model.preset = example1\n{key} = {value}\n"))
 
     def test_removed_output_format_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown configuration keys: output.format"):
+        with pytest.raises(ValidationError, match="unknown configuration keys: output.format"):
             config_from_entries(parse_config_text(
                 "model.preset = example1\noutput.format = csv\n"))
 
     def test_underspecified_model_lists_missing_fields(self):
-        with pytest.raises(ConfigError, match="underspecified"):
+        with pytest.raises(ValidationError, match="underspecified"):
             config_from_entries(parse_config_text("model.r = 2.0\n"))
 
     def test_order_outside_unit_interval_rejected(self):
@@ -148,7 +147,7 @@ class TestParsing:
         ("output.directory = [a]", "output.directory"),
     ])
     def test_value_of_the_wrong_type_names_its_field(self, line, field):
-        with pytest.raises(ConfigError, match=f"field {field}: expected"):
+        with pytest.raises(ValidationError, match=f"field {field}: expected"):
             config_from_entries(parse_config_text(f"model.preset = example1\n{line}\n"))
 
     def test_load_from_file(self, tmp_path):

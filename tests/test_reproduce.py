@@ -64,6 +64,21 @@ class TestExample1:
         for path in ex1_report.files:
             assert path.exists()
 
+    def test_items_and_files_in_report_order(self, ex1_report):
+        assert [item.name for item in ex1_report.items] == [
+            "A1", "A3", "A1*A2 - A3", "D(F)", "R0", "theta1", "theta2",
+            *(f"E* stable at alpha={alpha}" for alpha in ("0.6", "0.85", "0.95", "1")),
+            "E*(theta=0.5).S", "E*(theta=0.5).I", "E*(theta=0.5).P",
+            *(f"coexistence: {x0} -> E* at alpha={alpha}"
+              for alpha in ("0.85", "0.95") for x0 in ("(33,4,8)", "(38,2.5,10)", "(35,3,9.5)")),
+        ]
+        assert [path.name for path in ex1_report.files] == [
+            *(f"fig1_alpha{tag}.csv" for tag in ("0p75", "0p85", "0p95", "1")),
+            "fig1_plot.py",
+            *(f"fig2_alpha{tag}_x{j}.csv" for tag in ("0p85", "0p95") for j in range(3)),
+            "fig2_plot.py",
+        ]
+
     def test_render_mentions_statuses(self, ex1_report):
         text = ex1_report.render()
         assert "[pass]" in text and "summary:" in text
@@ -138,7 +153,18 @@ def test_unknown_id_creates_no_directory(tmp_path):
     assert not out.exists()
 
 
-def test_fig_alias_produces_bundle(tmp_path):
-    report = reproduce("fig3", out_dir=tmp_path)
-    assert not report.failed
-    assert (tmp_path / "fig3_plot.py").exists()
+def test_figure_ids_are_gone(tmp_path):
+    out = tmp_path / "never"
+    with pytest.raises(ValidationError) as excinfo:
+        reproduce("fig1", out_dir=out)
+    assert str(excinfo.value) == (
+        "unknown example id 'fig1'; known ids: ex1, ex1-unstable, ex2, ex3"
+    )
+    assert not out.exists()
+
+
+def test_unstable_example_writes_the_fig3_bundle(exu_report):
+    assert not exu_report.failed
+    names = [path.name for path in exu_report.files]
+    assert names == ["fig3_alpha0p85.csv", "fig3_plot.py"]
+    assert all(path.exists() for path in exu_report.files)

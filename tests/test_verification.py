@@ -496,6 +496,46 @@ class TestThetaBandWitness:
         assert classify_equilibrium(band_witness, target, alpha).stable is False
         assert not report.monotone
 
+    def test_near_preset_band_loses_stability_above_its_critical_order(self):
+        params = ModelParams(
+            growth_rate=5.7261,
+            carrying_capacity=61.4729,
+            infection_rate=0.0056,
+            predation_rate=1.5397,
+            infected_death_rate=0.0667,
+            half_saturation=10.0983,
+            conversion_efficiency=0.5363,
+            predator_death_rate=0.1691,
+        )
+        th = thresholds(params)
+        assert th.conversion_existence == pytest.approx(0.205625, abs=1e-6)
+        assert th.conversion_global == pytest.approx(0.640134, abs=1e-6)
+        assert _hypothesis(params, EquilibriumKind.COEXISTENCE).satisfied
+        target = equilibrium(params, EquilibriumKind.COEXISTENCE)
+        assert target.exists
+        assert target.state.as_array() == pytest.approx((56.543, 4.6504, 2.3942), abs=1e-3)
+        for alpha, label in [(0.8, "stable-matignon"), (0.9, "stable-matignon"),
+                             (0.95, "unstable-focus"), (1.0, "unstable-focus")]:
+            verdict = classify_equilibrium(params, target, alpha)
+            assert verdict.label == label
+            assert verdict.critical_order == pytest.approx(0.90352, abs=1e-5)
+
+    def test_seeded_draws_hold_the_band_where_coexistence_is_unstable(self):
+        # example1 with each field scaled by e^U, U ~ U(-1.5, 1.5), theta <= 0.99
+        base = vars(preset("example1").params)
+        rng = random.Random(1)
+        in_band = unstable = 0
+        for _ in range(2000):
+            params = None
+            while params is None or params.conversion_efficiency > 0.99:
+                params = ModelParams(**{name: value * math.exp(rng.uniform(-1.5, 1.5))
+                                        for name, value in base.items()})
+            target = equilibrium(params, EquilibriumKind.COEXISTENCE)
+            if target.exists and _hypothesis(params, EquilibriumKind.COEXISTENCE).satisfied:
+                in_band += 1
+                unstable += classify_equilibrium(params, target, 1.0).stable is False
+        assert in_band > 0 and unstable >= 1
+
 
 class TestConvergence:
     def test_constant_at_target(self):
