@@ -26,6 +26,7 @@ from .model import (
     State,
     ValidationError,
     equilibria,
+    equilibrium,
     thresholds,
 )
 from .reproduce import EXAMPLE_IDS, reproduce
@@ -35,7 +36,6 @@ from .stability import classify_equilibrium
 from .trajectory_io import alpha_tag, format_float, save_trajectory_csv
 from .verification import (
     LYAPUNOV_SLACK,
-    _hypothesis,
     boundedness_certificate,
     check_nonnegativity,
     convergence_check,
@@ -277,7 +277,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     lines = []
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
-    band = _hypothesis(params, EquilibriumKind.COEXISTENCE)  # the paper's condition for E*
+    band = equilibrium(params, EquilibriumKind.COEXISTENCE).hypothesis  # the paper's E* band
     for alpha in cfg.alphas:
         verdicts = {eq.kind: (eq, classify_equilibrium(params, eq, alpha))
                     for eq in equilibria(params) if eq.exists}
@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
                     f"  Lyapunov decrease toward {stable_target.kind.value}: "
                     f"{'pass' if ly.monotone else 'fail'} "
                     f"(max increase {ly.max_increase:.3g}, slack {LYAPUNOV_SLACK:g}; "
-                    f"hypothesis {_condition(ly.hypothesis)}"
+                    f"hypothesis {_condition(stable_target.hypothesis)}"
                     + (E_STAR_NOTE if stable_target.kind is EquilibriumKind.COEXISTENCE else "")
                     + ")"
                 )

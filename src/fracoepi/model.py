@@ -35,7 +35,6 @@ __all__ = [
     "ValidationError",
     "equilibria",
     "equilibrium",
-    "interior_equilibrium",
     "jacobian",
     "preset",
     "rhs",
@@ -126,9 +125,14 @@ class Condition:
 
 @dataclass(frozen=True)
 class Equilibrium:
+    """An equilibrium, its existence conditions, and ``hypothesis``: the paper's
+    sufficient condition for its global stability (R0 < 1 for E1, d > d2 for
+    E2, theta1 < theta < theta2 for E*; None for E0, which is never stable)."""
+
     kind: EquilibriumKind
     state: Optional[State]  # None when the defining formulas are singular
     conditions: tuple[Condition, ...] = ()
+    hypothesis: Optional[Condition] = None
 
     @property
     def exists(self) -> bool:
@@ -264,7 +268,7 @@ def _endemic_infected(params: ModelParams) -> float:
     return r * (lam * K - mu) / (lam * (r + lam * K))
 
 
-def interior_equilibrium(params: ModelParams) -> Optional[State]:
+def _interior_state(params: ModelParams) -> Optional[State]:
     """Formula value of the interior equilibrium, None when theta == d."""
     theta, d = params.conversion_efficiency, params.predator_death_rate
     if theta == d:
@@ -284,22 +288,27 @@ def interior_equilibrium(params: ModelParams) -> Optional[State]:
 
 
 def equilibria(params: ModelParams) -> list[Equilibrium]:
-    """All four equilibria with their existence conditions, in the order E0, E1, E2, E*."""
+    """All four equilibria with their conditions, in the order E0, E1, E2, E*."""
     th = thresholds(params)
     theta1 = th.conversion_existence
+    # each hypothesis is a margin: for floats x - y > 0 exactly when x > y
+    d2, theta2, theta = th.predator_death_global, th.conversion_global, params.conversion_efficiency
     endemic = Condition("R0 > 1", th.reproduction_number - 1.0)
     return [
         Equilibrium(EquilibriumKind.EXTINCTION, State(0.0, 0.0, 0.0)),
-        Equilibrium(EquilibriumKind.PREY_ONLY, State(params.carrying_capacity, 0.0, 0.0)),
+        Equilibrium(EquilibriumKind.PREY_ONLY, State(params.carrying_capacity, 0.0, 0.0),
+                    hypothesis=Condition("R0 < 1", 1.0 - th.reproduction_number)),
         Equilibrium(
             EquilibriumKind.PREDATOR_FREE,
             State(params.infected_death_rate / params.infection_rate,
                   _endemic_infected(params), 0.0),
             (endemic,),
+            Condition("d > d2", None if d2 is None else params.predator_death_rate - d2,
+                      th.undefined.get("predator_death_global", "")),
         ),
         Equilibrium(
             EquilibriumKind.COEXISTENCE,
-            interior_equilibrium(params),
+            _interior_state(params),
             (
                 endemic,
                 Condition("theta > d", params.conversion_efficiency - params.predator_death_rate),
@@ -309,6 +318,10 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
                     th.undefined.get("conversion_existence", ""),
                 ),
             ),
+            # theta1 is undefined only where theta2 is too
+            Condition("theta1 < theta < theta2",
+                      None if theta2 is None else min(theta - theta1, theta2 - theta),
+                      th.undefined.get("conversion_global", "")),
         ),
     ]
 
@@ -358,7 +371,7 @@ def thresholds(params: ModelParams) -> Thresholds:
         elif theta < d:
             undefined["conversion_global"] = "no E* at theta < d: I* < 0"
         else:
-            denom = 2.0 * K * (lam * interior_equilibrium(params).susceptible - mu) - r
+            denom = 2.0 * K * (lam * _interior_state(params).susceptible - mu) - r
             if denom > 0.0:
                 theta2 = m * d * K / denom
             else:

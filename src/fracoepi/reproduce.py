@@ -385,7 +385,7 @@ def _ex2(out_dir: Path) -> tuple[list[ReproItem], list[Path]]:
     items.append(
         _flag_item(
             "d exceeds the global threshold d2",
-            params.predator_death_rate > th.predator_death_global,
+            equilibrium(params, EquilibriumKind.PREDATOR_FREE).hypothesis.satisfied,
             f"d = {params.predator_death_rate:g}, d2 = {th.predator_death_global:.6g}",
         )
     )

@@ -6,7 +6,9 @@ below l/eta with l = K(r+eta)^2/(4r) for any eta below both death rates), and
 under R0 < 1 and d > d2 the equilibria E1 and E2 come with a Lyapunov
 function that decreases along solutions.  For E* the paper's condition
 theta1 < theta < theta2 gives no such function: no V of the Volterra form
-decreases everywhere toward E*.  These facts are checked
+decreases everywhere toward E*.  Each of these conditions is the
+``hypothesis`` of its equilibrium's record (:class:`model.Equilibrium`); the
+reports here hold only what a run measured.  These facts are checked
 here on discrete trajectories with explicit slack for discretization, rather
 than re-derived symbolically: the conclusions of the theory, not its proof
 steps, are what a computed trajectory can certify.
@@ -23,7 +25,6 @@ import numpy as np
 
 from . import mittag_leffler as ml
 from .model import (
-    Condition,
     Equilibrium,
     EquilibriumKind,
     ModelParams,
@@ -31,7 +32,6 @@ from .model import (
     ValidationError,
     jacobian,
     rhs,
-    thresholds,
 )
 from .solver import Trajectory
 
@@ -83,7 +83,6 @@ class LyapunovReport:
     max_increase: float
     monotone: bool
     skipped_nodes: int
-    hypothesis: Condition             # the theory's condition for the target
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,13 @@ def check_nonnegativity(traj: Trajectory) -> NonnegativityReport:
     return NonnegativityReport(worst_undershoot=worst)
 
 
+def _require_model_states(traj: Trajectory) -> None:
+    """Reject a trajectory whose rows are not (S, I, P) states of the model."""
+    columns = traj.states.shape[1]
+    if columns != 3:
+        raise ValidationError(f"the model's checks need 3 state columns (S, I, P), got {columns}")
+
+
 def total_population(params: ModelParams, states: np.ndarray) -> np.ndarray:
     """V = S + I + (m/theta) P per node."""
     weight = params.predation_rate / params.conversion_efficiency
@@ -116,6 +122,7 @@ def boundedness_certificate(params: ModelParams, traj: Trajectory) -> Boundednes
     decay envelope (V(0) - l/eta) E_alpha(-eta t^alpha) + l/eta is checked as
     well.
     """
+    _require_model_states(traj)
     # ModelParams keeps both rates positive and finite, so half the smaller
     # one lies strictly inside (0, min(mu, d)) unless the halving underflows
     eta = 0.5 * min(params.infected_death_rate, params.predator_death_rate)
@@ -180,7 +187,7 @@ def _lyapunov_rows(
     """
     if not target.exists or target.state is None:
         raise ValidationError(f"target {target.kind} does not exist")
-    if target.kind is EquilibriumKind.EXTINCTION:
+    if target.hypothesis is None:
         raise ValidationError(f"no Lyapunov form is associated with {target.kind}")
     weights = _lyapunov_weights(params, target.kind)
     ok = np.ones(states.shape[0], dtype=bool)
@@ -195,24 +202,6 @@ def _lyapunov_rows(
     return np.where(ok, terms[0] + terms[1] + terms[2], np.nan)
 
 
-def _hypothesis(params: ModelParams, target: EquilibriumKind) -> Condition:
-    """The paper's condition for the target as a margin: 1 - R0, d - d2, or
-    min(theta - theta1, theta2 - theta); for floats x - y > 0 exactly when x > y."""
-    th = thresholds(params)
-    if target is EquilibriumKind.PREY_ONLY:
-        return Condition("R0 < 1", 1.0 - th.reproduction_number)
-    if target is EquilibriumKind.PREDATOR_FREE:
-        d2 = th.predator_death_global
-        margin = None if d2 is None else params.predator_death_rate - d2
-        return Condition("d > d2", margin, th.undefined.get("predator_death_global", ""))
-    # COEXISTENCE: _lyapunov_rows has already rejected E0; theta1 is
-    # undefined only where theta2 is too
-    t1, t2 = th.conversion_existence, th.conversion_global
-    theta = params.conversion_efficiency
-    margin = None if t2 is None else min(theta - t1, t2 - theta)
-    return Condition("theta1 < theta < theta2", margin, th.undefined.get("conversion_global", ""))
-
-
 def lyapunov_monotonicity(
     params: ModelParams, target: Equilibrium, traj: Trajectory
 ) -> LyapunovReport:
@@ -224,6 +213,7 @@ def lyapunov_monotonicity(
     states where a required logarithm is undefined are skipped and counted;
     more than 1% of them, or any non-finite state, fails the report outright.
     """
+    _require_model_states(traj)
     values = _lyapunov_rows(params, target, traj.states)
     valid = ~np.isnan(values)
     finite = np.isfinite(traj.states).all(axis=1)
@@ -233,7 +223,6 @@ def lyapunov_monotonicity(
         max_increase = float(np.max(np.diff(kept)))
     else:
         max_increase = math.nan
-    hypothesis = _hypothesis(params, target.kind)
     monotone = (
         bool(finite.all())
         and skipped <= _MAX_SKIPPED_FRACTION * values.size
@@ -245,7 +234,6 @@ def lyapunov_monotonicity(
         max_increase=max_increase,
         monotone=monotone,
         skipped_nodes=skipped,
-        hypothesis=hypothesis,
     )
 
 
@@ -261,6 +249,10 @@ def convergence_check(traj: Trajectory, target, tol: float) -> ConvergenceResult
     """Max-norm distance to target over the trailing TAIL_FRACTION of the nodes."""
     validate_tolerance(tol)
     goal = target.as_array() if isinstance(target, State) else np.asarray(target, float)
+    if goal.shape != traj.states.shape[1:]:
+        raise ValidationError(
+            f"target has shape {goal.shape}, the trajectory's states {traj.states.shape[1:]}"
+        )
     n_nodes = traj.states.shape[0]
     tail = max(1, math.ceil(TAIL_FRACTION * n_nodes))
     distance = np.abs(traj.states[-tail:] - goal).max()

@@ -13,7 +13,6 @@ from fracoepi.model import (
     ValidationError,
     equilibria,
     equilibrium,
-    interior_equilibrium,
     preset,
     rhs,
     thresholds,
@@ -222,7 +221,7 @@ class TestEquilibria:
 
     def test_interior_undefined_when_conversion_equals_death(self, example1):
         params = example1.replace(conversion_efficiency=0.09)
-        assert interior_equilibrium(params) is None
+        assert equilibrium(params, EquilibriumKind.COEXISTENCE).state is None
         estar = equilibria(params)[3]
         assert not estar.exists and estar.state is None
 
@@ -385,7 +384,7 @@ class TestThresholds:
             theta1 = th.conversion_existence
             if abs(params.conversion_efficiency / theta1 - 1.0) < 1e-9:
                 continue
-            interior = interior_equilibrium(params)
+            interior = equilibrium(params, EquilibriumKind.COEXISTENCE).state
             positive = interior is not None and bool(np.all(interior.as_array() > 0.0))
             assert positive == (params.conversion_efficiency > theta1)
             seen[positive] += 1
@@ -419,7 +418,7 @@ class TestThresholds:
         # push S* down so 2K(lambda S* - mu) <= r
         params = example1.replace(conversion_efficiency=0.9999)
         th = thresholds(params)
-        low_interior = interior_equilibrium(params)
+        low_interior = equilibrium(params, EquilibriumKind.COEXISTENCE).state
         denom = (
             2.0 * params.carrying_capacity
             * (params.infection_rate * low_interior.susceptible

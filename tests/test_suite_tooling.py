@@ -1,5 +1,6 @@
-"""The test suite's own plumbing: a failing test is reported, not fatal."""
+"""The test suite's own plumbing, and the package's import hygiene."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -41,3 +42,16 @@ def test_failing_property_test_leaves_the_run_going(tmp_path):
     assert result.returncode == 1, output
     assert "1 failed, 1 passed" in result.stdout, output
     assert "INTERNALERROR" not in output
+
+
+def test_no_module_imports_another_modules_private_name():
+    # one owner per decision: a name a module keeps private stays in it
+    borrowed = [
+        f"{path.name} <- {node.module}.{alias.name}"
+        for path in sorted((ROOT / "src" / "fracoepi").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert borrowed == []

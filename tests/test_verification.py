@@ -8,6 +8,7 @@ step 0.05 over a 500-long span across the order grid.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fracoepi.model import (
     PRESETS,
     State,
     ValidationError,
+    equilibria,
     equilibrium,
     preset,
     rhs,
@@ -32,7 +34,6 @@ from fracoepi.solver import NODE_CAP, SolverConfig, Trajectory
 from fracoepi.stability import classify_equilibrium, jacobian
 from fracoepi.trajectory_io import load_trajectory_csv, save_trajectory_csv
 from fracoepi.verification import (
-    _hypothesis,
     _lyapunov_weights,
     boundedness_certificate,
     check_nonnegativity,
@@ -183,6 +184,20 @@ def lyapunov_along(params, target, states):
     return lyapunov_monotonicity(params, target, run).values
 
 
+class TestStateColumns:
+    @pytest.mark.parametrize("columns", [2, 7])
+    @pytest.mark.parametrize("check", ["boundedness", "lyapunov"])
+    def test_model_checks_need_three_columns(self, example1, check, columns):
+        # e.g. a trajectory read from a t,x0,x1 CSV: the checks read columns 0-2
+        traj = constant_trajectory(np.ones(columns))
+        target = equilibrium(example1, EquilibriumKind.COEXISTENCE)
+        with pytest.raises(ValidationError, match=rf"3 state columns \(S, I, P\), got {columns}$"):
+            if check == "boundedness":
+                boundedness_certificate(example1, traj)
+            else:
+                lyapunov_monotonicity(example1, target, traj)
+
+
 class TestLyapunovValue:
     def test_zero_exactly_at_each_target(self):
         cases = [
@@ -217,6 +232,13 @@ class TestLyapunovValue:
         absent = equilibrium(params, EquilibriumKind.COEXISTENCE)
         with pytest.raises(ValidationError, match="does not exist"):
             lyapunov_along(params, absent, [[1.0, 1.0, 1.0]])
+
+    def test_extinction_target_rejected(self, example1):
+        # E0 exists, yet its record carries no hypothesis and no V belongs to it
+        target = equilibrium(example1, EquilibriumKind.EXTINCTION)
+        assert target.exists and target.hypothesis is None
+        with pytest.raises(ValidationError, match="no Lyapunov form is associated with E0"):
+            lyapunov_along(example1, target, [[1.0, 1.0, 1.0]])
 
 
 def _three_branch_lyapunov(params, target, states):
@@ -358,27 +380,21 @@ class TestLyapunovMonotonicity:
         params = preset("example2").params
         target = equilibrium(params, EquilibriumKind.PREDATOR_FREE)
         report = lyapunov_monotonicity(params, target, preset_run("example2", 0.9))
-        assert report.monotone and report.hypothesis.satisfied is True
+        assert report.monotone and target.hypothesis.satisfied is True
 
     def test_hypothesis_reporting(self):
-        prey = GLOBAL_SCENARIOS["prey-only"]
-        target = equilibrium(prey.params, EquilibriumKind.PREY_ONLY)
-        report = lyapunov_monotonicity(prey.params, target, scenario_run("prey-only", 0.85))
-        assert report.hypothesis.satisfied is True  # R0 < 1
-
-        pred = GLOBAL_SCENARIOS["predator-free"]
-        target = equilibrium(pred.params, EquilibriumKind.PREDATOR_FREE)
-        report = lyapunov_monotonicity(
-            pred.params, target, scenario_run("predator-free", 0.85)
-        )
-        assert report.hypothesis.satisfied is True  # d > d2
+        prey = GLOBAL_SCENARIOS["prey-only"].params
+        assert equilibrium(prey, EquilibriumKind.PREY_ONLY).hypothesis.satisfied is True  # R0 < 1
+        pred = GLOBAL_SCENARIOS["predator-free"].params
+        target = equilibrium(pred, EquilibriumKind.PREDATOR_FREE)
+        assert target.hypothesis.satisfied is True  # d > d2
 
     def test_undefined_hypothesis_names_the_threshold_and_why(self, example1):
         # just above theta1 = 0.172266, E* exists but 2K(lambda S* - mu) <= r
         params = example1.replace(conversion_efficiency=0.1725)
         target = equilibrium(params, EquilibriumKind.COEXISTENCE)
-        traj = constant_trajectory(target.state.as_array())
-        hypothesis = lyapunov_monotonicity(params, target, traj).hypothesis
+        assert target.exists
+        hypothesis = target.hypothesis
         assert hypothesis.satisfied is False
         assert hypothesis.margin is None
         assert hypothesis.undefined == "empty bracket: 2K(lambda*S* - mu) <= r"
@@ -400,8 +416,11 @@ class TestLyapunovMonotonicity:
                 th.undefined.get("conversion_global"),
             ),
         }
+        records = {eq.kind: eq for eq in equilibria(params)}
+        assert records[EquilibriumKind.EXTINCTION].hypothesis is None
+        assert records[EquilibriumKind.PREY_ONLY].hypothesis.margin == 1.0 - th.reproduction_number
         for kind, (name, verdict, why) in expected.items():
-            condition = _hypothesis(params, kind)
+            condition = records[kind].hypothesis
             assert condition.name == name
             assert condition.satisfied is verdict, (kind, condition)
             # a margin, or no margin and the undefined threshold's reason
@@ -414,7 +433,7 @@ class TestLyapunovMonotonicity:
         target = equilibrium(params, EquilibriumKind.COEXISTENCE)
         traj = scenario_run("coexistence", 0.85)
         self_consistent = lyapunov_monotonicity(params, target, traj)
-        assert self_consistent.hypothesis.satisfied is False  # theta2 shrinks
+        assert target.hypothesis.satisfied is False  # theta2 shrinks
         # with S* held at the base example's value, theta lies inside (theta1, theta2)
         referenced = thresholds(
             params.replace(conversion_efficiency=example1.conversion_efficiency)
@@ -492,7 +511,7 @@ class TestThetaBandWitness:
         gap = np.abs(traj.final_state - target.state.as_array()).max()
         assert gap == pytest.approx(distance, abs=0.05)
         report = lyapunov_monotonicity(band_witness, target, traj)
-        assert report.hypothesis.satisfied  # the paper's condition for E* holds
+        assert target.hypothesis.satisfied  # the paper's condition for E* holds
         assert classify_equilibrium(band_witness, target, alpha).stable is False
         assert not report.monotone
 
@@ -510,8 +529,8 @@ class TestThetaBandWitness:
         th = thresholds(params)
         assert th.conversion_existence == pytest.approx(0.205625, abs=1e-6)
         assert th.conversion_global == pytest.approx(0.640134, abs=1e-6)
-        assert _hypothesis(params, EquilibriumKind.COEXISTENCE).satisfied
         target = equilibrium(params, EquilibriumKind.COEXISTENCE)
+        assert target.hypothesis.satisfied
         assert target.exists
         assert target.state.as_array() == pytest.approx((56.543, 4.6504, 2.3942), abs=1e-3)
         for alpha, label in [(0.8, "stable-matignon"), (0.9, "stable-matignon"),
@@ -531,7 +550,7 @@ class TestThetaBandWitness:
                 params = ModelParams(**{name: value * math.exp(rng.uniform(-1.5, 1.5))
                                         for name, value in base.items()})
             target = equilibrium(params, EquilibriumKind.COEXISTENCE)
-            if target.exists and _hypothesis(params, EquilibriumKind.COEXISTENCE).satisfied:
+            if target.exists and target.hypothesis.satisfied:
                 in_band += 1
                 unstable += classify_equilibrium(params, target, 1.0).stable is False
         assert in_band > 0 and unstable >= 1
@@ -542,6 +561,15 @@ class TestConvergence:
         target = np.array([1.0, 2.0, 3.0])
         result = convergence_check(constant_trajectory(target), target, tol=1e-12)
         assert result.converged and result.max_tail_distance == 0.0
+
+    @pytest.mark.parametrize("goal", [[5.0], [1.0, 2.0], np.full((5, 3), 5.0)])
+    def test_target_must_have_the_states_shape(self, goal):
+        # [5.0] would broadcast to (5, 5, 5), and the (5, 3) array across the
+        # 5-node tail of this 50-node run
+        traj = constant_trajectory([30.0, 5.0, 10.0])
+        message = f"target has shape {np.shape(goal)}, the trajectory's states (3,)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            convergence_check(traj, goal, tol=0.05)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
