@@ -42,11 +42,11 @@ from .verification import (
     empirical_lipschitz_ratio,
     lipschitz_bound,
     lyapunov_monotonicity,
-    validate_tolerance,
 )
 
 REPORT_ALPHAS = (0.6, 2.0 / 3.0, 0.85, 0.95, 1.0)
 PIPE_CLOSED = 128 + 13  # the shell's code for a process ended by SIGPIPE
+CONVERGENCE_TOL = 0.05  # verify's max-norm tail distance to the stable target
 E_STAR_NOTE = (  # verify's E* row names the theta band without relying on it
     ", the paper's condition; no V of this form decreases everywhere toward E*:"
     " grad V . f > 0 at (S*, I, P*) with I != I*"
@@ -121,21 +121,25 @@ def cmd_simulate(args) -> int:
                 raise ValidationError(f"orders {runs[name][0]!r} and {alpha!r} both write {name}")
             runs[name] = (alpha, x0)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    summary = [f"model: {cfg.preset_name or 'custom'}"]
-    for name, (alpha, x0) in runs.items():  # each run is solved, written and dropped in turn
-        traj = solve_model(cfg.params, alpha, x0, cfg.step, cfg.t_end)
-        save_trajectory_csv(traj, cfg.out_dir / name)
-        nn = check_nonnegativity(traj)
-        bc = boundedness_certificate(cfg.params, traj)
-        final = ",".join(format_float(v) for v in traj.final_state)
-        summary.append(
-            f"alpha={alpha:g} x0={_state_tag(x0)} file={name} "
-            f"final=({final}) nonnegative={'pass' if nn.passed else 'fail'} "
-            f"bounded={'pass' if bc.passed else 'fail'} "
-            f"(max V {bc.worst_value:.6g}, bound {bc.bound:.6g})"
-        )
-    (cfg.out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    print("\n".join(summary))
+    with open(cfg.out_dir / "summary.txt", "w", encoding="utf-8") as summary:
+
+        def emit(line: str) -> None:  # summary.txt keeps each line as it is printed
+            print(line)
+            summary.write(line + "\n")
+
+        emit(f"model: {cfg.preset_name or 'custom'}")
+        for name, (alpha, x0) in runs.items():  # each run is solved, written and dropped in turn
+            traj = solve_model(cfg.params, alpha, x0, cfg.step, cfg.t_end)
+            save_trajectory_csv(traj, cfg.out_dir / name)
+            nn = check_nonnegativity(traj)
+            bc = boundedness_certificate(cfg.params, traj)
+            final = ",".join(format_float(v) for v in traj.final_state)
+            emit(
+                f"alpha={alpha:g} x0={_state_tag(x0)} file={name} "
+                f"final=({final}) nonnegative={'pass' if nn.passed else 'fail'} "
+                f"bounded={'pass' if bc.passed else 'fail'} "
+                f"(max V {bc.worst_value:.6g}, bound {bc.bound:.6g})"
+            )
     print(f"wrote {len(runs)} trajectory file(s) to {cfg.out_dir}")
     return 0
 
@@ -272,10 +276,7 @@ def cmd_reproduce(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     params = cfg.params
-    tol = args.tolerance
-    validate_tolerance(tol)
     all_ok = True
-    lines = []
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3
     band = equilibrium(params, EquilibriumKind.COEXISTENCE).hypothesis  # the paper's E* band
     for alpha in cfg.alphas:
@@ -294,7 +295,7 @@ def cmd_verify(args) -> int:
             peak = max(peak, float(np.abs(traj.states).max()))
             nn = check_nonnegativity(traj)
             bc = boundedness_certificate(params, traj)
-            lines.append(
+            print(
                 f"alpha={alpha:g} x0={_state_tag(x0)}: "
                 f"nonnegativity {'pass' if nn.passed else 'fail'} "
                 f"(worst undershoot {nn.worst_undershoot.max():.3g}); "
@@ -304,16 +305,16 @@ def cmd_verify(args) -> int:
             all_ok &= nn.passed and bc.passed
 
             if stable_target is not None:
-                conv = convergence_check(traj, stable_target.state, tol=tol)
-                lines.append(
+                conv = convergence_check(traj, stable_target.state, tol=CONVERGENCE_TOL)
+                print(
                     f"  convergence to {stable_target.kind.value}: "
                     f"{'pass' if conv.converged else 'fail'} "
-                    f"(max tail distance {conv.max_tail_distance:.4g}, tol {tol:g})"
+                    f"(max tail distance {conv.max_tail_distance:.4g}, tol {CONVERGENCE_TOL:g})"
                 )
                 all_ok &= conv.converged
                 # E0 is never the target: its Jacobian has the eigenvalue r > 0
                 ly = lyapunov_monotonicity(params, stable_target, traj)
-                lines.append(
+                print(
                     f"  Lyapunov decrease toward {stable_target.kind.value}: "
                     f"{'pass' if ly.monotone else 'fail'} "
                     f"(max increase {ly.max_increase:.3g}, slack {LYAPUNOV_SLACK:g}; "
@@ -323,18 +324,17 @@ def cmd_verify(args) -> int:
                 )
                 all_ok &= ly.monotone
             else:
-                lines.append(skipped)
+                print(skipped)
 
     radius = 1.2 * peak
     bound = lipschitz_bound(params, radius)
     observed = empirical_lipschitz_ratio(params, radius, pairs=2000)
     ok = observed <= bound
-    lines.append(
+    print(
         f"Lipschitz bound on [0,{radius:.4g}]^3: {'pass' if ok else 'fail'} "
         f"(bound {bound:.6g}, observed {observed:.6g})"
     )
     all_ok &= ok
-    print("\n".join(lines))
     return 0 if all_ok else 1
 
 
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery on a run")
     _add_flags(p, "alpha", "step", "t-end")
-    p.add_argument("--tolerance", type=float, default=0.05, help="convergence tolerance")
     p.set_defaults(func=cmd_verify)
 
     return parser

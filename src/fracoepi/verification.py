@@ -237,17 +237,12 @@ def lyapunov_monotonicity(
     )
 
 
-def validate_tolerance(tol: float) -> None:
-    """Reject a convergence tolerance that is not finite and positive."""
+def convergence_check(traj: Trajectory, target, tol: float) -> ConvergenceResult:
+    """Max-norm distance to target over the trailing TAIL_FRACTION of the nodes."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(
             f"convergence tolerance must be finite and positive, got {tol}"
         )
-
-
-def convergence_check(traj: Trajectory, target, tol: float) -> ConvergenceResult:
-    """Max-norm distance to target over the trailing TAIL_FRACTION of the nodes."""
-    validate_tolerance(tol)
     goal = target.as_array() if isinstance(target, State) else np.asarray(target, float)
     if goal.shape != traj.states.shape[1:]:
         raise ValidationError(

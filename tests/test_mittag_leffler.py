@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracoepi import mittag_leffler
-from fracoepi.mittag_leffler import REL_TOL, AccuracyError, ml_one, ml_two, recip_gamma
-from fracoepi.model import State, preset
+from fracoepi.mittag_leffler import REL_TOL, ml_one, ml_two, recip_gamma
+from fracoepi.model import State, ValidationError, preset
 from fracoepi.runs import cached_solve
 from fracoepi.verification import boundedness_certificate
 
@@ -44,11 +44,11 @@ class TestValues:
         assert ml_two(0.5, 1.0, 0.0) == 1.0
 
     def test_exponential_identity(self):
-        assert ml_one(1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
+        assert ml_one(1.0, -1.0) == pytest.approx(1.0 / math.e, rel=1e-14)
 
     def test_shifted_exponential_identity(self):
         # E_{1,2}(z) = (e^z - 1)/z
-        assert ml_two(1.0, 2.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+        assert ml_two(1.0, 2.0, -1.0) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-12)
 
     @pytest.mark.parametrize("alpha,beta,z,reference", FROZEN)
     def test_frozen_oracle_values(self, alpha, beta, z, reference):
@@ -60,12 +60,6 @@ class TestValues:
             want = math.exp(x * x) * math.erfc(x)
             assert ml_one(0.5, -x) == pytest.approx(want, rel=1e-10)
 
-    def test_erfc_identity_positive_argument(self):
-        # E_{1/2}(x) = exp(x^2) erfc(-x): the mpmath series at z > 0, alpha < 1
-        for x in (0.5, 2.0, 4.0):
-            want = math.exp(x * x) * math.erfc(-x)
-            assert ml_one(0.5, x) == pytest.approx(want, rel=1e-10)
-
     def test_tiny_negative_argument_skips_the_tail_expansion(self):
         # a hypothesis counterexample of the recurrence identity: z^-k
         # overflows here.  E_{1,2}(z) = (e^z - 1)/z and
@@ -75,28 +69,45 @@ class TestValues:
         assert ml_two(1.0, 3.0, z) == pytest.approx(0.5, rel=1e-15)
 
 
+DOMAIN = "must be finite z <= 0, 0 < alpha <= 1 and 0 < beta <= 10"
+
+
 class TestErrors:
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, 1.0000001, 1.5])
     def test_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=DOMAIN):
             ml_one(alpha, -1.0)
 
-    @pytest.mark.parametrize("beta", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("beta", [0.0, -0.5, math.nan, math.inf, 10.000001])
     def test_rejects_bad_beta(self, beta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=DOMAIN):
             ml_two(0.8, beta, -1.0)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_argument(self, z):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=DOMAIN):
             ml_one(0.8, z)
 
-    def test_overflowing_value_signals_accuracy(self):
-        # E_{1/2}(50) ~ 2 exp(2500), far beyond the double range
-        with pytest.raises(AccuracyError):
-            ml_one(0.5, 50.0)
-        with pytest.raises(AccuracyError):
-            ml_one(1.0, 800.0)
+    @pytest.mark.parametrize("alpha,z", [
+        (0.8, 5e-324),
+        # the erfc identity E_{1/2}(x) = exp(x^2) erfc(-x)
+        (0.5, 0.5), (0.5, 2.0), (0.5, 4.0),
+        # E_{1/2}(50) ~ 2 exp(2500) and E_1(800) overflow the double range
+        (0.5, 50.0), (1.0, 800.0),
+    ])
+    def test_rejects_positive_argument(self, alpha, z):
+        with pytest.raises(ValidationError, match=DOMAIN):
+            ml_one(alpha, z)
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (1.5, 1.0, -3.0),
+        (1.5, 1.5, -200.0),
+        (1.3, 0.5, -100.0),
+        (1.2, 1.0, -60.0),
+    ])
+    def test_order_above_one_rejected(self, alpha, beta, z):
+        with pytest.raises(ValidationError, match=DOMAIN):
+            ml_two(alpha, beta, z)
 
 
 class TestProperties:
@@ -104,22 +115,22 @@ class TestProperties:
         # E_{a,b}(z) = z E_{a,a+b}(z) + 1/Gamma(b)
         rng = np.random.default_rng(7)
         for _ in range(400):
-            a = float(rng.uniform(0.3, 1.5))
+            a = float(rng.uniform(0.3, 1.0))
             b = float(rng.uniform(0.1, 3.0))
-            z = float(rng.uniform(-40.0, 2.0))
+            z = float(rng.uniform(-40.0, 0.0))
             lhs = ml_two(a, b, z)
             rhs = z * ml_two(a, a + b, z) + 1.0 / math.gamma(b)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_reduction_to_one_parameter(self):
         for a in (0.4, 0.7, 0.95, 1.0):
-            for z in (-20.0, -3.0, -0.5, 0.5, 4.0):
+            for z in (-20.0, -3.0, -0.5):
                 two = ml_two(a, 1.0, z)
                 one = ml_one(a, z)
                 assert two == pytest.approx(one, rel=1e-12)
 
     def test_classical_limit_matches_exp(self):
-        for z in np.linspace(-30.0, 30.0, 61):
+        for z in np.linspace(-30.0, 0.0, 31):
             assert ml_one(1.0, float(z)) == pytest.approx(math.exp(z), rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.35, 0.5, 0.75, 0.9])
@@ -252,19 +263,43 @@ class TestContourRoute:
         assert abs(value - want) > REL_TOL * want
         assert ml_two(0.5, 6.0, -1e-6) == pytest.approx(want, rel=REL_TOL)
 
-    @pytest.mark.parametrize("alpha,beta,z", [
-        (1.5, 1.0, -3.0),
-        # above order 1 the tail expansion omits exponentially small terms
-        # that exceed its error bound here (relative errors up to 7.7e-4)
-        (1.5, 1.5, -200.0),
-        (1.3, 0.5, -100.0),
-        (1.2, 1.0, -60.0),
+
+class TestDomain:
+    # real z <= 0, 0 < alpha <= 1, 0 < beta <= 10: 432 grid points off order 1
+    ALPHAS = (0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999, 0.99999)
+    BETAS = (0.05, 0.5, 1.0, 3.0, 6.0, 10.0)
+    ARGUMENTS = tuple(float(z) for z in -np.geomspace(1e-6, 1e4, 9))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_grid_against_oracle(self, beta):
+        for alpha in self.ALPHAS:
+            for z in self.ARGUMENTS:
+                want = oracle(alpha, beta, z)
+                assert abs(ml_two(alpha, beta, z) - want) <= REL_TOL * abs(want), (alpha, z)
+
+    @pytest.mark.parametrize("beta,closed_form", [
+        (1.0, mpmath.exp),
+        (2.0, lambda z: mpmath.expm1(z) / z),
+        (3.0, lambda z: (mpmath.expm1(z) - z) / z**2),
     ])
-    def test_order_above_one_against_oracle(self, alpha, beta, z):
-        # no contour above order 1; the oracle's series branch holds because
-        # |z|^(1/alpha) <= 35 <= 80
-        want = oracle(alpha, beta, z)
-        assert ml_two(alpha, beta, z) == pytest.approx(want, rel=REL_TOL)
+    def test_order_one_against_closed_forms(self, beta, closed_form):
+        with mpmath.workdps(50):
+            for z in self.ARGUMENTS:
+                want = float(closed_form(mpmath.mpf(z)))
+                assert abs(ml_two(1.0, beta, z) - want) <= REL_TOL * abs(want), z
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        # the series once stopped after three terms here and returned -1.17e-157
+        # (true value +7.30e-159) and 9.7537e-159 (true 9.7441e-159)
+        (0.8, 101.0, -18.73817422860383),
+        (0.5, 101.0, -1.0),
+        # these raised a bare OverflowError
+        (0.5, 102.0, -0.5),
+        (1.0, 200.0, -3.0),
+    ])
+    def test_large_beta_rejected(self, alpha, beta, z):
+        with pytest.raises(ValidationError, match=DOMAIN):
+            ml_two(alpha, beta, z)
 
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -274,9 +309,9 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
 class TestHypothesisProperties:
     @PROPERTY_SETTINGS
     @given(
-        a=st.floats(0.3, 1.5),
+        a=st.floats(0.3, 1.0),
         b=st.floats(0.1, 3.0),
-        z=st.floats(-40.0, 2.0),
+        z=st.floats(-40.0, 0.0),
     )
     def test_recurrence_identity(self, a, b, z):
         # E_{a,b}(z) = z E_{a,a+b}(z) + 1/Gamma(b)
