@@ -78,8 +78,9 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12  # component magnitude treated as blow-up
 NODE_CAP = 2_000_000  # most nodes one solve may allocate
 GRID_TOL = 1e-9  # relative distance of t_end/step from an integer
-# smallest order whose reciprocal, and so Gamma(order) ~ 1/order, is finite
-MIN_ORDER = math.nextafter(1.0 / sys.float_info.max, 1.0)
+# smallest order whose first predictor weight h^order/order ~ 1/order, times a
+# right-hand side of size DIVERGENCE_LIMIT, is finite
+MIN_ORDER = DIVERGENCE_LIMIT / sys.float_info.max
 
 _LEAF = 128  # nodes summed directly; a power of two
 _FFT_CAP = 1 << 13  # longest transform; longer blocks are split into chunk pairs
@@ -100,7 +101,8 @@ def validate_order(order: float) -> None:
         raise ValidationError(f"order must lie in (0,1], got {order}")
     if order < MIN_ORDER:
         raise ValidationError(
-            f"order {order} is too small: its reciprocal overflows;"
+            f"order {order} is too small: its reciprocal times the divergence"
+            f" limit {DIVERGENCE_LIMIT:g} overflows;"
             f" the smallest order accepted is {MIN_ORDER!r}"
         )
 

@@ -136,8 +136,9 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: order 1e-310 is too small: its reciprocal overflows;"
-            " the smallest order accepted is 5.56268464626801e-309"
+            "error: order 1e-310 is too small: its reciprocal times the divergence"
+            " limit 1e+12 overflows;"
+            " the smallest order accepted is 5.562684646268004e-297"
         ]
         assert not (tmp_path / "out").exists()
 

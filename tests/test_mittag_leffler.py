@@ -35,6 +35,9 @@ FROZEN = [
     (0.85, 1.0, -57.5, 0.002869043313855012213828),
     (0.3, 1.0, -4.0, 0.1665017443155166496263),
     (1.0, 2.0, -20.0, 0.04999999989694231887807),
+    # the terms 1/Gamma(beta + 0.001 k) fall too slowly for a series
+    (0.001, 3.0, -1.0, 0.25011534804669616),
+    (0.001, 10.0, -1.0, 1.3794172672079967e-06),
 ]
 
 
@@ -231,22 +234,24 @@ class TestContourRoute:
                 want = oracle(alpha, 1.0, z)
                 assert abs(ml_one(alpha, z) - want) <= REL_TOL * want, (alpha, t)
 
-    def test_long_envelope_never_leaves_the_contour(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError(f"contour refused {args}")
+    @pytest.fixture
+    def float64_only(self, monkeypatch):
+        # a point the float64 contour refuses goes on at 20 or more digits
+        contour = mittag_leffler._contour
 
-        monkeypatch.setattr(mittag_leffler, "_asymptotic", refuse)
-        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+        def float64(alpha, beta, z, digits=None):
+            assert digits is None, f"float64 contour refused {(alpha, beta, z)}"
+            return contour(alpha, beta, z)
+
+        monkeypatch.setattr(mittag_leffler, "_contour", float64)
+
+    def test_long_envelope_never_leaves_the_contour(self, float64_only):
         eta = 0.045
         for alpha in (0.99, 0.999):
             for t in 0.05 * np.arange(1, 40001, 10):  # every 10th node to t = 2000
                 assert ml_one(alpha, -eta * float(t) ** alpha) > 0.0, (alpha, t)
 
-    def test_envelope_never_reaches_mpmath(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError(f"mpmath series called with {args}")
-
-        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+    def test_envelope_never_reaches_mpmath(self, float64_only):
         params = preset("example1").params
         traj = cached_solve(params, 0.95, State(30.0, 5.0, 200.0), 0.05, 200.0)
         assert traj.times.size == 4001
@@ -286,6 +291,14 @@ class TestDomain:
         with mpmath.workdps(50):
             for z in self.ARGUMENTS:
                 want = float(closed_form(mpmath.mpf(z)))
+                assert abs(ml_two(1.0, beta, z) - want) <= REL_TOL * abs(want), z
+
+    @pytest.mark.parametrize("beta", (0.05, 0.3, 0.7, 1.5, 2.5, 4.0, 7.0, 10.0))
+    def test_order_one_against_hypergeometric(self, beta):
+        # E_{1,b}(z) = 1F1(1; b; z) / Gamma(b)
+        with mpmath.workdps(50):
+            for z in self.ARGUMENTS:
+                want = float(mpmath.hyp1f1(1, beta, z) * mpmath.rgamma(beta))
                 assert abs(ml_two(1.0, beta, z) - want) <= REL_TOL * abs(want), z
 
     @pytest.mark.parametrize("alpha,beta,z", [

@@ -17,6 +17,7 @@ from fracoepi.solver import (
     _GRIDS,
     _LEAF,
     DIVERGENCE_LIMIT,
+    MIN_ORDER,
     NODE_CAP,
     DivergenceError,
     FodeProblem,
@@ -395,11 +396,14 @@ class TestValidation:
             ):
                 with pytest.raises(solver.ValidationError, match=f"^{message}$"):
                     call()
-        # Gamma(order) ~ 1/order overflows below the smallest accepted order
-        smallest = math.nextafter(1.0 / sys.float_info.max, 1.0)
-        assert smallest == solver.MIN_ORDER and math.isinf(1.0 / math.nextafter(smallest, 0.0))
+        # the first predictor weight ~ 1/order times a right-hand side of size
+        # DIVERGENCE_LIMIT overflows below the smallest accepted order
+        smallest = DIVERGENCE_LIMIT / sys.float_info.max
+        assert smallest == solver.MIN_ORDER
+        assert math.isinf(DIVERGENCE_LIMIT / math.nextafter(smallest, 0.0))
         for order in (1e-310, math.nextafter(smallest, 0.0), 5e-324):
-            message = re.escape(f"order {order} is too small: its reciprocal overflows;"
+            message = re.escape(f"order {order} is too small: its reciprocal times the"
+                                f" divergence limit 1e+12 overflows;"
                                 f" the smallest order accepted is {smallest!r}")
             for call in (
                 lambda: FodeProblem(order=order, initial_state=[1.0], rhs=lambda t, y: -y),
@@ -441,6 +445,16 @@ class TestValidation:
     def test_every_input_rejection_is_a_validation_error(self, call, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             call()
+
+    def test_smallest_accepted_order_solves(self, example1):
+        # these orders once passed validation, and the solve then diverged at
+        # node 2 and 7: the first predictor weight h^order/order times the
+        # right-hand side overflowed
+        for order in (3e-308, 1e-307):
+            with pytest.raises(ValidationError, match="too small"):
+                FodeProblem(order=order, initial_state=[1.0], rhs=lambda t, y: -y)
+        traj = cached_solve(example1, MIN_ORDER, State(30.0, 5.0, 10.0), 0.05, 1.0)
+        assert np.isfinite(traj.states).all()
 
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
