@@ -275,6 +275,11 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
+    if SolverConfig(step=cfg.step, t_end=cfg.t_end).node_count() < 1:
+        raise ValidationError(  # one node measures nothing: no verdict on it
+            f"verify needs at least two nodes: t_end = {cfg.t_end!r} is less than"
+            f" one step {cfg.step!r}"
+        )
     params = cfg.params
     all_ok = True
     peak = 60.0  # the Lipschitz box covers at least [0, 72]^3

@@ -12,12 +12,15 @@ Numer. Anal. 53 (2015) 1350-1369), with the contour's parameters set by
 Weideman and Trefethen's rule (Math. Comp. 76 (2007) 1341-1356) for a working
 precision and a design target.  A value is returned only when its error
 bound, the branch-point bound plus the rounding of the sum, is within the
-advertised relative accuracy (1e-10).  The contour first runs in float64 for
-``a < 1`` (28 terms a call after a per-``(a, b)`` table); a point it refuses
-runs on the same contour at 20, 40, 80 and then 160 digits (mpmath).  For
-``|z| >= 1`` the branch-point bound falls like ``1/|z|``, as the value does,
-so float64 certifies a long boundedness envelope ``E_a(-eta t^a)`` near
-``a = 1`` too (every 10th node to t = 2000 at ``a = 0.999``).
+advertised relative accuracy (1e-10).  The rounding part has a bound fixed per
+table for every ``z <= 0``, so a call sums its terms once, and sums their
+magnitudes too only when that bound cannot decide.  The contour first runs in
+float64 for ``a < 1`` (28 terms a call after a per-``(a, b)`` table); a point
+it refuses runs on the same contour at 20, 40, 80 and then 160 digits
+(mpmath).  For ``|z| >= 1`` the branch-point bound falls like ``1/|z|``, as
+the value does, so float64 certifies a long boundedness envelope
+``E_a(-eta t^a)`` near ``a = 1`` too, without the magnitude sum (every node
+to t = 2000 at ``a = 0.999``).
 
 All functions are pure and thread-safe: each table past float64 computes in
 its own mpmath context, whose precision is set once when the table is built,
@@ -59,7 +62,9 @@ def recip_gamma(x: float) -> float:
         try:
             return 1.0 / math.gamma(x)
         except OverflowError:
-            return 0.0  # Gamma overflows, reciprocal underflows
+            # Gamma overflows: below 1 (x < 5.6e-309), 1/Gamma(x) = x (1 + 0.58 x
+            # + ...) rounds to x; past 171.6 the reciprocal underflows
+            return x if x < 1.0 else 0.0
     if abs(x - round(x)) <= 4e-13 * max(1.0, abs(x)):
         return 0.0
     # Gamma alternates sign on the intervals (-n-1, -n)
@@ -105,14 +110,22 @@ def _discretization_error(power: float, mu: float, h: float) -> float:
 @functools.lru_cache(maxsize=32)
 def _contour_table(alpha: float, beta: float, digits: int | None = None) -> tuple:
     """(s_k^alpha, weight_k s_k^(alpha - beta)) per node, the two branch-point
-    bounds of :func:`_contour` (small ``z``; ``|z| >= 1`` times ``|z|``) and
-    the unit roundoff.
+    bounds of :func:`_contour` (small ``z``; ``|z| >= 1`` times ``|z|``), the
+    unit roundoff and ``reach``, a float bound on the sum of the term
+    magnitudes that holds for every z <= 0.
 
     In float64 when ``digits`` is None; otherwise for the design target
     10^-digits in a private mpmath context at ``digits + 1`` digits.  The
     weight is exp(s) s'(u) h/(2 pi) at u = kh, doubled for k > 0: the
     integrand obeys S(-u) = -conj(S(u)), so the terms at -u and u have equal
     imaginary parts.
+
+    ``reach`` is sum_k |weight_k| / dist(power_k), where dist(p) is the
+    distance from p to the ray (-inf, 0]: |p| when Re p >= 0, else |Im p|.
+    So |power_k - z| >= dist(power_k) for z <= 0, and no node lies on the
+    ray (power_0 = mu^alpha > 0; for k >= 1, 0 < arg s_k < pi and
+    0 < alpha <= 1).  The factor 1 + 1e-9 covers the rounding of this sum and
+    of the magnitude sum it bounds (under 100 unit roundoffs each).
     """
     if digits is None:
         eps, target, number, exp, pi = _EPS, _CONTOUR_TARGET, float, cmath.exp, math.pi
@@ -123,22 +136,39 @@ def _contour_table(alpha: float, beta: float, digits: int | None = None) -> tupl
     mu, h, count = _contour_parameters(float(eps), target)
     near, far = _discretization_error(beta, mu, h), _discretization_error(beta - alpha, mu, h)
     mu, h, alpha, beta = number(mu), number(h), number(alpha), number(beta)
-    nodes = []
+    nodes, reach = [], 0.0
     for k in range(count + 1):
         w = 1.0 + 1j * h * k
         s = mu * w**2
         weight = exp(s) * 2j * mu * w * h / pi / (1.0 if k else 2.0)
-        nodes.append((s**alpha, weight * s ** (alpha - beta)))
-    return tuple(nodes), near, far, eps
+        power, weight = s**alpha, weight * s ** (alpha - beta)
+        nodes.append((power, weight))
+        reach += abs(weight) / (abs(power) if power.real >= 0.0 else abs(power.imag))
+    return tuple(nodes), near, far, eps, float(reach) * (1.0 + 1e-9)
+
+
+def _magnitude(nodes: tuple, z: float):
+    """Sum of the term magnitudes |weight / (power - z)| of :func:`_contour`."""
+    size = 0.0
+    for power, weight in nodes:
+        size += abs(weight / (power - z))
+    return size
 
 
 def _contour(alpha: float, beta: float, z: float, digits: int | None = None) -> tuple:
     """Laplace inversion on the parabola for z < 0, and whether it is certified.
 
     In float64 when ``digits`` is None, else as an mpmath number for the
-    design target 10^-digits (see :func:`_contour_table`).  The error estimate is the branch-point
-    bound plus the rounding of the sum, the unit roundoff times the sum of
-    the term magnitudes.  The branch point at s = 0 is that of the integrand
+    design target 10^-digits (see :func:`_contour_table`).  The error estimate
+    is the branch-point bound plus the rounding of the sum, the unit roundoff
+    times the sum of the term magnitudes.  That sum is at most the table's
+    ``reach``: the value is certified at once when the estimate with
+    ``reach`` in its place is within the tolerance, refused when the
+    branch-point bound alone is not, and only between the two is the
+    magnitude sum taken (:func:`_magnitude`).  Rounding is monotone, so each
+    exit gives the verdict that the magnitude sum would give.
+
+    The branch point at s = 0 is that of the integrand
     s^(alpha-beta) / (s^alpha - z).  For small ``|z|`` it behaves there as
     s^(-beta).  For ``|z| >= 1`` it is ``-(s^(alpha-beta)/z) sum_j
     (s^alpha/z)^j``, which converges near s = 0 (``|s^alpha| < 1 <= |z|`` for
@@ -151,14 +181,17 @@ def _contour(alpha: float, beta: float, z: float, digits: int | None = None) -> 
     0 < alpha <= 1, 0 < beta <= 10 at every precision), so no value that bound
     certifies is lost.
     """
-    nodes, near, far, eps = _contour_table(alpha, beta, digits)
-    value = size = 0.0
+    nodes, near, far, eps, reach = _contour_table(alpha, beta, digits)
+    value = 0.0
     for power, weight in nodes:
-        term = weight / (power - z)
-        value += term.imag
-        size += abs(term)
+        value += (weight / (power - z)).imag
     branch = near if z > -1.0 else far / -z
-    return value, branch + eps * size <= REL_TOL * abs(value)
+    limit = REL_TOL * abs(value)
+    if branch + eps * reach <= limit:
+        return value, True
+    if branch > limit:
+        return value, False
+    return value, branch + eps * _magnitude(nodes, z) <= limit
 
 
 def ml_two(alpha: float, beta: float, z: float) -> float:

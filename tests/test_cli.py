@@ -551,6 +551,15 @@ class TestVerify:
         assert lines[0].startswith("alpha=0.9 x0=(30,5,10): nonnegativity pass")
         assert lines[1].startswith("  no stable equilibrium at this order; convergence skipped")
 
+    def test_one_node_grid_rejected(self, capsys):
+        # zero steps measure nothing, so no pass/fail verdict is printed on them
+        assert run("verify", "--preset", "example1", "--t-end", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verify needs at least two nodes: t_end = 0.0 is less than one step 0.05\n"
+        )
+
     def test_unstable_coexistence_outside_the_band_is_not_named(self, capsys):
         # example1-unstable: theta2 = 0.000824 < theta, so the line stays bare
         assert run("verify", "--preset", "example1-unstable", "--alpha", "0.9",

@@ -167,6 +167,12 @@ class TestRecipGamma:
     def test_huge_argument_underflows_to_zero(self):
         assert recip_gamma(200.0) == 0.0
 
+    @pytest.mark.parametrize("x", [3e-309, 1e-310, 5e-324])
+    def test_tiny_argument_is_its_own_reciprocal(self, x):
+        # Gamma(x) overflows there, yet 1/Gamma(x) = x (1 + 0.58 x + ...) rounds to x
+        assert recip_gamma(x) == x
+        assert ml_two(0.5, x, 0.0) == x
+
 
 def oracle(alpha: float, beta: float, z: float, digits: int = 60) -> float:
     """E_{alpha,beta}(z) for z < 0 and 0 < alpha < 1, in mpmath.
@@ -245,13 +251,21 @@ class TestContourRoute:
 
         monkeypatch.setattr(mittag_leffler, "_contour", float64)
 
-    def test_long_envelope_never_leaves_the_contour(self, float64_only):
+    @pytest.fixture
+    def first_exit_only(self, monkeypatch):
+        # the table's bound on the rounding decides without the magnitude sum
+        def magnitude(nodes, z):
+            raise AssertionError(f"the magnitude sum ran at z = {z}")
+
+        monkeypatch.setattr(mittag_leffler, "_magnitude", magnitude)
+
+    def test_long_envelope_never_leaves_the_contour(self, float64_only, first_exit_only):
         eta = 0.045
         for alpha in (0.99, 0.999):
-            for t in 0.05 * np.arange(1, 40001, 10):  # every 10th node to t = 2000
+            for t in 0.05 * np.arange(1, 40001):  # every node to t = 2000
                 assert ml_one(alpha, -eta * float(t) ** alpha) > 0.0, (alpha, t)
 
-    def test_envelope_never_reaches_mpmath(self, float64_only):
+    def test_envelope_never_reaches_mpmath(self, float64_only, first_exit_only):
         params = preset("example1").params
         traj = cached_solve(params, 0.95, State(30.0, 5.0, 200.0), 0.05, 200.0)
         assert traj.times.size == 4001
@@ -345,3 +359,64 @@ class TestHypothesisProperties:
         far = ml_one(alpha, -(t + dt))
         assert far > 0.0
         assert far <= near * (1.0 + 2.0 * REL_TOL)
+
+
+def two_sum_contour(alpha, beta, z, digits=None):
+    """The contour and its verdict with the term magnitudes always summed."""
+    nodes, near, far, eps, _ = mittag_leffler._contour_table(alpha, beta, digits)
+    value = size = 0.0
+    for power, weight in nodes:
+        term = weight / (power - z)
+        value += term.imag
+        size += abs(term)
+    branch = near if z > -1.0 else far / -z
+    return value, branch + eps * size <= REL_TOL * abs(value)
+
+
+@st.composite
+def contour_points(draw):
+    """(alpha, beta, z) with 0 < alpha < 1, 0 < beta <= 10 and z log-uniform in -[1e-8, 1e300]."""
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    beta = draw(st.floats(0.0, 10.0, exclude_min=True))
+    return alpha, beta, -(10.0 ** draw(st.floats(-8.0, 300.0)))
+
+
+class TestCertificate:
+    @pytest.fixture
+    def magnitude_calls(self, monkeypatch):
+        calls = []
+        magnitude = mittag_leffler._magnitude
+
+        def spy(nodes, z):
+            calls.append(z)
+            return magnitude(nodes, z)
+
+        monkeypatch.setattr(mittag_leffler, "_magnitude", spy)
+        return calls
+
+    @pytest.mark.parametrize("alpha,beta,z,certified,summed", [
+        (0.95, 1.0, -6.9, True, False),  # certified by the table's bound
+        (0.5, 6.0, -1e-6, False, False),  # refused by the branch-point bound alone
+        (0.5, 1.0, -1e9, True, True),  # far tails: only the exact sum decides
+        (0.95, 1.0, -1e12, True, True),
+    ])
+    def test_each_exit(self, magnitude_calls, alpha, beta, z, certified, summed):
+        value, verdict = mittag_leffler._contour(alpha, beta, z)
+        assert (value, verdict) == two_sum_contour(alpha, beta, z)
+        assert verdict is certified
+        assert magnitude_calls == ([z] if summed else [])
+
+    @pytest.mark.parametrize("digits", [None, 20])
+    @PROPERTY_SETTINGS
+    @given(point=contour_points())
+    def test_same_value_and_verdict_as_the_two_sums(self, digits, point):
+        assert mittag_leffler._contour(*point, digits) == two_sum_contour(*point, digits)
+
+    @pytest.mark.parametrize("digits", [None, 20])
+    @PROPERTY_SETTINGS
+    @given(point=contour_points(), zero=st.booleans())
+    def test_reach_bounds_the_magnitude_sum(self, digits, point, zero):
+        alpha, beta, z = point
+        nodes, _, _, _, reach = mittag_leffler._contour_table(alpha, beta, digits)
+        assert isinstance(reach, float)
+        assert mittag_leffler._magnitude(nodes, 0.0 if zero else z) <= reach
