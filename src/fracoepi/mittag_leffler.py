@@ -38,7 +38,7 @@ import mpmath
 
 from .solver import ValidationError
 
-__all__ = ["AccuracyError", "ml_one", "ml_two", "recip_gamma"]
+__all__ = ["AccuracyError", "ml_one", "ml_two"]
 
 REL_TOL = 1e-10
 
@@ -49,30 +49,6 @@ _DIGITS = (20, 40, 80, 160)  # design targets 10^-digits past float64
 
 class AccuracyError(ArithmeticError):
     """No contour could certify the requested accuracy."""
-
-
-def recip_gamma(x: float) -> float:
-    """1/Gamma(x), with the value 0.0 at the poles x = 0, -1, -2, ...
-
-    Non-positive arguments within float-rounding distance of an integer are
-    snapped to the pole: they arise from expressions like ``beta - alpha*k``
-    whose exact value is the integer, and the true reciprocal there is zero.
-    """
-    if x > 0.0:
-        try:
-            return 1.0 / math.gamma(x)
-        except OverflowError:
-            # Gamma overflows: below 1 (x < 5.6e-309), 1/Gamma(x) = x (1 + 0.58 x
-            # + ...) rounds to x; past 171.6 the reciprocal underflows
-            return x if x < 1.0 else 0.0
-    if abs(x - round(x)) <= 4e-13 * max(1.0, abs(x)):
-        return 0.0
-    # Gamma alternates sign on the intervals (-n-1, -n)
-    sign = 1.0 if (int(math.floor(x)) % 2 == 0) else -1.0
-    try:
-        return sign * math.exp(-math.lgamma(x))
-    except OverflowError:
-        raise AccuracyError(f"1/Gamma({x}) exceeds the double-precision range") from None
 
 
 def _contour_parameters(eps: float, target: float) -> tuple[float, float, int]:
@@ -99,10 +75,22 @@ def _discretization_error(power: float, mu: float, h: float) -> float:
     covers the cut at u_max and the higher terms.  On the float64 contour the
     bound is 3.5e-15 for p <= 1 and grows with p (1.4e-12 at p = 2), where
     the design target alone would understate the error.
+
+    The strength mu^(1-p) k^(2p-2) / |Gamma(2p - 1)| (k = 2 pi/h) raises the
+    bound only above 1, which it cannot reach for the powers -1 < p <= 1/2
+    that arrive here (beta or beta - alpha): there
+    |1/Gamma(2p - 1)| <= 1.13 on (-3, 0], k^(2p-2) <= 1/k and
+    mu^(1-p) <= mu^2, so it is at most 1.13 mu^2/k, below 0.4 at every
+    precision.  So Gamma is evaluated only above p = 1/2, where its argument
+    is positive.  On 200 000 powers in (-1, 1/2] the largest strength was
+    0.00315 in float64, and 0.00384, 0.00179, 0.000715 and 0.000326 at 20,
+    40, 80 and 160 digits.
     """
     k = 2.0 * math.pi / h
-    strength = mu ** (1.0 - power) * k ** (2.0 * power - 2.0) * abs(
-        recip_gamma(2.0 * power - 1.0)
+    if power <= 0.5:
+        return 4.0 * math.exp(-k)
+    strength = mu ** (1.0 - power) * k ** (2.0 * power - 2.0) * (
+        1.0 / math.gamma(2.0 * power - 1.0)
     )
     return 4.0 * math.exp(-k) * max(1.0, strength)
 
@@ -207,7 +195,12 @@ def ml_two(alpha: float, beta: float, z: float) -> float:
             f" 0 < beta <= 10, got alpha={alpha}, beta={beta}, z={z}"
         )
     if z == 0.0:
-        return recip_gamma(beta)
+        try:
+            return 1.0 / math.gamma(beta)
+        except OverflowError:
+            # Gamma overflows below 5.6e-309, where 1/Gamma(beta) = beta (1 + 0.58 beta
+            # + ...) rounds to beta
+            return beta
     if alpha == 1.0 and beta == 1.0:
         return math.exp(z)
     # at alpha = 1 float64 would certify E_{1,2}(-3.2e-209) 7e-13 off; the

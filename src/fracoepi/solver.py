@@ -177,15 +177,39 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Grid solution: times (n+1,), states (n+1, dim), row 0 = initial state."""
+    """Grid solution: times (n+1,), states (n+1, dim), row 0 = initial state.
+
+    Rejects, with a ValidationError, ``times`` that is not a 1-D ndarray,
+    ``states`` that is not a 2-D ndarray of one row per time (at least one)
+    and one column or more, and an order that is neither NaN (a trajectory
+    read from CSV) nor valid.  The arrays are neither converted nor copied,
+    only made read-only: integer times stay integers, and views stay views.
+    """
 
     times: np.ndarray
     states: np.ndarray
     order: float
 
     def __post_init__(self):
-        self.times.setflags(write=False)
-        self.states.setflags(write=False)
+        times, states = self.times, self.states
+        if not (isinstance(times, np.ndarray) and isinstance(states, np.ndarray)):
+            raise ValidationError(
+                "trajectory times and states must be numpy arrays, got "
+                f"{type(times).__name__} and {type(states).__name__}"
+            )
+        if times.ndim != 1 or len(times) == 0:
+            raise ValidationError(
+                f"trajectory times must be a non-empty vector, got shape {times.shape}"
+            )
+        if states.ndim != 2 or states.shape[0] != len(times) or states.shape[1] == 0:
+            raise ValidationError(
+                f"trajectory states must have one row per time ({len(times)}) and at"
+                f" least one column, got shape {states.shape}"
+            )
+        if not math.isnan(self.order):  # NaN: read from CSV, which omits the order
+            validate_order(self.order)
+        times.setflags(write=False)
+        states.setflags(write=False)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -264,7 +288,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 
     y0 = problem.initial_state.tolist()
     shape = problem.initial_state.shape
-    rhs_fn = _list_field(problem.rhs, shape)
+    rhs_fn = _list_field(problem.rhs, shape, h)
     # until node k is solved, states[k] and rhs_values[k] hold the pending
     # predictor and corrector history sums of the nodes before its block
     states = np.zeros((n_steps + 1, len(y0)))
@@ -289,36 +313,28 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     inv_gamma_a = 1.0 / math.gamma(a)
     corr_scale = h**a / math.gamma(a + 2.0)
 
-    # a failing RHS call belongs to node first_c + len(rows): node 0 first
-    first_c, rows = 0, []
-    try:
-        buf[0] = rhs_values[0] = rhs_fn(0.0, y0)
-        np.multiply(c0[1:, None], rhs_values[0], out=rhs_values[1:])  # node 0's corrector term
-        del c0  # one table less held through the solve
-        for start in range(0, n_steps + 1, _LEAF):
-            stop = min(start + _LEAF, n_steps + 1)
-            first_c = max(start, 1)  # node 0 enters the corrector through c0
-            lo, hi = first_c - start, stop - start
-            # the corrector sums rows first_c..k-1, which in the first leaf start at buf[1]
-            d_views = views if lo == 0 else [buf[1 : m + 1] for m in range(hi - 1)]
-            rows = []
-            leaf_loop(
-                rhs_fn, y0, range(first_c, stop), (h * np.arange(first_c, stop)).tolist(),
-                states[first_c:stop].tolist(), rhs_values[first_c:stop].tolist(),
-                w_dots[lo:hi], views[lo:hi], d_dots[: hi - lo], d_views,
-                buf, start, rows, inv_gamma_a, corr_scale, DIVERGENCE_LIMIT,
-            )
-            if rows:  # the one leaf of a zero-length run holds no node to solve
-                states[first_c:stop] = rows
-                rhs_values[first_c:stop] = buf[lo:hi]
-            if stop <= n_steps:
-                # nodes [stop - size, stop) close a left half of length size
-                _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
-    except _ShapeMismatch as exc:
-        raise ValidationError(
-            f"rhs returned shape {exc.args[0]}, expected {shape} "
-            f"at node {first_c + len(rows)}"
-        ) from None
+    buf[0] = rhs_values[0] = rhs_fn(0.0, y0)
+    np.multiply(c0[1:, None], rhs_values[0], out=rhs_values[1:])  # node 0's corrector term
+    del c0  # one table less held through the solve
+    for start in range(0, n_steps + 1, _LEAF):
+        stop = min(start + _LEAF, n_steps + 1)
+        first_c = max(start, 1)  # node 0 enters the corrector through c0
+        lo, hi = first_c - start, stop - start
+        # the corrector sums rows first_c..k-1, which in the first leaf start at buf[1]
+        d_views = views if lo == 0 else [buf[1 : m + 1] for m in range(hi - 1)]
+        rows = []
+        leaf_loop(
+            rhs_fn, y0, range(first_c, stop), (h * np.arange(first_c, stop)).tolist(),
+            states[first_c:stop].tolist(), rhs_values[first_c:stop].tolist(),
+            w_dots[lo:hi], views[lo:hi], d_dots[: hi - lo], d_views,
+            buf, start, rows, inv_gamma_a, corr_scale, DIVERGENCE_LIMIT,
+        )
+        if rows:  # the one leaf of a zero-length run holds no node to solve
+            states[first_c:stop] = rows
+            rhs_values[first_c:stop] = buf[lo:hi]
+        if stop <= n_steps:
+            # nodes [stop - size, stop) close a left half of length size
+            _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
 
     # the grid comes last, once the history and the tables are gone: a solve's
     # memory peaks here, as its state rows are only touched as it advances
@@ -441,17 +457,16 @@ def _add_block_history(states, rhs_values, w, d, spectra, end, size):
         rhs_values[k0:k1] += irfft(acc_d, length, axis=0)[rows]
 
 
-class _ShapeMismatch(Exception):
-    """An RHS value of the wrong shape; the step loop adds the node."""
-
-
-def _list_field(rhs, shape):
+def _list_field(rhs, shape, step):
     """``rhs`` on the step loop's lists: list of floats in, list of floats out.
 
     A field that carries a ``float_form`` (the model's, see
     ``model._field``) gives it, which must compute what ``rhs`` does.  Any
     other field is wrapped: its state is passed as a fresh array and its
-    value checked for ``shape`` at every evaluation.
+    value checked for ``shape`` at every evaluation.  A value of another
+    shape raises a ValidationError that names the node: the step loop calls
+    the field at t = step * k for node k (node 0 at 0.0), so t / step
+    rounds to k (it is within 1e-9 of k up to ``NODE_CAP`` nodes).
     """
     float_form = getattr(rhs, "float_form", None)
     if float_form is not None:
@@ -461,7 +476,10 @@ def _list_field(rhs, shape):
     def adapter(t, y):
         value = asarray(rhs(t, array(y)), dtype=float)
         if value.shape != shape:
-            raise _ShapeMismatch(value.shape)
+            raise ValidationError(
+                f"rhs returned shape {value.shape}, expected {shape} "
+                f"at node {int(round(t / step))}"
+            )
         return value.tolist()
 
     return adapter

@@ -5,11 +5,13 @@ import importlib
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import fracoepi
 from fracoepi import ValidationError, ml_two
 from fracoepi.config import parse_config_text
+from fracoepi.solver import Trajectory
 from fracoepi.trajectory_io import load_trajectory_csv
 
 
@@ -33,6 +35,11 @@ def _csv(text):
     return read
 
 
+def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3, 1)),
+                order=0.9):
+    return lambda tmp_path: Trajectory(times=times, states=states, order=order)
+
+
 @pytest.mark.parametrize(
     "reject",
     [
@@ -44,11 +51,21 @@ def _csv(text):
         _csv("t,S,I,P\n"),
         lambda tmp_path: parse_config_text("model.preset example1\n"),
         lambda tmp_path: parse_config_text("solver.alpha = [0.9\n"),
+        _trajectory(states=np.tile([30.0, 5.0, 200.0], (2, 1))),
+        _trajectory(states=np.array([30.0, 5.0, 200.0])),
+        _trajectory(states=np.zeros((3, 0))),
+        _trajectory(times=[0.0, 0.1, 0.2]),
+        _trajectory(times=np.zeros((3, 1))),
+        _trajectory(times=np.zeros(0), states=np.zeros((0, 3))),
+        _trajectory(order=1.5),
     ],
     ids=[
         "ml-alpha", "ml-beta", "ml-argument",
         "csv-ragged-row", "csv-non-numeric", "csv-no-rows",
         "config-no-assignment", "config-unclosed-list",
+        "trajectory-rows", "trajectory-1d-states", "trajectory-no-columns",
+        "trajectory-list-times", "trajectory-2d-times", "trajectory-empty",
+        "trajectory-order",
     ],
 )
 def test_every_rejection_is_a_validation_error(reject, tmp_path):

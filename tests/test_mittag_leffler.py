@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracoepi import mittag_leffler
-from fracoepi.mittag_leffler import REL_TOL, ml_one, ml_two, recip_gamma
+from fracoepi.mittag_leffler import REL_TOL, ml_one, ml_two
 from fracoepi.model import State, ValidationError, preset
 from fracoepi.runs import cached_solve
 from fracoepi.verification import boundedness_certificate
@@ -147,31 +147,57 @@ class TestProperties:
             previous = value
 
 
-class TestRecipGamma:
-    def test_positive_arguments(self):
-        assert recip_gamma(1.0) == 1.0
-        assert recip_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
+def contour_parameters():
+    """(mu, h) of the contour at each precision: float64, then 20-160 digits."""
+    ml = mittag_leffler
+    pairs = [ml._contour_parameters(ml._EPS, ml._CONTOUR_TARGET)[:2]]
+    for digits in ml._DIGITS:
+        ctx = mpmath.MPContext()
+        ctx.dps = digits + 1
+        pairs.append(ml._contour_parameters(float(ctx.eps), 10.0**-digits)[:2])
+    return pairs
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0])
-    def test_poles_give_zero(self, x):
-        assert recip_gamma(x) == 0.0
 
-    def test_near_pole_from_rounding_snaps_to_zero(self):
-        assert recip_gamma(1.4 - 0.6 * 9) == 0.0  # exactly -4 up to rounding
+# powers p = beta or beta - alpha, with the old poles of 1/Gamma(2p - 1) at 0.5, 0, -0.5
+POWERS = sorted({*np.linspace(-0.999, 10.0, 1101).tolist(), 0.5, 0.0, -0.5,
+                 math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), 1.0, 10.0})
 
-    def test_negative_non_integer(self):
-        # Gamma(-0.5) = -2 sqrt(pi)
-        assert recip_gamma(-0.5) == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)),
-                                                  rel=1e-13)
 
-    def test_huge_argument_underflows_to_zero(self):
-        assert recip_gamma(200.0) == 0.0
+def strength(p, mu, h):
+    """mu^(1-p) k^(2p-2) |1/Gamma(2p - 1)| at k = 2 pi/h, in mpmath."""
+    k = 2 * mpmath.pi / h
+    return mpmath.mpf(mu) ** (1 - p) * k ** (2 * p - 2) * abs(mpmath.rgamma(2 * p - 1))
 
-    @pytest.mark.parametrize("x", [3e-309, 1e-310, 5e-324])
-    def test_tiny_argument_is_its_own_reciprocal(self, x):
-        # Gamma(x) overflows there, yet 1/Gamma(x) = x (1 + 0.58 x + ...) rounds to x
-        assert recip_gamma(x) == x
-        assert ml_two(0.5, x, 0.0) == x
+
+class TestGammaSites:
+    """The two places that evaluate Gamma: ml_two at z = 0 and the contour's
+    discretization bound."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 2.5, 10.0])
+    def test_value_at_zero_is_the_reciprocal_gamma(self, alpha, beta):
+        assert ml_two(alpha, beta, 0.0) == 1.0 / math.gamma(beta)
+
+    @pytest.mark.parametrize("beta", [3e-309, 1e-310, 5e-324])
+    def test_tiny_beta_at_zero_is_its_own_reciprocal(self, beta):
+        # Gamma(beta) overflows there, yet 1/Gamma(beta) = beta (1 + 0.58 beta + ...)
+        # rounds to beta
+        assert ml_two(0.5, beta, 0.0) == beta
+
+    @pytest.mark.parametrize("mu, h", contour_parameters())
+    def test_discretization_error_matches_the_oracle(self, mu, h):
+        with mpmath.workdps(40):
+            k = 2 * mpmath.pi / h
+            for p in POWERS:
+                expected = 4 * mpmath.exp(-k) * max(1, strength(p, mu, h))
+                got = mittag_leffler._discretization_error(p, mu, h)
+                assert abs(got - expected) <= 1e-13 * expected, p
+
+    @pytest.mark.parametrize("mu, h", contour_parameters())
+    def test_strength_is_small_up_to_one_half(self, mu, h):
+        # the docstring's reason why no power p <= 1/2 needs Gamma
+        with mpmath.workdps(30):
+            assert max(strength(p, mu, h) for p in POWERS if p <= 0.5) < 0.01
 
 
 def oracle(alpha: float, beta: float, z: float, digits: int = 60) -> float:

@@ -682,9 +682,12 @@ class TestBehavior:
         assert np.array_equal(times, expected)
 
     @pytest.mark.parametrize("evaluation", ["predictor", "corrector"])
-    @pytest.mark.parametrize("node", [1, 300])
+    # 128 opens the second leaf, 4097 follows a 4096-node FFT block; on the
+    # integer step t / step is exact
+    @pytest.mark.parametrize("node, step", [(1, 0.01), (128, 0.01), (300, 0.01),
+                                            (4097, 0.01), (300, 1)])
     @pytest.mark.parametrize("bad_shape", [(1,), (4,)])
-    def test_wrong_rhs_shape_after_node_0_rejected(self, bad_shape, node, evaluation):
+    def test_wrong_rhs_shape_after_node_0_rejected(self, bad_shape, node, step, evaluation):
         # call 0 is node 0; node k's predictor and corrector evaluations are
         # calls 2k - 1 and 2k
         bad_call = 2 * node - (evaluation == "predictor")
@@ -696,8 +699,8 @@ class TestBehavior:
 
         problem = FodeProblem(order=0.8, initial_state=np.ones(3), rhs=field)
         expected = f"rhs returned shape {bad_shape}, expected (3,) at node {node}"
-        with pytest.raises(ValidationError, match=re.escape(expected)):
-            solve_pece(problem, SolverConfig(step=0.01, t_end=4.0))
+        with pytest.raises(ValidationError, match=re.escape(expected) + "$"):
+            solve_pece(problem, SolverConfig(step=step, t_end=5000 * step))
         assert len(calls) == bad_call + 1
 
     def test_wrong_rhs_shape_at_node_0_rejected(self):
