@@ -216,7 +216,7 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
         ) from None
     if count < 0:
         raise ValidationError("grid count must be non-negative")
-    return name.strip(), np.linspace(start, stop, count) if count else np.array([])
+    return name.strip(), np.linspace(start, stop, count)
 
 
 _SWEEP_FIELDS = ("exists", "S", "I", "P", "label", "margin", "critical_order")

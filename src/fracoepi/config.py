@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .model import ModelParams, State, ValidationError, preset
-from .solver import validate_order, validate_step
+from .solver import validate_order, validate_positive
 
 __all__ = ["MODEL_KEYS", "RunConfig", "parse_config_text"]
 
@@ -65,10 +65,10 @@ def _parse_value(text: str, line_no: int):
         raise ValidationError(f"line {line_no}: missing value")
     pos = 0
 
+    # entered only with pos < len(tokens): at the top, where tokens is not
+    # empty, and inside a list, after its own end-of-tokens check
     def parse_item():
         nonlocal pos
-        if pos >= len(tokens):
-            raise ValidationError(f"line {line_no}: unexpected end of value")
         tok = tokens[pos]
         if tok == "[":
             pos += 1
@@ -127,7 +127,7 @@ class RunConfig:
             raise ValidationError("at least one order is needed")
         for alpha in self.alphas:
             validate_order(alpha)
-        validate_step(self.step)
+        validate_positive("step", self.step)
         for state in self.initial_states:
             if not state.nonnegative:
                 raise ValidationError(f"initial state must be non-negative, got {state}")

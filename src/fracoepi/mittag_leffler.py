@@ -189,7 +189,14 @@ def ml_two(alpha: float, beta: float, z: float) -> float:
     0 < beta <= 10, and AccuracyError when the value cannot be certified to
     REL_TOL.
     """
-    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 10.0 and -math.inf < z <= 0.0):
+    try:
+        inside = 0.0 < alpha <= 1.0 and 0.0 < beta <= 10.0 and -math.inf < z <= 0.0
+    except TypeError:  # None, a string
+        raise ValidationError(
+            "Mittag-Leffler arguments must be real numbers, got"
+            f" alpha={alpha!r}, beta={beta!r}, z={z!r}"
+        ) from None
+    if not inside:
         raise ValidationError(
             "Mittag-Leffler arguments must be finite z <= 0, 0 < alpha <= 1 and"
             f" 0 < beta <= 10, got alpha={alpha}, beta={beta}, z={z}"

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .solver import ValidationError  # the package's one validation error class
+from .solver import validate_finite, validate_positive
 
 __all__ = [
     "Condition",
@@ -68,8 +69,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{name} must be finite and positive, got {value}")
+            validate_positive(name, value)
         if self.conversion_efficiency > 1.0:
             raise ValidationError(
                 f"conversion_efficiency must not exceed 1, got {self.conversion_efficiency}"
@@ -91,8 +91,7 @@ class State:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            validate_finite(name, value)
 
     @property
     def nonnegative(self) -> bool:

@@ -71,8 +71,9 @@ __all__ = [
     "ValidationError",
     "abm_weights",
     "solve_pece",
+    "validate_finite",
     "validate_order",
-    "validate_step",
+    "validate_positive",
 ]
 
 DIVERGENCE_LIMIT = 1e12  # component magnitude treated as blow-up
@@ -96,8 +97,12 @@ class ValidationError(ValueError):
 
 
 def validate_order(order: float) -> None:
-    """Reject a fractional order outside (0, 1], or below MIN_ORDER."""
-    if not (0.0 < order <= 1.0):
+    """Reject a fractional order outside (0, 1], below MIN_ORDER, or not a number."""
+    try:
+        inside = 0.0 < order <= 1.0
+    except TypeError:  # None, a string
+        raise ValidationError(f"order must be a real number, got {order!r}") from None
+    if not inside:
         raise ValidationError(f"order must lie in (0,1], got {order}")
     if order < MIN_ORDER:
         raise ValidationError(
@@ -107,10 +112,24 @@ def validate_order(order: float) -> None:
         )
 
 
-def validate_step(step: float) -> None:
-    """Reject a grid step that is not finite and positive."""
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValidationError(f"step must be finite and positive, got {step}")
+def validate_finite(name: str, value: float) -> None:
+    """Reject a value that is NaN, infinite, or not a number."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:  # None, a string
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    if not finite:
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def validate_positive(name: str, value: float) -> None:
+    """Reject a value that is not finite and positive, or not a number."""
+    try:
+        positive = math.isfinite(value) and value > 0.0
+    except TypeError:  # None, a string
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    if not positive:
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 class DivergenceError(RuntimeError):
@@ -153,9 +172,8 @@ class SolverConfig:
     t_end: float
 
     def __post_init__(self):
-        validate_step(self.step)
-        if not math.isfinite(self.t_end):
-            raise ValidationError("t_end must be finite")
+        validate_positive("step", self.step)
+        validate_finite("t_end", self.t_end)
 
     def node_count(self) -> int:
         """Number of steps from t = 0; rejects off-grid spans and spans beyond the node cap."""
@@ -206,7 +224,8 @@ class Trajectory:
                 f"trajectory states must have one row per time ({len(times)}) and at"
                 f" least one column, got shape {states.shape}"
             )
-        if not math.isnan(self.order):  # NaN: read from CSV, which omits the order
+        # NaN, the one value unequal to itself: read from CSV, which omits the order
+        if self.order == self.order:
             validate_order(self.order)
         times.setflags(write=False)
         states.setflags(write=False)
@@ -263,7 +282,7 @@ def abm_weights(order: float, n: int, step: float = 1.0) -> tuple[np.ndarray, np
     validate_order(order)
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValidationError(f"node index n must be a non-negative integer, got {n!r}")
-    validate_step(step)
+    validate_positive("step", step)
     w, d, c0 = _lag_tables(order, step, n + 2)
     predictor = w[n + 1 : 0 : -1].copy()
     corrector = np.empty(n + 2)

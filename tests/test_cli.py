@@ -235,6 +235,24 @@ def test_rejected_run_leaves_no_output(argv, out, tmp_path, capsys):
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["report"], "no model given: use --preset or a config file"),
+    (["report", "--preset", "example1", "--alpha", "0.9,x"],
+     "bad --alpha list '0.9,x': could not convert string to float: 'x'"),
+    (["sweep", "--preset", "example1", "--vary", "theta=0.1:0.5:-1",
+      "--out", "{tmp}/nd/sweep.csv"], "grid count must be non-negative"),
+    (["sweep", "--preset", "example1", "--vary", "zeta=0.1:0.5:3",
+      "--out", "{tmp}/nd/sweep.csv"], "unknown model parameter 'zeta'"),
+], ids=["report-no-model", "report-bad-alpha", "sweep-negative-count",
+        "sweep-unknown-parameter"])
+def test_rejection_is_one_error_line(argv, message, tmp_path, capsys):
+    assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestFlags:
     def test_empty_order_list_rejected(self, tmp_path, capsys):
         rc = run("simulate", "--preset", "example1", "--alpha", "",

@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 import fracoepi
-from fracoepi import ValidationError, ml_two
-from fracoepi.config import parse_config_text
-from fracoepi.solver import Trajectory
+from fracoepi import ValidationError, ml_one, ml_two
+from fracoepi.config import config_from_entries, parse_config_text
+from fracoepi.model import EquilibriumKind, State, equilibrium, jacobian, preset, rhs
+from fracoepi.runs import solve_model
+from fracoepi.solver import FodeProblem, SolverConfig, Trajectory, abm_weights
+from fracoepi.stability import CubicCharacteristic, classify_equilibrium, cubic_roots
 from fracoepi.trajectory_io import load_trajectory_csv
+from fracoepi.verification import convergence_check, lipschitz_bound
+
+EX1 = preset("example1").params
 
 
 def test_every_exported_name_resolves():
@@ -33,6 +39,10 @@ def _csv(text):
         return load_trajectory_csv(path)
 
     return read
+
+
+def _config(text):
+    return lambda tmp_path: config_from_entries(parse_config_text(text))
 
 
 def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3, 1)),
@@ -58,6 +68,31 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         _trajectory(times=np.zeros((3, 1))),
         _trajectory(times=np.zeros(0), states=np.zeros((0, 3))),
         _trajectory(order=1.5),
+        # a scalar that is not a number
+        lambda tmp_path: FodeProblem(order=None, initial_state=[1.0], rhs=lambda t, y: -y),
+        lambda tmp_path: solve_model(EX1, None, State(30.0, 5.0, 10.0), 0.1, 1.0),
+        lambda tmp_path: SolverConfig(step="0.1", t_end=1.0),
+        lambda tmp_path: SolverConfig(step=0.1, t_end=None),
+        lambda tmp_path: abm_weights(0.5, 3, step="1"),
+        lambda tmp_path: EX1.replace(growth_rate="2"),
+        lambda tmp_path: State("a", 1.0, 1.0),
+        lambda tmp_path: convergence_check(_trajectory()(tmp_path), np.zeros(3), tol=None),
+        lambda tmp_path: lipschitz_bound(EX1, "1"),
+        lambda tmp_path: ml_one(None, -1.0),
+        lambda tmp_path: ml_two(0.5, None, -1.0),
+        lambda tmp_path: classify_equilibrium(
+            EX1, equilibrium(EX1, EquilibriumKind.COEXISTENCE), None),
+        _trajectory(order=None),
+        # configuration text
+        _config("model.r =\n"),
+        _config("solver.alpha = ,\n"),
+        _config("a b = 1\n"),
+        _config("model.preset = example1\nrun.initial_states = 5\n"),
+        _config("model.preset = example1\nrun.initial_states = [[1, 2]]\n"),
+        # states the vector field and its Jacobian are not defined at
+        lambda tmp_path: rhs(EX1, np.array([1.0, -15.0, 1.0])),
+        lambda tmp_path: jacobian(EX1, np.array([1.0, -15.0, 1.0])),
+        lambda tmp_path: cubic_roots(CubicCharacteristic(math.nan, 1.0, 1.0)),
     ],
     ids=[
         "ml-alpha", "ml-beta", "ml-argument",
@@ -66,6 +101,13 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         "trajectory-rows", "trajectory-1d-states", "trajectory-no-columns",
         "trajectory-list-times", "trajectory-2d-times", "trajectory-empty",
         "trajectory-order",
+        "problem-order-none", "solve-order-none", "config-step-str", "config-t_end-none",
+        "weights-step-str", "params-str", "state-str", "convergence-tol-none",
+        "lipschitz-radius-str", "ml-one-alpha-none", "ml-two-beta-none",
+        "classify-order-none", "trajectory-order-none",
+        "config-missing-value", "config-stray-comma", "config-invalid-key",
+        "config-states-not-list", "config-state-of-two",
+        "rhs-pole", "jacobian-pole", "cubic-nan",
     ],
 )
 def test_every_rejection_is_a_validation_error(reject, tmp_path):
