@@ -58,49 +58,40 @@ DIVERGENCE_HINT = (
 )
 
 
-_FLAGS = {
-    "preset": {"help": "built-in parameter set name"},
-    "config": {"help": "path to a key-value config file"},
-    "alpha": {"help": "comma-separated fractional orders in (0,1]"},
-    "step": {"type": float, "help": "uniform grid spacing"},
-    "t-end": {"type": float, "help": "end time"},
-    "out": {"help": "output directory"},
+_FLAGS = {  # flag: (the config key its text sets, help)
+    "preset": ("model.preset", "built-in parameter set name"),
+    "config": (None, "path to a key-value config file"),
+    "alpha": ("solver.alpha", "comma-separated fractional orders in (0,1]"),
+    "step": ("solver.step", "uniform grid spacing"),
+    "t-end": ("solver.t_end", "end time"),
+    "out": ("output.directory", "output directory"),
 }
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     """--preset and --config, plus the named flags of the subcommand."""
     for name in ("preset", "config", *names):
-        parser.add_argument(f"--{name}", **_FLAGS[name])
+        parser.add_argument(f"--{name}", help=_FLAGS[name][1])
 
 
 def _resolve_config(
     args, default_alphas: tuple[float, ...] = (), default_out: str = ""
 ) -> RunConfig:
     entries: dict = {}
-    if args.config:
+    if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
         entries = parse_config_text(path.read_text(encoding="utf-8"))
-    if args.preset:
-        entries["model.preset"] = args.preset
+    for name, (key, _) in _FLAGS.items():  # a flag the user gives sets its key
+        text = getattr(args, name.replace("-", "_"), None)
+        if key is not None and text is not None:
+            entries[key] = ([item for item in text.split(",") if item.strip()]
+                            if name == "alpha" else text)
     if not any(k.startswith("model.") for k in entries):
         raise ValidationError("no model given: use --preset or a config file")
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        try:
-            entries["solver.alpha"] = [float(tok) for tok in alpha.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"bad --alpha list {alpha!r}: {exc}") from None
     if default_alphas:
         entries.setdefault("solver.alpha", list(default_alphas))
-    if getattr(args, "step", None) is not None:
-        entries["solver.step"] = args.step
-    if getattr(args, "t_end", None) is not None:
-        entries["solver.t_end"] = args.t_end
-    if getattr(args, "out", None):
-        entries["output.directory"] = args.out
     if default_out:
         entries.setdefault("output.directory", default_out)
     return config_from_entries(entries)

@@ -10,8 +10,12 @@ Grammar (one assignment per line, ``#`` starts a comment):
     run.initial_states = [[30, 5, 10], [10, 20, 5]]
     output.directory = out
 
-Keys use dotted namespaces; values are numbers, bare strings, or bracketed
-(possibly nested) lists.  Model parameters accept both the short symbol keys
+Keys use dotted namespaces.  A value is a word (a run of characters other
+than brackets, commas and whitespace) or a bracketed, possibly nested, list
+of values, and it stays the text that was read: a field that needs a number
+reads its word with ``float()``, so ``output.directory = 1e3`` names the
+directory ``1e3``.  A command-line flag's text is read exactly as the entry
+it overrides.  Model parameters accept both the short symbol keys
 (``model.r``, ``model.lambda``, ...) and the full field names
 (``model.growth_rate``, ...).
 """
@@ -48,17 +52,6 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 _TOKEN_RE = re.compile(r"\[|\]|,|[^\[\],\s]+")
 
 
-def _parse_scalar(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token  # bare string
-
-
 def _parse_value(text: str, line_no: int):
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
@@ -85,7 +78,7 @@ def _parse_value(text: str, line_no: int):
         if tok in ("]", ","):
             raise ValidationError(f"line {line_no}: unexpected {tok!r}")
         pos += 1
-        return _parse_scalar(tok)
+        return tok
 
     value = parse_item()
     if pos != len(tokens):
@@ -94,7 +87,8 @@ def _parse_value(text: str, line_no: int):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat dict of dotted keys to parsed values; later keys override earlier."""
+    """Flat dict of dotted keys to their words and lists of words; later keys
+    override earlier."""
     entries: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,9 +128,19 @@ class RunConfig:
 
 
 def _number(value, key: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """``float()`` of a word, or of an int or float a library caller passes:
+    the one place where a config or flag value becomes a number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):  # a list, a word that is not a number
+        number = None
+    except OverflowError:  # an int past the float range
+        raise ValidationError(
+            f"field {key}: expected a number, got an integer beyond the float range"
+        ) from None
+    if number is None or isinstance(value, bool):
         raise ValidationError(f"field {key}: expected a number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_float_list(value, key: str) -> list[float]:
@@ -162,7 +166,7 @@ def config_from_entries(entries: dict) -> RunConfig:
     base = None
     initial_states: list[State] = []
     if preset_name is not None:
-        chosen = preset(str(preset_name))
+        chosen = preset(preset_name)
         base = chosen.params
         initial_states = list(chosen.initial_states)
 
@@ -196,7 +200,7 @@ def config_from_entries(entries: dict) -> RunConfig:
     step = _number(entries.pop("solver.step", DEFAULT_STEP), "solver.step")
     t_end = _number(entries.pop("solver.t_end", DEFAULT_T_END), "solver.t_end")
     out_dir = entries.pop("output.directory", "out")
-    if isinstance(out_dir, list):
+    if not isinstance(out_dir, (str, Path)) or not out_dir:
         raise ValidationError(f"field output.directory: expected one path, got {out_dir!r}")
 
     if entries:
@@ -209,6 +213,6 @@ def config_from_entries(entries: dict) -> RunConfig:
         initial_states=tuple(initial_states),
         step=step,
         t_end=t_end,
-        out_dir=Path(str(out_dir)),
-        preset_name=None if preset_name is None else str(preset_name),
+        out_dir=Path(out_dir),
+        preset_name=preset_name,
     )

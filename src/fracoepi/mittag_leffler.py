@@ -45,6 +45,7 @@ REL_TOL = 1e-10
 _CONTOUR_TARGET = 1e-15  # design target of the float64 contour
 _EPS = sys.float_info.epsilon
 _DIGITS = (20, 40, 80, 160)  # design targets 10^-digits past float64
+_Z_MIN = -sys.float_info.max  # rejects -inf, and an int past the float range
 
 
 class AccuracyError(ArithmeticError):
@@ -190,7 +191,7 @@ def ml_two(alpha: float, beta: float, z: float) -> float:
     REL_TOL.
     """
     try:
-        inside = 0.0 < alpha <= 1.0 and 0.0 < beta <= 10.0 and -math.inf < z <= 0.0
+        inside = 0.0 < alpha <= 1.0 and 0.0 < beta <= 10.0 and _Z_MIN <= z <= 0.0
     except TypeError:  # None, a string
         raise ValidationError(
             "Mittag-Leffler arguments must be real numbers, got"

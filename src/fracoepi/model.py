@@ -451,6 +451,6 @@ PRESETS: dict[str, Preset] = {
 def preset(name: str) -> Preset:
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is a list
         known = ", ".join(sorted(PRESETS))
         raise ValidationError(f"unknown preset {name!r}; known presets: {known}") from None

@@ -112,24 +112,27 @@ def validate_order(order: float) -> None:
         )
 
 
-def validate_finite(name: str, value: float) -> None:
-    """Reject a value that is NaN, infinite, or not a number."""
+def _validate(name: str, value: float, test, wanted: str) -> None:
     try:
-        finite = math.isfinite(value)
+        passed = test(value)
     except TypeError:  # None, a string
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-    if not finite:
-        raise ValidationError(f"{name} must be finite, got {value}")
+    except OverflowError:  # an int past the float range
+        raise ValidationError(
+            f"{name} must be {wanted}, got an integer beyond the float range"
+        ) from None
+    if not passed:
+        raise ValidationError(f"{name} must be {wanted}, got {value}")
+
+
+def validate_finite(name: str, value: float) -> None:
+    """Reject a value that is NaN, infinite, or not a number."""
+    _validate(name, value, math.isfinite, "finite")
 
 
 def validate_positive(name: str, value: float) -> None:
     """Reject a value that is not finite and positive, or not a number."""
-    try:
-        positive = math.isfinite(value) and value > 0.0
-    except TypeError:  # None, a string
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-    if not positive:
-        raise ValidationError(f"{name} must be finite and positive, got {value}")
+    _validate(name, value, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
 
 
 class DivergenceError(RuntimeError):
@@ -282,6 +285,8 @@ def abm_weights(order: float, n: int, step: float = 1.0) -> tuple[np.ndarray, np
     validate_order(order)
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValidationError(f"node index n must be a non-negative integer, got {n!r}")
+    if n >= NODE_CAP:  # checked before the tables of n + 2 entries are allocated
+        raise ValidationError(f"the step onto node {n + 1} exceeds the cap of {NODE_CAP} nodes")
     validate_positive("step", step)
     w, d, c0 = _lag_tables(order, step, n + 2)
     predictor = w[n + 1 : 0 : -1].copy()

@@ -238,19 +238,36 @@ def test_rejected_run_leaves_no_output(argv, out, tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["report"], "no model given: use --preset or a config file"),
     (["report", "--preset", "example1", "--alpha", "0.9,x"],
-     "bad --alpha list '0.9,x': could not convert string to float: 'x'"),
+     "field solver.alpha: expected a number, got 'x'"),
     (["sweep", "--preset", "example1", "--vary", "theta=0.1:0.5:-1",
       "--out", "{tmp}/nd/sweep.csv"], "grid count must be non-negative"),
     (["sweep", "--preset", "example1", "--vary", "zeta=0.1:0.5:3",
       "--out", "{tmp}/nd/sweep.csv"], "unknown model parameter 'zeta'"),
+    (["simulate", "--preset", "example1", "--step", "abc", "--out", "{tmp}/o"],
+     "field solver.step: expected a number, got 'abc'"),
+    (["verify", "--preset", "example1", "--t-end", "x"],
+     "field solver.t_end: expected a number, got 'x'"),
+    # float() of the text is inf, which the model rejects
+    (["report", "--config", "{tmp}/huge.cfg"],
+     "growth_rate must be finite and positive, got inf"),
+    # a flag the user gives sets its key, an empty one too
+    (["report", "--preset", ""], "unknown preset ''; known presets: example1,"
+     " example1-global, example1-unstable, example2, example3"),
+    (["simulate", "--preset", "example1", "--out", ""],
+     "field output.directory: expected one path, got ''"),
 ], ids=["report-no-model", "report-bad-alpha", "sweep-negative-count",
-        "sweep-unknown-parameter"])
-def test_rejection_is_one_error_line(argv, message, tmp_path, capsys):
+        "sweep-unknown-parameter", "simulate-bad-step", "verify-bad-t-end",
+        "report-huge-value", "report-empty-preset", "simulate-empty-out"])
+def test_rejection_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "huge.cfg"
+    config.write_text("model.preset = example1\nmodel.r = 1" + "0" * 400 + "\n",
+                      encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # where an empty --out would write
     assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [config]
 
 
 class TestFlags:

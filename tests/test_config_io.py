@@ -1,5 +1,7 @@
 """Config grammar and trajectory CSV round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,18 @@ class TestParsing:
     def test_value_of_the_wrong_type_names_its_field(self, line, field):
         with pytest.raises(ValidationError, match=f"field {field}: expected"):
             config_from_entries(parse_config_text(f"model.preset = example1\n{line}\n"))
+
+    @pytest.mark.parametrize("word", ["1e3", "007"])
+    def test_directory_is_the_word_as_written(self, word):
+        cfg = config_from_entries(parse_config_text(
+            f"model.preset = example1\noutput.directory = {word}\n"))
+        assert cfg.out_dir == Path(word)
+
+    def test_number_past_the_float_range_rejected(self):
+        # float() of the word is inf, which the model rejects
+        with pytest.raises(ValidationError, match="growth_rate must be finite"):
+            config_from_entries(parse_config_text(
+                "model.preset = example1\nmodel.r = 1" + "0" * 400 + "\n"))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -13,7 +13,7 @@ from fracoepi import ValidationError, ml_one, ml_two
 from fracoepi.config import config_from_entries, parse_config_text
 from fracoepi.model import EquilibriumKind, State, equilibrium, jacobian, preset, rhs
 from fracoepi.runs import solve_model
-from fracoepi.solver import FodeProblem, SolverConfig, Trajectory, abm_weights
+from fracoepi.solver import NODE_CAP, FodeProblem, SolverConfig, Trajectory, abm_weights
 from fracoepi.stability import CubicCharacteristic, classify_equilibrium, cubic_roots
 from fracoepi.trajectory_io import load_trajectory_csv
 from fracoepi.verification import convergence_check, lipschitz_bound
@@ -83,12 +83,24 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         lambda tmp_path: classify_equilibrium(
             EX1, equilibrium(EX1, EquilibriumKind.COEXISTENCE), None),
         _trajectory(order=None),
+        # an integer past the float range
+        lambda tmp_path: EX1.replace(growth_rate=10**400),
+        lambda tmp_path: State(10**400, 1.0, 1.0),
+        lambda tmp_path: SolverConfig(step=0.1, t_end=10**400),
+        lambda tmp_path: lipschitz_bound(EX1, 10**400),
+        lambda tmp_path: ml_one(0.5, -10**400),
+        lambda tmp_path: config_from_entries({"model.preset": "example1",
+                                              "solver.step": 10**400}),
+        # a node index at or past the cap: rejected before any table is allocated
+        lambda tmp_path: abm_weights(0.5, NODE_CAP),
+        lambda tmp_path: abm_weights(0.5, 10**30),
         # configuration text
         _config("model.r =\n"),
         _config("solver.alpha = ,\n"),
         _config("a b = 1\n"),
         _config("model.preset = example1\nrun.initial_states = 5\n"),
         _config("model.preset = example1\nrun.initial_states = [[1, 2]]\n"),
+        _config("model.preset = [example1]\n"),
         # states the vector field and its Jacobian are not defined at
         lambda tmp_path: rhs(EX1, np.array([1.0, -15.0, 1.0])),
         lambda tmp_path: jacobian(EX1, np.array([1.0, -15.0, 1.0])),
@@ -105,8 +117,11 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         "weights-step-str", "params-str", "state-str", "convergence-tol-none",
         "lipschitz-radius-str", "ml-one-alpha-none", "ml-two-beta-none",
         "classify-order-none", "trajectory-order-none",
+        "params-huge-int", "state-huge-int", "config-t_end-huge-int",
+        "lipschitz-radius-huge-int", "ml-argument-huge-int", "config-step-huge-int",
+        "weights-at-cap", "weights-past-cap",
         "config-missing-value", "config-stray-comma", "config-invalid-key",
-        "config-states-not-list", "config-state-of-two",
+        "config-states-not-list", "config-state-of-two", "config-preset-list",
         "rhs-pole", "jacobian-pole", "cubic-nan",
     ],
 )
