@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .model import ModelParams, State, ValidationError, preset
-from .solver import validate_order, validate_positive
+from .solver import shown, validate_order, validate_positive
 
 __all__ = ["MODEL_KEYS", "RunConfig", "parse_config_text"]
 
@@ -132,14 +132,11 @@ def _number(value, key: str) -> float:
     the one place where a config or flag value becomes a number."""
     try:
         number = float(value)
-    except (TypeError, ValueError):  # a list, a word that is not a number
+    # a list, a word that is not a number, an int past the float range
+    except (TypeError, ValueError, OverflowError):
         number = None
-    except OverflowError:  # an int past the float range
-        raise ValidationError(
-            f"field {key}: expected a number, got an integer beyond the float range"
-        ) from None
     if number is None or isinstance(value, bool):
-        raise ValidationError(f"field {key}: expected a number, got {value!r}")
+        raise ValidationError(f"field {key}: expected a number, got {shown(value, repr)}")
     return number
 
 

@@ -36,7 +36,7 @@ import sys
 
 import mpmath
 
-from .solver import ValidationError
+from .solver import ValidationError, shown
 
 __all__ = ["AccuracyError", "ml_one", "ml_two"]
 
@@ -195,12 +195,12 @@ def ml_two(alpha: float, beta: float, z: float) -> float:
     except TypeError:  # None, a string
         raise ValidationError(
             "Mittag-Leffler arguments must be real numbers, got"
-            f" alpha={alpha!r}, beta={beta!r}, z={z!r}"
+            f" alpha={shown(alpha, repr)}, beta={shown(beta, repr)}, z={shown(z, repr)}"
         ) from None
     if not inside:
         raise ValidationError(
             "Mittag-Leffler arguments must be finite z <= 0, 0 < alpha <= 1 and"
-            f" 0 < beta <= 10, got alpha={alpha}, beta={beta}, z={z}"
+            f" 0 < beta <= 10, got alpha={shown(alpha)}, beta={shown(beta)}, z={shown(z)}"
         )
     if z == 0.0:
         try:

@@ -1,10 +1,13 @@
 import contextlib
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import fracoepi
 from fracoepi.model import ModelParams, preset
 from fracoepi.reproduce import GLOBAL_SCENARIOS
 from fracoepi.runs import cached_solve
@@ -18,6 +21,18 @@ from fracoepi.runs import cached_solve
 with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore")
     import hypothesis.extra._patching  # noqa: F401
+
+# the directory that holds the fracoepi this run imported: src/, or an
+# installed copy.  Child processes get it first on their path, so that a run
+# checks one copy only.
+PACKAGE_PARENT = str(Path(fracoepi.__file__).resolve().parents[1])
+
+
+def child_env(*extra_paths: str) -> dict:
+    """This process's environment, with PACKAGE_PARENT and then ``extra_paths``
+    ahead of its PYTHONPATH."""
+    path = [PACKAGE_PARENT, *extra_paths, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 @pytest.fixture(scope="session")

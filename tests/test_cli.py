@@ -19,9 +19,7 @@ from fracoepi.cli import main
 from fracoepi.stability import classify_equilibrium
 from fracoepi.trajectory_io import format_float, load_trajectory_csv
 
-from conftest import model_params
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env, model_params
 
 
 def run(*argv):
@@ -122,6 +120,14 @@ class TestSimulate:
                    "--step", "0.1", "--t-end", "5", "--out", str(tmp_path)) == 0
         assert runs.cached_solve.cache_info() == before
 
+    def test_numeric_directory_name_is_the_word_as_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("model.preset = example1\noutput.directory = 1e3\n",
+                                   encoding="utf-8")
+        assert run("simulate", "--config", "run.cfg", "--alpha", "0.9", "--t-end", "1") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1e3", "run.cfg"]
+        assert (tmp_path / "1e3" / "summary.txt").is_file()
+
     def test_missing_config_file(self):
         assert run("simulate", "--config", "/nonexistent/run.cfg") == 1
 
@@ -148,10 +154,9 @@ class TestSimulate:
     ], ids=["config-is-a-directory", "out-is-a-file"])
     def test_file_errors_print_one_line_not_a_traceback(self, argv, tmp_path):
         (tmp_path / "taken").write_text("", encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run(
             [sys.executable, "-m", "fracoepi", *(arg.format(tmp=tmp_path) for arg in argv)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 1
         assert done.stderr.startswith("error: ")
@@ -161,7 +166,7 @@ class TestSimulate:
     def test_closed_stdout_ends_quietly(self, unbuffered):
         # stdout is a pipe nobody reads, as after `| head` exits: unbuffered,
         # the first print meets the closed pipe; buffered, the final flush does
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -255,19 +260,29 @@ def test_rejected_run_leaves_no_output(argv, out, tmp_path, capsys):
      " example1-global, example1-unstable, example2, example3"),
     (["simulate", "--preset", "example1", "--out", ""],
      "field output.directory: expected one path, got ''"),
+    # 1/5e-324 steps: the node count is past the float range, not an OverflowError
+    (["simulate", "--preset", "example1", "--step", "5e-324", "--t-end", "1"],
+     "inf nodes exceed the cap of 2000000"),
+    # one corrector sweep per step: the removed option is an unknown key
+    (["simulate", "--config", "{tmp}/removed.cfg"],
+     "unknown configuration keys: solver.corrector_iterations"),
 ], ids=["report-no-model", "report-bad-alpha", "sweep-negative-count",
         "sweep-unknown-parameter", "simulate-bad-step", "verify-bad-t-end",
-        "report-huge-value", "report-empty-preset", "simulate-empty-out"])
+        "report-huge-value", "report-empty-preset", "simulate-empty-out",
+        "simulate-node-count-overflows", "simulate-removed-key"])
 def test_rejection_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
-    config = tmp_path / "huge.cfg"
-    config.write_text("model.preset = example1\nmodel.r = 1" + "0" * 400 + "\n",
-                      encoding="utf-8")
+    configs = {
+        "huge.cfg": "model.preset = example1\nmodel.r = 1" + "0" * 400 + "\n",
+        "removed.cfg": "model.preset = example1\nsolver.corrector_iterations = 2\n",
+    }
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # where an empty --out would write
     assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    assert list(tmp_path.iterdir()) == [config]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(configs)
 
 
 class TestFlags:
@@ -345,7 +360,7 @@ class TestReport:
     def test_low_infectivity_report(self, capsys):
         assert run("report", "--preset", "example3") == 0
         text = capsys.readouterr().out
-        assert "exists=no" in text
+        assert "  E2  (56, -14.5455, 0) exists=no [R0 > 1: no (margin -0.2857)]" in text
         assert "0.714286" in text
 
     def test_both_theta2_conventions(self, capsys):
@@ -369,6 +384,7 @@ class TestReport:
         assert run("report", "--config", _theta_config(tmp_path, 0.05)) == 0
         text = capsys.readouterr().out
         assert f"{THETA2_LABEL.format(0.05)} = n/a (no E* at theta < d: I* < 0)" in text
+        assert "(E2 node/focus boundary as R0 value) = 1.92678" in text
 
     def test_empty_theta2_bracket_at_reference_prints_why(self, tmp_path, capsys):
         # theta = 0.1 puts S* at -135.5, so 2K(lambda S* - mu) - r < 0
@@ -484,6 +500,16 @@ class TestSweep:
         grid_step = (0.09 - 0.02) / 35
         assert abs(flips[0] - 0.041795918367346939) <= grid_step
 
+    def test_one_row_per_value_and_order(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--preset", "example1", "--vary", "theta=0.08:0.9:42",
+                   "--alpha", "0.85,0.95", "--out", str(out)) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()]
+        assert rows[0][:3] == ["parameter", "value", "alpha"]
+        assert len(rows) == 1 + 84
+        assert len({(row[1], row[2]) for row in rows[1:]}) == 84
+        assert {row[2] for row in rows[1:]} == {format_float(0.85), format_float(0.95)}
+
     def test_orders_from_config_file(self, tmp_path):
         out = tmp_path / "cfg_sweep.csv"
         rc = run("sweep", "--config", _orders_config(tmp_path),
@@ -541,6 +567,25 @@ class TestReproduce:
 
     def test_unknown_example_id(self, capsys):
         assert run("reproduce", "nope") == 1
+
+    def test_a_fresh_process_prints_and_writes_the_same_bytes(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the solves here may come from the memo; the child's are all fresh
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        assert run("reproduce", "ex1", "--out", "ex1") == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "fracoepi", "reproduce", "ex1", "--out", "ex1"],
+            cwd=fresh, env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == capsys.readouterr().out
+        names = sorted(p.name for p in (here / "ex1").iterdir())
+        assert names == sorted(p.name for p in (fresh / "ex1").iterdir())
+        for name in names:
+            assert (here / "ex1" / name).read_bytes() == (fresh / "ex1" / name).read_bytes()
 
 
 class TestVerify:
@@ -610,6 +655,19 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "hypothesis d > d2: yes (margin 0.002479))" in text  # d 0.09, d2 0.0875214
 
+    def test_prey_only_rows_print_eta_slack_and_hypothesis(self, capsys):
+        assert run("verify", "--preset", "example3", "--alpha", "0.95", "--t-end", "100") == 0
+        text = capsys.readouterr().out
+        assert text.count("eta=0.045)") == 3
+        assert text.count("slack 0.001; hypothesis R0 < 1: yes (margin 0.2857))") == 3
+        assert "Lipschitz bound" in text
+
+    @pytest.mark.parametrize("name", ["example2", "example3"])
+    def test_globally_stable_presets_pass_at_their_defaults(self, name, capsys):
+        # the E2 (example2) and E1 (example3) Lyapunov rows included
+        assert run("verify", "--preset", name) == 0
+        assert " fail" not in capsys.readouterr().out
+
     def test_help_exits_zero(self):
         assert run("--help") == 0
 
@@ -651,8 +709,7 @@ class TestVerify:
             "'--t-end', '100']); "
             "assert 'numpy.random' not in sys.modules"
         )
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
+        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "Lipschitz bound" in done.stdout

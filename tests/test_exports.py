@@ -4,6 +4,7 @@ rejected input raises the package's one ``ValidationError``."""
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,17 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
+
+
+def test_readme_library_use_block_runs(capsys):
+    # the block as printed in README.md, against the package this run imported
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.partition("\n## Library use\n")[2]
+    block = section.partition("```python\n")[2].partition("```")[0]
+    assert block
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert round(float(last), 2) == 464.67  # the bound its comment quotes
 
 
 def _csv(text):

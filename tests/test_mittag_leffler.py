@@ -6,6 +6,7 @@ the evaluation routes under test.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -47,32 +48,40 @@ class TestValues:
         assert ml_two(0.5, 1.0, 0.0) == 1.0
 
     def test_exponential_identity(self):
-        assert ml_one(1.0, -1.0) == pytest.approx(1.0 / math.e, rel=1e-14)
+        assert ml_one(1.0, -1.0) == pytest.approx(1.0 / math.e, rel=1e-14, abs=0)
 
     def test_shifted_exponential_identity(self):
         # E_{1,2}(z) = (e^z - 1)/z
-        assert ml_two(1.0, 2.0, -1.0) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-12)
+        assert ml_two(1.0, 2.0, -1.0) == pytest.approx(1.0 - 1.0 / math.e, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("alpha,beta,z,reference", FROZEN)
     def test_frozen_oracle_values(self, alpha, beta, z, reference):
-        assert ml_two(alpha, beta, z) == pytest.approx(reference, rel=1e-10)
+        assert ml_two(alpha, beta, z) == pytest.approx(reference, rel=1e-10, abs=0)
 
     def test_erfc_identity(self):
         # E_{1/2}(-x) = exp(x^2) erfc(x)
         for x in (0.5, 2.0, 4.0):
             want = math.exp(x * x) * math.erfc(x)
-            assert ml_one(0.5, -x) == pytest.approx(want, rel=1e-10)
+            assert ml_one(0.5, -x) == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_far_tail_of_the_erfc_identity(self):
+        # exp(z^2) erfc(-z) is 1/(|z| sqrt(pi)) at z = -1e9, up to its next
+        # asymptotic term 1/(2 z^2) = 5e-19 relative; only the exact magnitude
+        # sum certifies this point (TestCertificate)
+        want = 1.0 / (1e9 * math.sqrt(math.pi))
+        assert ml_one(0.5, -1e9) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_tiny_negative_argument_skips_the_tail_expansion(self):
         # a hypothesis counterexample of the recurrence identity: z^-k
         # overflows here.  E_{1,2}(z) = (e^z - 1)/z and
         # E_{1,3}(z) = (e^z - 1 - z)/z^2 = 1/2 + z/6 + ...
         z = -3.1955847520971825e-209
-        assert ml_two(1.0, 2.0, z) == pytest.approx(math.expm1(z) / z, rel=1e-15)
-        assert ml_two(1.0, 3.0, z) == pytest.approx(0.5, rel=1e-15)
+        assert ml_two(1.0, 2.0, z) == pytest.approx(math.expm1(z) / z, rel=1e-15, abs=0)
+        assert ml_two(1.0, 3.0, z) == pytest.approx(0.5, rel=1e-15, abs=0)
 
 
 DOMAIN = "must be finite z <= 0, 0 < alpha <= 1 and 0 < beta <= 10"
+BEYOND = "an integer beyond the float range"
 
 
 class TestErrors:
@@ -112,6 +121,24 @@ class TestErrors:
         with pytest.raises(ValidationError, match=DOMAIN):
             ml_two(alpha, beta, z)
 
+    @pytest.mark.parametrize("call, got", [
+        (lambda: ml_one(0.5, -10**400), "alpha=0.5, beta=1.0, z=" + BEYOND),
+        # past 4300 digits an int has no text at all
+        (lambda: ml_one(0.5, -10**5000), "alpha=0.5, beta=1.0, z=" + BEYOND),
+        (lambda: ml_two(10**5000, 1.0, -1.0), f"alpha={BEYOND}, beta=1.0, z=-1.0"),
+        (lambda: ml_two(0.5, -10**400, -1.0), f"alpha=0.5, beta={BEYOND}, z=-1.0"),
+    ], ids=["z-400-digits", "z-5000-digits", "alpha", "beta"])
+    def test_integer_past_the_float_range_is_named(self, call, got):
+        message = f"Mittag-Leffler arguments {DOMAIN}, got {got}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_integer_past_the_float_range_is_named_beside_a_non_number(self):
+        message = ("Mittag-Leffler arguments must be real numbers, got alpha=None, beta=1.0,"
+                   f" z={BEYOND}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ml_two(None, 1.0, -10**5000)
+
 
 class TestProperties:
     def test_recurrence_identity(self):
@@ -130,11 +157,11 @@ class TestProperties:
             for z in (-20.0, -3.0, -0.5):
                 two = ml_two(a, 1.0, z)
                 one = ml_one(a, z)
-                assert two == pytest.approx(one, rel=1e-12)
+                assert two == pytest.approx(one, rel=1e-12, abs=0)
 
     def test_classical_limit_matches_exp(self):
         for z in np.linspace(-30.0, 0.0, 31):
-            assert ml_one(1.0, float(z)) == pytest.approx(math.exp(z), rel=1e-10)
+            assert ml_one(1.0, float(z)) == pytest.approx(math.exp(z), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.35, 0.5, 0.75, 0.9])
     def test_completely_monotone_decay(self, alpha):
@@ -306,7 +333,7 @@ class TestContourRoute:
         assert not certified
         want = oracle(0.5, 6.0, -1e-6)
         assert abs(value - want) > REL_TOL * want
-        assert ml_two(0.5, 6.0, -1e-6) == pytest.approx(want, rel=REL_TOL)
+        assert ml_two(0.5, 6.0, -1e-6) == pytest.approx(want, rel=REL_TOL, abs=0)
 
 
 class TestDomain:

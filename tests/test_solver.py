@@ -30,7 +30,10 @@ from fracoepi.solver import (
     _leaf_loop,
     abm_weights,
     solve_pece,
+    validate_order,
 )
+
+from conftest import child_env
 
 # quadrature oracle for the step onto node 11 at alpha = 0.85, h = 1
 # (kernel integrated against the piecewise-constant / hat bases in 60-digit
@@ -451,6 +454,14 @@ class TestValidation:
                 with pytest.raises(solver.ValidationError, match=f"^{message}$"):
                     call()
 
+    @pytest.mark.parametrize("order", [10**400, 10**5000, -10**5000],
+                             ids=["400-digits", "5000-digits", "negative"])
+    def test_order_past_the_float_range_is_named(self, order):
+        # spelt out, 10**5000 would exceed the 4300 digits Python converts to text
+        message = "order must lie in (0,1], got an integer beyond the float range"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate_order(order)
+
     @pytest.mark.parametrize(
         "call, message",
         [
@@ -609,7 +620,7 @@ class TestBehavior:
             "rhs=lambda t, y: -y), fracoepi.SolverConfig(step=0.1, t_end=30.0)); "
             "assert 'numpy.fft' in sys.modules"
         )
-        subprocess.run([sys.executable, "-c", probe], check=True)
+        subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True)
 
     def test_solve_many_starts_no_thread(self, example1, monkeypatch):
         def refuse(thread):

@@ -1,10 +1,13 @@
 """The test suite's own plumbing, and the package's import hygiene."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+import fracoepi
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,13 +30,12 @@ def test_failing_property_test_leaves_the_run_going(tmp_path):
     # the suite's settings (filterwarnings = error) and its conftest, on a
     # module where one @given test fails: the other test must still run
     (tmp_path / "test_property.py").write_text(PROPERTY_MODULE, encoding="utf-8")
-    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
          "-p", "conftest", "test_property.py"],
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        env=child_env(str(ROOT / "tests")),
         capture_output=True,
         text=True,
         timeout=300,
@@ -48,10 +50,21 @@ def test_no_module_imports_another_modules_private_name():
     # one owner per decision: a name a module keeps private stays in it
     borrowed = [
         f"{path.name} <- {node.module}.{alias.name}"
-        for path in sorted((ROOT / "src" / "fracoepi").glob("*.py"))
+        for path in sorted(Path(fracoepi.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names
         if alias.name.startswith("_")
     ]
     assert borrowed == []
+
+
+def test_child_processes_import_the_copy_under_test(tmp_path):
+    # the suite runs against src/ and against an installed copy: a test's child
+    # process imports the fracoepi that the suite imported, from any directory
+    done = subprocess.run(
+        [sys.executable, "-c", "import fracoepi; print(fracoepi.__file__)"],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert Path(done.stdout.strip()).resolve() == Path(fracoepi.__file__).resolve()
