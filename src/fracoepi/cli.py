@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    MODEL_KEYS,
+    DEFAULT_OUT_DIR,
     RunConfig,
     config_from_entries,
     parse_config_text,
+    parse_grid,
 )
 from .model import (
     EquilibriumKind,
@@ -53,8 +54,10 @@ E_STAR_NOTE = (  # verify's E* row names the theta band without relying on it
 )
 DIVERGENCE_HINT = (
     "hint: the model's solutions from non-negative initial states stay bounded, "
-    "so a blow-up is a step-size failure of the explicit predictor-corrector "
-    "scheme; retry with a smaller --step (solver.step in a config file)"
+    "so a blow-up is a failure of the explicit predictor-corrector scheme. A smaller "
+    "--step (solver.step in a config file) cures a step too coarse for the dynamics, "
+    "but not a population that collapses toward zero: the scheme can step it below "
+    "zero, where it grows, and a smaller step then only delays the blow-up"
 )
 
 
@@ -196,33 +199,14 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> tuple[str, np.ndarray]:
-    try:
-        name, _, grid_text = text.partition("=")
-        start_s, stop_s, count_s = grid_text.split(":")
-        start, stop, count = float(start_s), float(stop_s), int(count_s)
-    except ValueError:
-        raise ValidationError(
-            f"bad --vary {text!r}; expected name=start:stop:count"
-        ) from None
-    if count < 0:
-        raise ValidationError("grid count must be non-negative")
-    return name.strip(), np.linspace(start, stop, count)
-
-
 _SWEEP_FIELDS = ("exists", "S", "I", "P", "label", "margin", "critical_order")
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args, default_out=".")  # a config file's output.directory, else here
-    name, grid = _parse_grid(args.vary)
-    field = MODEL_KEYS.get(name.lower())
-    if field is None:
-        raise ValidationError(f"unknown model parameter {name!r}")
-
-    out_path = cfg.out_dir  # --out names a file or a directory, a config file a directory
-    if not args.out or out_path.is_dir() or args.out.endswith("/"):
-        out_path = out_path / "sweep.csv"
+    cfg = _resolve_config(args, default_out=".")  # --out or output.directory, else here
+    name, field, grid = parse_grid(args.vary)
+    # a path ending in .csv names the file, any other the directory of sweep.csv
+    out_path = cfg.out_dir if cfg.out_dir.name.endswith(".csv") else cfg.out_dir / "sweep.csv"
 
     kinds = [k.value for k in EquilibriumKind]
     header = ["parameter", "value", "alpha"] + [
@@ -259,7 +243,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    report = reproduce(args.example, out_dir=args.out or "out")
+    report = reproduce(args.example, out_dir=args.out)
     print(report.render())
     return 3 if report.failed else 0
 
@@ -359,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a bundled scenario against references")
     p.add_argument("example", choices=list(EXAMPLE_IDS))
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", default=DEFAULT_OUT_DIR, help=_FLAGS["out"][1])
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="run the verification battery on a run")

@@ -22,19 +22,26 @@ it overrides.  Model parameters accept both the short symbol keys
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .model import ModelParams, State, ValidationError, preset
 from .solver import shown, validate_order, validate_positive
 
-__all__ = ["MODEL_KEYS", "RunConfig", "parse_config_text"]
+__all__ = ["MODEL_KEYS", "RunConfig", "output_directory", "parse_config_text", "parse_grid"]
 
 DEFAULT_ALPHAS = (0.85, 0.95)
 DEFAULT_STEP = 0.05
 DEFAULT_T_END = 500.0
+DEFAULT_OUT_DIR = "out"
+# a sweep holds every row until its file is written, about 300 bytes and
+# 0.27 ms per row (4000 points), so the cap is 30 MB and 27 s per order
+MAX_GRID_POINTS = 100_000
 
 MODEL_KEYS = {  # the paper's symbol, then every field under its own name
     "r": "growth_rate",
@@ -156,6 +163,36 @@ def _as_states(value, key: str) -> list[State]:
     return states
 
 
+def output_directory(value) -> Path:
+    """The path an ``output.directory`` value or an ``out_dir`` names; empty
+    text, which ``Path`` reads as the working directory, is rejected."""
+    if not isinstance(value, (str, Path)) or not value:
+        raise ValidationError(f"field output.directory: expected one path, got {value!r}")
+    return Path(value)
+
+
+def parse_grid(text: str) -> tuple[str, str, np.ndarray]:
+    """``name=start:stop:count`` as the name as written, the model field it
+    sets and its ``count`` evenly spaced values from start to stop."""
+    name, _, bounds = text.partition("=")
+    words = bounds.split(":")
+    if len(words) != 3:
+        raise ValidationError(f"bad --vary {text!r}; expected name=start:stop:count")
+    name = name.strip()
+    field = MODEL_KEYS.get(name.lower())
+    if field is None:
+        raise ValidationError(f"unknown model parameter {name!r}")
+    start, stop, count = (_number(word, f"--vary {part}")
+                          for word, part in zip(words, ("start", "stop", "count")))
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"grid bounds must be finite, got {start:g} and {stop:g}")
+    if not (count.is_integer() and 0 <= count <= MAX_GRID_POINTS):
+        raise ValidationError(
+            f"grid count must be a whole number from 0 to {MAX_GRID_POINTS}, got {count:g}"
+        )
+    return name, field, np.linspace(start, stop, int(count))
+
+
 def config_from_entries(entries: dict) -> RunConfig:
     """Assemble a RunConfig from parsed flat keys."""
     entries = dict(entries)
@@ -196,9 +233,7 @@ def config_from_entries(entries: dict) -> RunConfig:
     )
     step = _number(entries.pop("solver.step", DEFAULT_STEP), "solver.step")
     t_end = _number(entries.pop("solver.t_end", DEFAULT_T_END), "solver.t_end")
-    out_dir = entries.pop("output.directory", "out")
-    if not isinstance(out_dir, (str, Path)) or not out_dir:
-        raise ValidationError(f"field output.directory: expected one path, got {out_dir!r}")
+    out_dir = output_directory(entries.pop("output.directory", DEFAULT_OUT_DIR))
 
     if entries:
         unknown = ", ".join(sorted(entries))
@@ -210,6 +245,6 @@ def config_from_entries(entries: dict) -> RunConfig:
         initial_states=tuple(initial_states),
         step=step,
         t_end=t_end,
-        out_dir=Path(out_dir),
+        out_dir=out_dir,
         preset_name=preset_name,
     )

@@ -20,6 +20,7 @@ from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
+from .config import DEFAULT_OUT_DIR, output_directory
 from .model import (
     EquilibriumKind,
     ModelParams,
@@ -419,12 +420,12 @@ _EXAMPLES = {"ex1": _ex1, "ex1-unstable": _ex1_unstable, "ex2": _ex2, "ex3": _ex
 EXAMPLE_IDS = tuple(_EXAMPLES)
 
 
-def reproduce(example_id: str, out_dir: Path | str = "out") -> ReproReport:
+def reproduce(example_id: str, out_dir: Path | str = DEFAULT_OUT_DIR) -> ReproReport:
     """Run one bundled scenario and compare against its recorded references."""
     if example_id not in _EXAMPLES:
         known = ", ".join(EXAMPLE_IDS)
         raise ValidationError(f"unknown example id {example_id!r}; known ids: {known}")
-    out = Path(out_dir)
+    out = output_directory(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     items, files = _EXAMPLES[example_id](out)
     return ReproReport(example_id=example_id, items=tuple(items), files=tuple(files))

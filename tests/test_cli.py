@@ -218,9 +218,22 @@ class TestSimulate:
         assert run(*argv, "--step", "0.05") == 2
         err = capsys.readouterr().err
         assert "diverged at node 265" in err
+        assert err.splitlines()[1] == cli.DIVERGENCE_HINT
         assert "solutions from non-negative initial states stay bounded" in err
-        assert "retry with a smaller --step" in err
+        assert "A smaller --step (solver.step in a config file) cures a step too coarse" in err
         assert run(*argv, "--step", "0.01") == 0
+
+    def test_divergence_hint_names_what_a_smaller_step_leaves(self, tmp_path, capsys):
+        # the band witness steps a collapsing I below zero, and it grows from
+        # there; steps 0.025 and 0.01 only move the blow-up to t = 115.4 and 120.6
+        assert run("simulate", "--config", _band_witness_config(tmp_path), "--alpha", "1.0",
+                   "--step", "0.05", "--t-end", "115", "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "diverged at node 2224" in err
+        assert err.splitlines()[1] == cli.DIVERGENCE_HINT
+        assert ("but not a population that collapses toward zero: the scheme can step it"
+                " below zero, where it grows, and a smaller step then only delays the"
+                " blow-up") in err
 
 
 @pytest.mark.parametrize("argv,out", [
@@ -245,7 +258,14 @@ def test_rejected_run_leaves_no_output(argv, out, tmp_path, capsys):
     (["report", "--preset", "example1", "--alpha", "0.9,x"],
      "field solver.alpha: expected a number, got 'x'"),
     (["sweep", "--preset", "example1", "--vary", "theta=0.1:0.5:-1",
-      "--out", "{tmp}/nd/sweep.csv"], "grid count must be non-negative"),
+      "--out", "{tmp}/nd/sweep.csv"], "grid count must be a whole number from 0 to 100000,"
+     " got -1"),
+    # 1e12 points would take 8 TB: the count is checked before the grid is built
+    (["sweep", "--preset", "example1", "--vary", "theta=0.1:0.2:1000000000000",
+      "--out", "{tmp}/s.csv"], "grid count must be a whole number from 0 to 100000,"
+     " got 1e+12"),
+    (["sweep", "--preset", "example1", "--vary", "theta=0:inf:3",
+      "--out", "{tmp}/s.csv"], "grid bounds must be finite, got 0 and inf"),
     (["sweep", "--preset", "example1", "--vary", "zeta=0.1:0.5:3",
       "--out", "{tmp}/nd/sweep.csv"], "unknown model parameter 'zeta'"),
     (["simulate", "--preset", "example1", "--step", "abc", "--out", "{tmp}/o"],
@@ -260,6 +280,7 @@ def test_rejected_run_leaves_no_output(argv, out, tmp_path, capsys):
      " example1-global, example1-unstable, example2, example3"),
     (["simulate", "--preset", "example1", "--out", ""],
      "field output.directory: expected one path, got ''"),
+    (["reproduce", "ex3", "--out", ""], "field output.directory: expected one path, got ''"),
     # 1/5e-324 steps: the node count is past the float range, not an OverflowError
     (["simulate", "--preset", "example1", "--step", "5e-324", "--t-end", "1"],
      "inf nodes exceed the cap of 2000000"),
@@ -267,8 +288,10 @@ def test_rejected_run_leaves_no_output(argv, out, tmp_path, capsys):
     (["simulate", "--config", "{tmp}/removed.cfg"],
      "unknown configuration keys: solver.corrector_iterations"),
 ], ids=["report-no-model", "report-bad-alpha", "sweep-negative-count",
+        "sweep-count-past-the-cap", "sweep-infinite-bound",
         "sweep-unknown-parameter", "simulate-bad-step", "verify-bad-t-end",
         "report-huge-value", "report-empty-preset", "simulate-empty-out",
+        "reproduce-empty-out",
         "simulate-node-count-overflows", "simulate-removed-key"])
 def test_rejection_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
     configs = {
@@ -523,7 +546,11 @@ class TestSweep:
         ("output.directory = runs\n", (), "runs/sweep.csv"),
         ("output.directory = runs\n", ("--out", "mine.csv"), "mine.csv"),
         ("", (), "sweep.csv"),
-    ], ids=["config-directory", "out-wins", "working-directory"])
+        # one rule for both: a path ending in .csv is the file, any other its directory
+        ("output.directory = mine.csv\n", (), "mine.csv"),
+        ("", ("--out", "runs"), "runs/sweep.csv"),
+    ], ids=["config-directory", "out-wins", "working-directory", "config-file",
+            "out-directory"])
     def test_output_directory_from_config_file(self, directory, argv, written, tmp_path,
                                                monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -534,6 +561,13 @@ class TestSweep:
         csvs = sorted(str(p) for p in Path().rglob("*.csv"))
         assert csvs == [written]
         assert len(Path(written).read_text().splitlines()) == 1 + 6
+
+    def test_count_in_exponent_form(self, tmp_path):
+        # read as --step 1e3 is
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--preset", "example1", "--vary", "theta=0.1:0.2:1e3",
+                   "--alpha", "0.85", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 1 + 1000
 
     def test_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from fracoepi.config import (
+    MAX_GRID_POINTS,
     MODEL_KEYS,
     config_from_entries,
     parse_config_text,
+    parse_grid,
 )
 from fracoepi.model import ValidationError
 from fracoepi.runs import solve_model
@@ -169,6 +171,45 @@ class TestParsing:
         path.write_text(GOOD_CONFIG, encoding="utf-8")
         text = path.read_text(encoding="utf-8")
         assert config_from_entries(parse_config_text(text)).t_end == 120.0
+
+
+class TestGrid:
+    def test_name_field_and_values(self):
+        name, field, values = parse_grid(" Theta =0.1:0.3:3")
+        assert (name, field) == ("Theta", "conversion_efficiency")
+        assert values.tolist() == np.linspace(0.1, 0.3, 3).tolist()
+
+    @pytest.mark.parametrize("count", ["1e3", "1000", "1000.0"])
+    def test_count_is_read_as_a_number(self, count):
+        # as --step 1e3 is: float() of the word, which must be whole
+        assert len(parse_grid(f"d=0.02:0.09:{count}")[2]) == 1000
+
+    def test_count_up_to_the_cap(self):
+        assert len(parse_grid(f"d=0.02:0.09:{MAX_GRID_POINTS}")[2]) == MAX_GRID_POINTS
+        assert len(parse_grid("d=0.02:0.09:0")[2]) == 0
+
+    @pytest.mark.parametrize("count", [
+        str(MAX_GRID_POINTS + 1), "1000000000000", "1" + "0" * 400, "-1", "2.5", "nan", "inf",
+    ])
+    def test_count_outside_the_whole_numbers_to_the_cap_rejected(self, count, monkeypatch):
+        # rejected before the grid is allocated: 1e12 points would take 8 TB
+        monkeypatch.setattr(np, "linspace", None)
+        message = f"grid count must be a whole number from 0 to {MAX_GRID_POINTS}, got "
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            parse_grid(f"theta=0.1:0.2:{count}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("theta=1:2", "bad --vary 'theta=1:2'; expected name=start:stop:count"),
+        ("theta", "bad --vary 'theta'; expected name=start:stop:count"),
+        ("zeta=0.1:0.5:3", "unknown model parameter 'zeta'"),
+        ("theta=a:1:2", "field --vary start: expected a number, got 'a'"),
+        ("theta=0:1:x", "field --vary count: expected a number, got 'x'"),
+        ("theta=0:inf:3", "grid bounds must be finite, got 0 and inf"),
+    ])
+    def test_malformed_spec_rejected(self, text, message):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_grid(text)
+        assert str(excinfo.value) == message
 
 
 class TestTrajectoryCsv:

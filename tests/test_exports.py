@@ -1,6 +1,7 @@
 """Package surface: every name a module lists in ``__all__`` exists, and every
 rejected input raises the package's one ``ValidationError``."""
 
+import doctest
 import importlib
 import math
 import pkgutil
@@ -11,7 +12,7 @@ import pytest
 
 import fracoepi
 from fracoepi import ValidationError, ml_one, ml_two
-from fracoepi.config import config_from_entries, parse_config_text
+from fracoepi.config import config_from_entries, parse_config_text, parse_grid
 from fracoepi.model import EquilibriumKind, State, equilibrium, jacobian, preset, rhs
 from fracoepi.runs import solve_model
 from fracoepi.solver import NODE_CAP, FodeProblem, SolverConfig, Trajectory, abm_weights
@@ -22,13 +23,16 @@ from fracoepi.verification import convergence_check, lipschitz_bound
 EX1 = preset("example1").params
 
 
-def test_every_exported_name_resolves():
-    modules = [fracoepi] + [
+def _modules():
+    return [fracoepi] + [
         importlib.import_module(f"fracoepi.{info.name}")
         for info in pkgutil.iter_modules(fracoepi.__path__)
         if info.name != "__main__"  # importing it runs the command line
     ]
-    for module in modules:
+
+
+def test_every_exported_name_resolves():
+    for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
 
@@ -42,6 +46,13 @@ def test_readme_library_use_block_runs(capsys):
     exec(compile(block, "README.md (Library use)", "exec"), {})
     last = capsys.readouterr().out.splitlines()[-1]
     assert round(float(last), 2) == 464.67  # the bound its comment quotes
+
+
+def test_docstring_examples_pass():
+    # the docstring examples of the package this run imported
+    results = [doctest.testmod(module) for module in _modules()]
+    assert sum(result.attempted for result in results) >= 4
+    assert sum(result.failed for result in results) == 0
 
 
 def _csv(text):
@@ -113,6 +124,7 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         _config("model.preset = example1\nrun.initial_states = 5\n"),
         _config("model.preset = example1\nrun.initial_states = [[1, 2]]\n"),
         _config("model.preset = [example1]\n"),
+        lambda tmp_path: parse_grid("theta=0.1:0.2:1e12"),
         # states the vector field and its Jacobian are not defined at
         lambda tmp_path: rhs(EX1, np.array([1.0, -15.0, 1.0])),
         lambda tmp_path: jacobian(EX1, np.array([1.0, -15.0, 1.0])),
@@ -134,6 +146,7 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         "weights-at-cap", "weights-past-cap",
         "config-missing-value", "config-stray-comma", "config-invalid-key",
         "config-states-not-list", "config-state-of-two", "config-preset-list",
+        "grid-count-past-cap",
         "rhs-pole", "jacobian-pole", "cubic-nan",
     ],
 )

@@ -139,6 +139,15 @@ class TestErrors:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ml_two(None, 1.0, -10**5000)
 
+    def test_a_value_no_level_certifies_raises_accuracy_error(self, monkeypatch):
+        # float64 refuses this point, and 20 digits certify no point at beta = 10
+        assert not mittag_leffler._contour(0.5, 10.0, -1.0)[1]
+        monkeypatch.setattr(mittag_leffler, "_DIGITS", (20,))
+        with pytest.raises(mittag_leffler.AccuracyError) as caught:
+            ml_two(0.5, 10.0, -1.0)
+        assert type(caught.value) is mittag_leffler.AccuracyError
+        assert str(caught.value) == "E_(0.5,10.0)(-1.0) not certified to 1e-10 at 20 digits"
+
 
 class TestProperties:
     def test_recurrence_identity(self):

@@ -153,6 +153,15 @@ def test_unknown_id_creates_no_directory(tmp_path):
     assert not out.exists()
 
 
+def test_empty_out_dir_rejected(tmp_path, monkeypatch):
+    # Path("") is the working directory, which an empty value does not name
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValidationError) as excinfo:
+        reproduce("ex3", out_dir="")
+    assert str(excinfo.value) == "field output.directory: expected one path, got ''"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_ids_are_gone(tmp_path):
     out = tmp_path / "never"
     with pytest.raises(ValidationError) as excinfo:
