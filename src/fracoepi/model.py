@@ -182,7 +182,9 @@ def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
     as a (3, 1) array (best of 7 x 200 000 calls, 2-core Xeon VM).  Where
     ``a + I == 0`` Python would raise ZeroDivisionError; that state is
     recomputed with numpy scalars, so it gives the same inf/NaN as a stacked
-    state and a runaway solve still ends in a divergence error.
+    state and a runaway solve still ends in a divergence error.  A state of
+    another size fails to unpack inside the same ``try``, which turns it into
+    a ValidationError at no cost to a call that unpacks.
     """
     r = params.growth_rate
     K = params.carrying_capacity
@@ -194,11 +196,15 @@ def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
     d = params.predator_death_rate
 
     def float_form(t: float, y) -> list:
-        s, i, p = y
         try:
+            s, i, p = y
             feeding = i * p / (a + i)
         except ZeroDivisionError:  # Python floats with a + i == 0
             return [float(v) for v in float_form(t, np.array(y))]
+        except ValueError:  # the unpacking: a state of another size
+            raise ValidationError(
+                f"the model's states have 3 components (S, I, P), got {len(y)}"
+            ) from None
         return [
             r * s * (1.0 - (s + i) / K) - lam * i * s,
             lam * i * s - m * feeding - mu * i,

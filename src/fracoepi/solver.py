@@ -19,16 +19,21 @@ direct sum.  A longer block of S nodes runs (S/4096)^2 chunk pairs, each of
 which transforms its source chunk again (and its kernel too, unless the lag
 equals the chunk length), so past 8192 nodes that part grows as n^2/4096.
 On ``example1-global`` at order 0.95 and step 0.05 the split blocks took
-0.005, 0.044 and 0.67 s of solves of 20k, 60k and 240k nodes that took 0.084,
-0.27 and 1.60 s in all (each split block timed inside the solve; best of 5, 5
-and 2 solves on a shared 2-core Xeon VM, Python 3.11, numpy 2.4).
+0.005, 0.042 and 0.65 s of solves of 20k, 60k and 240k nodes that took 0.075,
+0.236 and 1.47 s in all, and 0.082, 0.259 and 1.55 s before the leaf loop
+stored in place (each split block timed inside the solve; the best of 14, 30
+and 6 solves, in two processes that each load both versions and alternate
+their solves, on a shared 2-core Xeon VM, Python 3.11, numpy 2.4).
 
 Besides the trajectory's own state rows, a solve of N nodes and d components
 holds the evaluated right-hand sides (d·(N + 1) doubles, 3(N + 1) for the
 model) and two weight tables (2(N + 1)), plus transform buffers bounded by
-``_FFT_CAP``.  It releases them before it fetches its time grid, and every
-live trajectory on one grid (same step and node count) shares one read-only
-times array, so a run holding many trajectories stores their times once.
+``_FFT_CAP``; while the tables are built, five (N + 2)-arrays take their
+place (three tables and the two powers they come from).  The leaf loop
+adds no storage that grows with N.  The solve releases the history and the
+tables before it fetches its time grid, and every live trajectory on one
+grid (same step and node count) shares one read-only times array, so a run
+holding many trajectories stores their times once.
 
 What remains is Python work per node: two short dot products, two RHS
 calls, the state updates and the divergence check.  A leaf's RHS rows go to
@@ -36,22 +41,27 @@ one leaf buffer, copied into the history once the leaf is solved, so the
 buffer's view for every lag and the ``dot`` method of every lag's weight
 view are made once per solve; ``ndarray.dot`` reaches numpy's C product
 without the ``__array_function__`` dispatch that ``np.dot`` passes on every
-call (numpy 2.4: 0.85 against 1.1 us a call).  The arithmetic around the
-dots (predictor, corrector, divergence check) runs on Python floats, with
-the operations of the array form in the same order, so every state is
-bit-identical and a step of a few components avoids the ufunc overhead of
-small arrays.  It is written out component by component in a leaf loop
-generated once per state dimension (``_leaf_loop``), as ``dataclasses``
-writes ``__init__``, because a list comprehension costs a function call.  A
-leaf reads its pending sums and times as lists once and stores its
-corrected rows with one assignment.  The RHS is called on lists as well:
-the model's vector field carries a float form (``model._field``) that the
-loop calls directly, and any other field is wrapped once in an adapter that
-passes it a fresh array and checks the shape of its value at every
-evaluation.  A 60 000-node solve of the model costs about 4.8 us per node
-(0.287 s, best of 15 on a shared 2-core Xeon VM, the best of three
-processes), against 7.5 us (0.451 s) when the same field goes through the
-adapter.
+call (numpy 2.4: 0.85 against 1.1 us a call).  Each dot writes its sums
+into one preallocated row, read back through a memoryview, so no result
+array is made.  The arithmetic around the dots (predictor, corrector,
+divergence check) runs on Python floats, with the operations of the array
+form in the same order, so every state is bit-identical and a step of a
+few components avoids the ufunc overhead of small arrays.  It is written
+out component by component in a leaf loop generated once per state
+dimension (``_leaf_loop``), as ``dataclasses`` writes ``__init__``,
+because a list comprehension costs a function call.  A leaf reads its
+pending sums and times as lists once; the loop stores each corrected
+component straight into ``states`` and each RHS component into the leaf
+buffer, through flat float64 memoryviews of both made once per solve, so
+no row is collected in a list or converted from one by numpy.  The RHS is
+called on lists as well: the model's vector field carries a float form
+(``model._field``) that the loop calls directly, and any other field is
+wrapped once in an adapter that passes it a fresh array and checks the
+shape of its value at every evaluation.  A 60 000-node solve of the model
+costs about 3.9 us per node, against 4.3 us when the leaf loop collected
+its rows in a list and converted each RHS row and dot result; through the
+adapter the same field costs 6.3 us (0.376 s), against 6.9 us (0.414 s;
+best of 18 solves, measured as above).
 """
 
 from __future__ import annotations
@@ -333,14 +343,16 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     # the leaf is solved and they go to rhs_values.  The in-block lag tables
     # are reversed so that the dot for lag m runs on contiguous rows:
     # leaf_w[-m:] against buf[:m].  Every view and bound dot is made once.
-    buf = np.zeros((_LEAF, len(y0)))
+    dim = len(y0)
+    buf = np.zeros((_LEAF, dim))
     views = [buf[:m] for m in range(_LEAF)]
     leaf_w = np.ascontiguousarray(w[1:_LEAF][::-1])
     leaf_d = np.ascontiguousarray(d[1:_LEAF][::-1])
     n_leaf = len(leaf_w)
     w_dots = [leaf_w[n_leaf - m :].dot for m in range(n_leaf + 1)]
     d_dots = [leaf_d[n_leaf - m :].dot for m in range(n_leaf + 1)]
-    leaf_loop = _leaf_loop(len(y0))
+    sums = np.zeros(dim)  # every leaf dot writes its sums here
+    leaf_loop = _leaf_loop(dim)
     spectra: dict = {}  # kernel spectra of this solve, by block length
 
     inv_gamma_a = 1.0 / math.gamma(a)
@@ -349,25 +361,30 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     buf[0] = rhs_values[0] = rhs_fn(0.0, y0)
     np.multiply(c0[1:, None], rhs_values[0], out=rhs_values[1:])  # node 0's corrector term
     del c0  # one table less held through the solve
-    for start in range(0, n_steps + 1, _LEAF):
-        stop = min(start + _LEAF, n_steps + 1)
-        first_c = max(start, 1)  # node 0 enters the corrector through c0
-        lo, hi = first_c - start, stop - start
-        # the corrector sums rows first_c..k-1, which in the first leaf start at buf[1]
-        d_views = views if lo == 0 else [buf[1 : m + 1] for m in range(hi - 1)]
-        rows = []
-        leaf_loop(
-            rhs_fn, y0, range(first_c, stop), (h * np.arange(first_c, stop)).tolist(),
-            states[first_c:stop].tolist(), rhs_values[first_c:stop].tolist(),
-            w_dots[lo:hi], views[lo:hi], d_dots[: hi - lo], d_views,
-            buf, start, rows, inv_gamma_a, corr_scale, DIVERGENCE_LIMIT,
-        )
-        if rows:  # the one leaf of a zero-length run holds no node to solve
-            states[first_c:stop] = rows
+    # the leaf loop reads the dot sums and stores solved states and RHS rows
+    # through flat float views, released before the states go to a Trajectory
+    with (
+        memoryview(states.reshape(-1)) as states_flat,
+        memoryview(buf.reshape(-1)) as buf_flat,
+        memoryview(sums) as sums_flat,
+    ):
+        for start in range(0, n_steps + 1, _LEAF):
+            stop = min(start + _LEAF, n_steps + 1)
+            first_c = max(start, 1)  # node 0 enters the corrector through c0
+            lo, hi = first_c - start, stop - start
+            # the corrector sums rows first_c..k-1, which in the first leaf start at buf[1]
+            d_views = views if lo == 0 else [buf[1 : m + 1] for m in range(hi - 1)]
+            leaf_loop(
+                rhs_fn, y0, range(first_c, stop), (h * np.arange(first_c, stop)).tolist(),
+                states[first_c:stop].tolist(), rhs_values[first_c:stop].tolist(),
+                w_dots[lo:hi], views[lo:hi], d_dots[: hi - lo], d_views,
+                sums, sums_flat, states_flat, buf_flat, start,
+                inv_gamma_a, corr_scale, DIVERGENCE_LIMIT,
+            )
             rhs_values[first_c:stop] = buf[lo:hi]
-        if stop <= n_steps:
-            # nodes [stop - size, stop) close a left half of length size
-            _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
+            if stop <= n_steps:
+                # nodes [stop - size, stop) close a left half of length size
+                _add_block_history(states, rhs_values, w, d, spectra, stop, stop & -stop)
 
     # the grid comes last, once the history and the tables are gone: a solve's
     # memory peaks here, as its state rows are only touched as it advances
@@ -380,22 +397,27 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 # list with one item per component (see _leaf_loop)
 _LEAF_LOOP = """\
 def leaf_loop(rhs_fn, y0, nodes, times, pending, pending_c, w_dots, w_views, d_dots, d_views,
-              buf, start, rows, inv_gamma_a, corr_scale, limit):
+              sums, sums_flat, states_flat, buf_flat, start, inv_gamma_a, corr_scale, limit):
     {y0}, = y0
     for k, t, ({p},), ({c},), w_dot, w_view, d_dot, d_view in zip(
         nodes, times, pending, pending_c, w_dots, w_views, d_dots, d_views
     ):
         # predictor: fractional rectangle rule over the whole history
-        {q}, = w_dot(w_view).tolist()
+        w_dot(w_view, sums)
+        {q}, = sums_flat
         {f}, = rhs_fn(t, [{predicted}])
         # corrector history: hat-function weights
-        {q}, = d_dot(d_view).tolist()
+        d_dot(d_view, sums)
+        {q}, = sums_flat
         {x}, = row = [{corrected}]
         f = rhs_fn(t, row)
         if not ({bounded}):  # NaN fails too
             raise DivergenceError(k, t, array(row))
-        rows.append(row)
-        buf[k - start] = f
+        {f}, = f
+        i = {dim} * k
+        {store_x}
+        i = {dim} * (k - start)
+        {store_f}
 """
 
 
@@ -403,9 +425,12 @@ def leaf_loop(rhs_fn, y0, nodes, times, pending, pending_c, w_dots, w_views, d_d
 def _leaf_loop(dim: int):
     """The PECE steps of one leaf, generated for states of ``dim`` components.
 
-    The loop solves the nodes of a leaf in order.  It appends each corrected
-    row to ``rows`` and stores the RHS at that row in ``buf[k - start]``,
-    where the dots of the next nodes read it.  Its arithmetic runs on Python
+    The loop solves the nodes of a leaf in order.  Each dot writes its sums
+    into ``sums``, read through the memoryview ``sums_flat``.  Component i
+    of the corrected state of node k goes to ``states_flat[dim * k + i]``
+    and component i of the RHS there to ``buf_flat[dim * (k - start) + i]``,
+    where the dots of the next nodes read it: flat float64 memoryviews of
+    ``states`` and of the leaf buffer.  Its arithmetic runs on Python
     floats, written out component by component in the operation order of
     the array form: a list comprehension is a function call of its own
     (0.64 us against 0.13 us written out for the three-component predictor,
@@ -423,6 +448,9 @@ def _leaf_loop(dim: int):
         predicted=each("y0_{i} + inv_gamma_a * (p_{i} + q_{i})"),
         corrected=each("y0_{i} + corr_scale * ((c_{i} + q_{i}) + f_{i})"),
         bounded=each("abs(x_{i}) <= limit", " and "),
+        dim=dim,
+        store_x=each("states_flat[i + {i}] = x_{i}", "\n        "),
+        store_f=each("buf_flat[i + {i}] = f_{i}", "\n        "),
     )
     namespace = {"DivergenceError": DivergenceError, "array": np.array}
     exec(compile(source, f"<leaf loop, {dim} components>", "exec"), namespace)

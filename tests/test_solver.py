@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -746,6 +747,18 @@ class TestBehavior:
         with pytest.raises(ValidationError, match=re.escape("expected (3,) at node 0")):
             solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
 
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("path", ["float-form", "adapter"])
+    def test_model_field_rejects_a_state_of_another_size(self, example1, size, path):
+        # the model's float form unpacks (S, I, P); behind a lambda the
+        # adapter passes the state on to the same unpacking
+        field = vector_field(example1)
+        rhs = field if path == "float-form" else (lambda t, y: field(t, y))
+        problem = FodeProblem(order=0.9, initial_state=np.ones(size), rhs=rhs)
+        expected = f"the model's states have 3 components (S, I, P), got {size}"
+        with pytest.raises(ValidationError, match=re.escape(expected) + "$"):
+            solve_pece(problem, SolverConfig(step=0.05, t_end=1.0))
+
     def test_rhs_receives_node_times_and_fresh_arrays(self):
         # a field that is not the model: every call gets an ndarray state of
         # the problem's shape and the node's time, in order
@@ -847,6 +860,32 @@ class TestMemory:
         assert floats.times.dtype == np.float64
         assert ints.times.dtype == np.arange(5).dtype  # as 1 * np.arange(5)
         assert np.array_equal(ints.states, floats.states)
+
+    @pytest.mark.parametrize("n_steps", [8200, 16400])  # both past the first split block
+    def test_peak_memory_is_the_named_arrays_and_capped_transforms(self, example1, n_steps):
+        # the solver docstring's budget for N nodes of d components: states and
+        # RHS history, d(N + 1) doubles each; while the weight tables are built,
+        # five (N + 2)-arrays (three tables and the two powers they come from),
+        # and after that two tables and the transform buffers.  Those are a few
+        # spectra and inverse transforms of d * _FFT_CAP values, and the cached
+        # kernel spectra of the unsplit blocks: at most 12 d * _FFT_CAP doubles,
+        # whatever N is.  A cache that keeps a spectrum per source chunk or per
+        # lag grows with N and breaks the bound at 16 400 nodes.
+        dim = 3
+        problem = FodeProblem(
+            order=0.95, initial_state=np.array([30.0, 5.0, 10.0]), rhs=vector_field(example1)
+        )
+        solve_pece(problem, SolverConfig(step=0.05, t_end=15.0))  # the leaf loop, numpy.fft
+        tracemalloc.start()
+        try:
+            solve_pece(problem, SolverConfig(step=0.05, t_end=n_steps * 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history = 2 * dim * (n_steps + 1)
+        building = 5 * (n_steps + 2)
+        stepping = 2 * (n_steps + 1) + 12 * dim * _FFT_CAP
+        assert peak <= 8 * (history + max(building, stepping))
 
     @pytest.mark.parametrize(
         "end, size",
@@ -979,6 +1018,24 @@ class TestAgreementWithDirectSums:
         )
         assert np.array_equal(same.states, copied.states)
         assert np.all(np.diff(same.states[:, 0]) > 0.0)  # the growth is carried forward
+
+    def test_model_divergence_is_the_same_on_both_paths(self):
+        # example1-unstable at order 0.6 leaves E* and blows up; the model's
+        # float form and the same field behind a lambda (the ndarray adapter)
+        # stop at the same node with the same state
+        field = vector_field(preset("example1-unstable").params)
+        errors = []
+        for rhs in (field, lambda t, y: field(t, y)):
+            problem = FodeProblem(order=0.6, initial_state=np.array([30.0, 5.0, 10.0]), rhs=rhs)
+            with pytest.raises(DivergenceError) as excinfo:
+                solve_pece(problem, SolverConfig(step=0.05, t_end=500.0))
+            errors.append(excinfo.value)
+        for error in errors:
+            assert (error.node, error.time) == (1773, 88.65)
+            assert error.state.tolist() == [
+                7415762114453.555, -7415719863753.807, 717.0096217169267
+            ]
+        assert errors[0].state.tobytes() == errors[1].state.tobytes()
 
     def test_blowup_past_the_first_blocks_reports_the_direct_node(self):
         problem = FodeProblem(
