@@ -154,7 +154,9 @@ def _as_float_list(value, key: str) -> list[float]:
 def _as_states(value, key: str) -> list[State]:
     if not isinstance(value, list):
         raise ValidationError(f"field {key}: expected a list of [S, I, P] triples")
-    triples = value if value and isinstance(value[0], list) else [value]
+    if not value:
+        raise ValidationError(f"field {key}: expected at least one [S, I, P] triple, got []")
+    triples = value if isinstance(value[0], list) else [value]
     states = []
     for triple in triples:
         if not (isinstance(triple, list) and len(triple) == 3):

@@ -16,7 +16,7 @@ densities/rates; populations are dimensionless densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -168,54 +168,94 @@ class Thresholds:
     undefined: dict[str, str] = field(default_factory=dict, hash=False)  # stays hashable
 
 
+# The model's right-hand side, written once: statements over the state
+# components s, i, p (Python floats, complex numbers or numpy arrays) and the
+# eight constants, in ModelParams' field order, that assign its components
+# f_0, f_1, f_2.  float_form is compiled from it below, and the solver's leaf
+# loop writes it into its step (see solver._leaf_loop).
+_FIELD_TEXT = (
+    ("s", "i", "p"),
+    ("r", "K", "lam", "m", "mu", "a", "theta", "d"),
+    """\
+feeding = i * p / (a + i)
+f_0 = r * s * (1.0 - (s + i) / K) - lam * i * s
+f_1 = lam * i * s - m * feeding - mu * i
+f_2 = theta * feeding - d * p
+""",
+)
+
+
+# float_form over the floats of one state, for constants bound once per field
+_FLOAT_FORM = """\
+def bind({constants}):
+    def float_form(t, y):
+        try:
+            {state}, = y
+{lines}
+        except ZeroDivisionError:  # Python floats with a + i == 0
+            return [float(v) for v in float_form(t, np.array(y))]
+        except ValueError:  # the unpacking: a state of another size
+            raise ValidationError(
+                f"the model's states have 3 components (S, I, P), got {{len(y)}}"
+            ) from None
+        return [{values}]
+    return float_form
+"""
+
+
+def _compile_float_form():
+    """``bind(*constants)``, which gives the float form of ``_FIELD_TEXT``."""
+    state, constants, lines = _FIELD_TEXT
+    source = _FLOAT_FORM.format(
+        constants=", ".join(constants),
+        state=", ".join(state),
+        lines="\n".join(" " * 12 + line for line in lines.splitlines()),
+        values=", ".join(f"f_{k}" for k in range(len(state))),
+    )
+    namespace = {"np": np, "ValidationError": ValidationError}
+    exec(compile(source, "<model float form>", "exec"), namespace)
+    return namespace["bind"]
+
+
+_bind_float_form = _compile_float_form()
+
+
 def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The model's right-hand side, written once; y holds (S, I, P) on axis 0.
+    """The model's right-hand side, ``_FIELD_TEXT``; y holds (S, I, P) on axis 0.
 
     The arithmetic is ``float_form(t, y)``: three components in, a list of
     three out.  Python floats perform the same IEEE-754 double operations as
     numpy scalars in the same order, so for one state it gives the bits of
     the stacked path, and three arrays of stacked states go through it as
     they are.  The returned ndarray callable unpacks a single state
-    (``y.ndim == 1``) into Python floats and wraps the list in an array; the
-    solver calls ``float_form`` on its lists directly: about 0.3 us per call,
-    against 0.9 us through the ndarray callable and 12 us for a state stacked
-    as a (3, 1) array (best of 7 x 200 000 calls, 2-core Xeon VM).  Where
-    ``a + I == 0`` Python would raise ZeroDivisionError; that state is
+    (``y.ndim == 1``) into Python floats and wraps the list in an array.
+    Where ``a + I == 0`` Python would raise ZeroDivisionError; that state is
     recomputed with numpy scalars, so it gives the same inf/NaN as a stacked
     state and a runaway solve still ends in a divergence error.  A state of
     another size fails to unpack inside the same ``try``, which turns it into
     a ValidationError at no cost to a call that unpacks.
-    """
-    r = params.growth_rate
-    K = params.carrying_capacity
-    lam = params.infection_rate
-    m = params.predation_rate
-    mu = params.infected_death_rate
-    a = params.half_saturation
-    theta = params.conversion_efficiency
-    d = params.predator_death_rate
 
-    def float_form(t: float, y) -> list:
-        try:
-            s, i, p = y
-            feeding = i * p / (a + i)
-        except ZeroDivisionError:  # Python floats with a + i == 0
-            return [float(v) for v in float_form(t, np.array(y))]
-        except ValueError:  # the unpacking: a state of another size
-            raise ValidationError(
-                f"the model's states have 3 components (S, I, P), got {len(y)}"
-            ) from None
-        return [
-            r * s * (1.0 - (s + i) / K) - lam * i * s,
-            lam * i * s - m * feeding - mu * i,
-            theta * feeding - d * p,
-        ]
+    The callable also carries ``text``, which is ``_FIELD_TEXT``, and
+    ``constants``, the values of its constant names.  The solver writes the
+    text into its leaf loop, so a model solve calls ``float_form`` only at
+    node 0 and where ``a + I == 0``; every other evaluation is the same
+    arithmetic inline, with the same bits.  ``float_form`` costs about
+    0.36 us a call on a list, against 0.88 us through the ndarray callable
+    and 11.6 us for a state stacked as a (3, 1) array (best of 7 x 200 000
+    calls, 7 x 20 000 for the stacked state, 2-core Xeon VM).  Inline, the
+    two evaluations of a node cost about 0.4 us less than the two calls:
+    a 60 000-node solve took 3.6 against 4.0 us a node (see ``solver``).
+    """
+    constants = astuple(params)
+    float_form = _bind_float_form(*constants)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         # one state as Python floats; stacked arrays (or a list) unpack as they are
         return np.array(float_form(t, y.tolist() if getattr(y, "ndim", 0) == 1 else y))
 
     f.float_form = float_form
+    f.text = _FIELD_TEXT
+    f.constants = constants
     return f
 
 
@@ -258,9 +298,9 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarra
     """Autonomous rhs closure in the (t, y) signature solvers expect."""
     # a function of its own, not an alias of _field: perfbench counts the
     # solvers' RHS evaluations through this name, and rhs must not add to them.
-    # The counting closure perfbench returns carries no float_form, so a traced
-    # solve takes the solver's ndarray adapter, not the float path untraced
-    # solves take
+    # The counting closure perfbench returns carries neither text nor
+    # float_form, so a traced solve calls it through the solver's ndarray
+    # adapter, where an untraced solve runs the field's text inline
     return _field(params)
 
 

@@ -19,11 +19,12 @@ direct sum.  A longer block of S nodes runs (S/4096)^2 chunk pairs, each of
 which transforms its source chunk again (and its kernel too, unless the lag
 equals the chunk length), so past 8192 nodes that part grows as n^2/4096.
 On ``example1-global`` at order 0.95 and step 0.05 the split blocks took
-0.005, 0.042 and 0.65 s of solves of 20k, 60k and 240k nodes that took 0.075,
-0.236 and 1.47 s in all, and 0.082, 0.259 and 1.55 s before the leaf loop
-stored in place (each split block timed inside the solve; the best of 14, 30
-and 6 solves, in two processes that each load both versions and alternate
-their solves, on a shared 2-core Xeon VM, Python 3.11, numpy 2.4).
+0.005, 0.042 and 0.65 s of solves of 20k, 60k and 240k nodes that took
+0.064, 0.213 and 1.35 s in all (each split block timed inside the solve;
+the totals are the best of 30, 30 and 6 solves in a process that loads
+this solver and one that calls the model's float form at every
+evaluation, and alternates their solves, on a shared 2-core Xeon VM,
+Python 3.11, numpy 2.4).
 
 Besides the trajectory's own state rows, a solve of N nodes and d components
 holds the evaluated right-hand sides (d·(N + 1) doubles, 3(N + 1) for the
@@ -35,33 +36,39 @@ tables before it fetches its time grid, and every live trajectory on one
 grid (same step and node count) shares one read-only times array, so a run
 holding many trajectories stores their times once.
 
-What remains is Python work per node: two short dot products, two RHS
-calls, the state updates and the divergence check.  A leaf's RHS rows go to
-one leaf buffer, copied into the history once the leaf is solved, so the
-buffer's view for every lag and the ``dot`` method of every lag's weight
-view are made once per solve; ``ndarray.dot`` reaches numpy's C product
-without the ``__array_function__`` dispatch that ``np.dot`` passes on every
-call (numpy 2.4: 0.85 against 1.1 us a call).  Each dot writes its sums
-into one preallocated row, read back through a memoryview, so no result
-array is made.  The arithmetic around the dots (predictor, corrector,
+What remains is Python work per node: two short dot products, two
+evaluations of the vector field, the state updates and the divergence
+check.  A leaf's RHS rows go to one leaf buffer, copied into the history
+once the leaf is solved, so the buffer's view for every lag and the
+``dot`` method of every lag's weight view are made once per solve;
+``ndarray.dot`` reaches numpy's C product without the
+``__array_function__`` dispatch that ``np.dot`` passes on every call
+(numpy 2.4: 0.85 against 1.1 us a call).  Each dot writes its sums into
+one preallocated row, read back through a memoryview, so no result array
+is made.  The arithmetic around the dots (predictor, corrector,
 divergence check) runs on Python floats, with the operations of the array
 form in the same order, so every state is bit-identical and a step of a
 few components avoids the ufunc overhead of small arrays.  It is written
 out component by component in a leaf loop generated once per state
-dimension (``_leaf_loop``), as ``dataclasses`` writes ``__init__``,
+dimension and field text (``_leaf_loop``), as ``dataclasses`` writes ``__init__``,
 because a list comprehension costs a function call.  A leaf reads its
 pending sums and times as lists once; the loop stores each corrected
 component straight into ``states`` and each RHS component into the leaf
 buffer, through flat float64 memoryviews of both made once per solve, so
-no row is collected in a list or converted from one by numpy.  The RHS is
-called on lists as well: the model's vector field carries a float form
-(``model._field``) that the loop calls directly, and any other field is
-wrapped once in an adapter that passes it a fresh array and checks the
-shape of its value at every evaluation.  A 60 000-node solve of the model
-costs about 3.9 us per node, against 4.3 us when the leaf loop collected
-its rows in a list and converted each RHS row and dot result; through the
-adapter the same field costs 6.3 us (0.376 s), against 6.9 us (0.414 s;
-best of 18 solves, measured as above).
+no row is collected in a list or converted from one by numpy.
+
+The model's vector field carries its equations as source text
+(``model._FIELD_TEXT``) and the values of their constants, and the leaf
+loop generated for that text evaluates them inline on the state's
+floats: a model solve calls the field only at node 0 and where a
+division by zero sends it to the field's numpy fallback.  Any other
+field is called on lists, through an adapter that passes it a fresh
+array and checks the shape of its value at every evaluation.  A
+60 000-node solve of the model costs about 3.6 us per node (0.213 s),
+against 4.0 us (0.238 s) when the loop called the field's float form at
+both evaluations of a node; through the adapter the same field costs
+6.2 us (0.373 s) either way (best of 30 and 18 solves, measured as
+above).
 """
 
 from __future__ import annotations
@@ -352,7 +359,11 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     w_dots = [leaf_w[n_leaf - m :].dot for m in range(n_leaf + 1)]
     d_dots = [leaf_d[n_leaf - m :].dot for m in range(n_leaf + 1)]
     sums = np.zeros(dim)  # every leaf dot writes its sums here
-    leaf_loop = _leaf_loop(dim)
+    text = getattr(problem.rhs, "text", None)
+    if text is not None and len(text[0]) == dim:  # the model's field, written into the loop
+        leaf_loop, constants = _leaf_loop(dim, text), problem.rhs.constants
+    else:  # called; a model state of another size is rejected at node 0
+        leaf_loop, constants = _leaf_loop(dim), ()
     spectra: dict = {}  # kernel spectra of this solve, by block length
 
     inv_gamma_a = 1.0 / math.gamma(a)
@@ -379,7 +390,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
                 states[first_c:stop].tolist(), rhs_values[first_c:stop].tolist(),
                 w_dots[lo:hi], views[lo:hi], d_dots[: hi - lo], d_views,
                 sums, sums_flat, states_flat, buf_flat, start,
-                inv_gamma_a, corr_scale, DIVERGENCE_LIMIT,
+                inv_gamma_a, corr_scale, DIVERGENCE_LIMIT, constants,
             )
             rhs_values[first_c:stop] = buf[lo:hi]
             if stop <= n_steps:
@@ -394,35 +405,59 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 
 
 # the steps of one leaf, written out per component: each field below is a
-# list with one item per component (see _leaf_loop)
+# list with one item per component, or a block of statements (see _leaf_loop)
 _LEAF_LOOP = """\
 def leaf_loop(rhs_fn, y0, nodes, times, pending, pending_c, w_dots, w_views, d_dots, d_views,
-              sums, sums_flat, states_flat, buf_flat, start, inv_gamma_a, corr_scale, limit):
+              sums, sums_flat, states_flat, buf_flat, start, inv_gamma_a, corr_scale, limit,
+              constants):
     {y0}, = y0
+    {bind}
     for k, t, ({p},), ({c},), w_dot, w_view, d_dot, d_view in zip(
         nodes, times, pending, pending_c, w_dots, w_views, d_dots, d_views
     ):
         # predictor: fractional rectangle rule over the whole history
         w_dot(w_view, sums)
         {q}, = sums_flat
-        {f}, = rhs_fn(t, [{predicted}])
+        {predict}
         # corrector history: hat-function weights
         d_dot(d_view, sums)
         {q}, = sums_flat
-        {x}, = row = [{corrected}]
-        f = rhs_fn(t, row)
-        if not ({bounded}):  # NaN fails too
-            raise DivergenceError(k, t, array(row))
-        {f}, = f
-        i = {dim} * k
+        {correct}
+        at = {dim} * k
         {store_x}
-        i = {dim} * (k - start)
+        at = {dim} * (k - start)
         {store_f}
 """
 
+# the two evaluations of a field that is called on lists
+_CALL_PREDICT = """\
+{f}, = rhs_fn(t, [{predicted}])"""
+_CALL_CORRECT = """\
+{x}, = row = [{corrected}]
+f = rhs_fn(t, row)
+if not ({bounded}):  # NaN fails too
+    raise DivergenceError(k, t, array(row))
+{f}, = f"""
+
+# the two evaluations of a field given as text, on its own state names
+_TEXT_PREDICT = """\
+{x}, = {predicted}
+try:
+{field}
+except ZeroDivisionError:
+    {f}, = rhs_fn(t, [{x}])"""
+_TEXT_CORRECT = """\
+{x}, = {corrected}
+try:
+{field}
+except ZeroDivisionError:
+    {f}, = rhs_fn(t, [{x}])
+if not ({bounded}):  # NaN fails too
+    raise DivergenceError(k, t, array([{x}]))"""
+
 
 @functools.lru_cache(maxsize=16)
-def _leaf_loop(dim: int):
+def _leaf_loop(dim: int, text=None):
     """The PECE steps of one leaf, generated for states of ``dim`` components.
 
     The loop solves the nodes of a leaf in order.  Each dot writes its sums
@@ -434,23 +469,53 @@ def _leaf_loop(dim: int):
     floats, written out component by component in the operation order of
     the array form: a list comprehension is a function call of its own
     (0.64 us against 0.13 us written out for the three-component predictor,
-    Python 3.11, best of 5 x 500 000).  The source is built from the integer
-    ``dim`` alone, and every constant comes in as an argument.  A loop is
-    built on the first solve of its dimension; the cache keeps the 16 most
-    recently used.
+    Python 3.11, best of 5 x 500 000).
+
+    Without ``text`` the loop calls ``rhs_fn`` on a list at both
+    evaluations of a node.  ``text`` is a vector field as source, as the
+    model's field carries it (``model._FIELD_TEXT``): the names of the
+    ``dim`` state components, the names of its constants, and statements
+    that assign the field's components to ``f_0``, ``f_1``, ...  Those
+    statements are written into both evaluations, on the predicted and on
+    the corrected state, inside a ``try`` whose ``ZeroDivisionError``
+    handler calls ``rhs_fn`` on the state as the loop without text does;
+    the constants come in as the tuple ``constants``, unpacked once per
+    leaf.  So the loop makes no call for the field, and its statements may
+    assign no name of the loop other than ``f_0``, ``f_1``, ...  The source
+    is built from ``dim`` and ``text`` alone, and every value comes in as
+    an argument.  A loop is built on the first solve of its dimension and
+    text; the cache keeps the 16 most recently used.
     """
 
     def each(template, sep=", "):
         return sep.join(template.format(i=i) for i in range(dim))
 
-    source = _LEAF_LOOP.format(
-        **{name: each(name + "_{i}") for name in ("y0", "p", "c", "q", "f", "x")},
+    body = "\n" + " " * 8  # a new line in the loop body
+
+    if text is None:
+        x, bind, field = [f"x_{i}" for i in range(dim)], "", ""
+        predict, correct = _CALL_PREDICT, _CALL_CORRECT
+    else:
+        state, constants, field = text
+        x, bind = list(state), f"{', '.join(constants)}, = constants"
+        field = "\n".join("    " + line for line in field.splitlines())
+        predict, correct = _TEXT_PREDICT, _TEXT_CORRECT
+    parts = {name: each(name + "_{i}") for name in ("y0", "p", "c", "q", "f")}
+    parts.update(
+        x=", ".join(x),
         predicted=each("y0_{i} + inv_gamma_a * (p_{i} + q_{i})"),
         corrected=each("y0_{i} + corr_scale * ((c_{i} + q_{i}) + f_{i})"),
-        bounded=each("abs(x_{i}) <= limit", " and "),
+        bounded=" and ".join(f"abs({v}) <= limit" for v in x),
+        field=field,
+    )
+    source = _LEAF_LOOP.format(
+        **parts,
+        bind=bind,
+        predict=predict.format(**parts).replace("\n", body),
+        correct=correct.format(**parts).replace("\n", body),
         dim=dim,
-        store_x=each("states_flat[i + {i}] = x_{i}", "\n        "),
-        store_f=each("buf_flat[i + {i}] = f_{i}", "\n        "),
+        store_x=body.join(f"states_flat[at + {i}] = {v}" for i, v in enumerate(x)),
+        store_f=each("buf_flat[at + {i}] = f_{i}", body),
     )
     namespace = {"DivergenceError": DivergenceError, "array": np.array}
     exec(compile(source, f"<leaf loop, {dim} components>", "exec"), namespace)

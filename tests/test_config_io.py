@@ -1,5 +1,6 @@
 """Config grammar and trajectory CSV round-trips."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,12 @@ class TestParsing:
         with pytest.raises(ValidationError, match="at least one order"):
             config_from_entries(parse_config_text(
                 "model.preset = example1\nsolver.alpha = []\n"))
+
+    def test_empty_initial_state_list_rejected(self):
+        message = "field run.initial_states: expected at least one [S, I, P] triple, got []"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            config_from_entries(parse_config_text(
+                "model.preset = example1\nrun.initial_states = []\n"))
 
     def test_negative_initial_state_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):

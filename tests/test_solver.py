@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracoepi.mittag_leffler import ml_one
-from fracoepi.model import EquilibriumKind, State, equilibria, preset, vector_field
+from fracoepi.model import (
+    EquilibriumKind,
+    ModelParams,
+    State,
+    equilibria,
+    preset,
+    vector_field,
+)
 from fracoepi.runs import cached_solve, solve_many
 from fracoepi.solver import (
     _FFT_CAP,
@@ -636,14 +643,24 @@ class TestBehavior:
         for result, job in zip(results, jobs):
             assert result is cached_solve(*job)
 
-    def test_leaf_loops_are_built_once_per_dimension_and_bounded(self):
-        problem = FodeProblem(order=0.7, initial_state=np.ones(4), rhs=lambda t, y: -y)
+    def test_leaf_loops_are_built_once_per_dimension_and_bounded(self, example1):
+        x0 = np.array([30.0, 5.0, 10.0])
+        called = FodeProblem(order=0.7, initial_state=np.ones(4), rhs=lambda t, y: -y)
+        inlined = FodeProblem(order=0.7, initial_state=x0, rhs=vector_field(example1))
         config = SolverConfig(step=0.1, t_end=1.0)
-        solve_pece(problem, config)
-        before = _leaf_loop.cache_info()
-        solve_pece(problem, config)
-        after = _leaf_loop.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        for problem in (called, inlined):
+            solve_pece(problem, config)
+            before = _leaf_loop.cache_info()
+            solve_pece(problem, config)
+            after = _leaf_loop.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        # a model of other constants shares the model's loop; three components
+        # of a field that is called take a loop of their own
+        solve_pece(FodeProblem(order=0.7, initial_state=x0,
+                               rhs=vector_field(preset("example3").params)), config)
+        assert _leaf_loop.cache_info().misses == after.misses
+        text = vector_field(example1).text
+        assert _leaf_loop(3, text) is _leaf_loop(3, text) is not _leaf_loop(3)
         maxsize = _leaf_loop.cache_parameters()["maxsize"]
         assert maxsize is not None and 0 < maxsize <= 64
 
@@ -955,9 +972,42 @@ class TestAgreementWithDirectSums:
     @pytest.mark.parametrize("alpha", [0.6, 0.95, 1.0])
     @pytest.mark.parametrize("n_steps", [_LEAF - 1, _LEAF + 1, 2 * _FFT_CAP + 1])
     def test_float_form_path_matches_the_adapter_path(self, example1, n_steps, alpha):
-        # the model's field steps on its float form; the same field behind a
-        # lambda has none and goes through the ndarray adapter
+        # the model's field steps on its text, written into the leaf loop, and
+        # calls its float form only at node 0; the same field behind a lambda
+        # carries neither and is called through the ndarray adapter
         field = vector_field(example1)
+        float_form, calls, adapted_calls = field.float_form, [], []
+
+        def counted(t, y):
+            calls.append(t)
+            return float_form(t, y)
+
+        def adapted_field(t, y):
+            adapted_calls.append(t)
+            return field(t, y)
+
+        field.float_form = counted
+        config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
+        initial = np.array([30.0, 5.0, 10.0])
+        floats = solve_pece(FodeProblem(order=alpha, initial_state=initial, rhs=field), config)
+        assert calls == [0.0]
+        adapted = solve_pece(
+            FodeProblem(order=alpha, initial_state=initial, rhs=adapted_field), config
+        )
+        assert len(adapted_calls) == 2 * n_steps + 1
+        assert calls == [0.0]  # the ndarray field does not go through the attribute
+        assert floats.states.tobytes() == adapted.states.tobytes()
+
+    def test_division_by_zero_in_the_text_falls_back_to_the_float_form(self):
+        # the predictor at node 1 lands exactly on I = -a: the inlined text
+        # raises ZeroDivisionError there and its handler calls the float form,
+        # which recomputes that state with numpy scalars, as the adapter does
+        params = ModelParams(
+            growth_rate=1.0, carrying_capacity=10.0, infection_rate=0.5, predation_rate=1.0,
+            infected_death_rate=2.0, half_saturation=0.5, conversion_efficiency=0.5,
+            predator_death_rate=0.1,
+        )
+        field = vector_field(params)
         float_form, calls = field.float_form, []
 
         def counted(t, y):
@@ -965,16 +1015,15 @@ class TestAgreementWithDirectSums:
             return float_form(t, y)
 
         field.float_form = counted
-        config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
-        initial = np.array([30.0, 5.0, 10.0])
-        floats = solve_pece(FodeProblem(order=alpha, initial_state=initial, rhs=field), config)
-        # node 0 takes the float form too, like every later evaluation
-        assert len(calls) == 2 * n_steps + 1
-        adapted = solve_pece(
-            FodeProblem(order=alpha, initial_state=initial, rhs=lambda t, y: field(t, y)), config
-        )
-        assert len(calls) == 2 * n_steps + 1  # the adapter calls the ndarray field
-        assert floats.states.tobytes() == adapted.states.tobytes()
+        errors = []
+        for rhs in (field, lambda t, y: field(t, y)):
+            problem = FodeProblem(order=1.0, initial_state=np.array([1.0, 1.0, 0.0]), rhs=rhs)
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
+                solve_pece(problem, SolverConfig(step=1.0, t_end=5.0))
+            errors.append(excinfo.value)
+        assert calls == [0.0, 1.0]  # node 0, then the handler at node 1's predictor
+        assert [(e.node, e.time) for e in errors] == [(1, 1.0), (1, 1.0)]
+        assert errors[0].state.tobytes() == errors[1].state.tobytes()
 
     def test_scalar_problem(self):
         config = SolverConfig(step=0.01, t_end=30.0)
