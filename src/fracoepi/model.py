@@ -235,16 +235,19 @@ def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
     another size fails to unpack inside the same ``try``, which turns it into
     a ValidationError at no cost to a call that unpacks.
 
-    The callable also carries ``text``, which is ``_FIELD_TEXT``, and
-    ``constants``, the values of its constant names.  The solver writes the
-    text into its leaf loop, so a model solve calls ``float_form`` only at
+    The callable carries ``text``, which is ``_FIELD_TEXT``, and
+    ``constants``, the values of its constant names: the pair the solver
+    reads.  The solver writes the text into its leaf loop, so a model
+    solve calls the field, through the solver's ndarray adapter, only at
     node 0 and where ``a + I == 0``; every other evaluation is the same
-    arithmetic inline, with the same bits.  ``float_form`` costs about
-    0.36 us a call on a list, against 0.88 us through the ndarray callable
-    and 11.6 us for a state stacked as a (3, 1) array (best of 7 x 200 000
+    arithmetic inline, with the same bits.  ``float_form`` stays on the callable for
+    ``jacobian``, which calls it on complex lists.  It costs about 0.36 us
+    a call on a list, against 0.88 us through the ndarray callable and
+    11.6 us for a state stacked as a (3, 1) array (best of 7 x 200 000
     calls, 7 x 20 000 for the stacked state, 2-core Xeon VM).  Inline, the
-    two evaluations of a node cost about 0.4 us less than the two calls:
-    a 60 000-node solve took 3.6 against 4.0 us a node (see ``solver``).
+    two evaluations of a node cost about 0.4 us less than two calls of
+    ``float_form``: a 60 000-node solve took 3.6 against 4.0 us a node
+    (see ``solver``).
     """
     constants = astuple(params)
     float_form = _bind_float_form(*constants)
@@ -298,9 +301,9 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarra
     """Autonomous rhs closure in the (t, y) signature solvers expect."""
     # a function of its own, not an alias of _field: perfbench counts the
     # solvers' RHS evaluations through this name, and rhs must not add to them.
-    # The counting closure perfbench returns carries neither text nor
-    # float_form, so a traced solve calls it through the solver's ndarray
-    # adapter, where an untraced solve runs the field's text inline
+    # The counting closure perfbench returns carries no text, so a traced
+    # solve calls it through the solver's ndarray adapter at every
+    # evaluation, where an untraced solve runs the field's text inline
     return _field(params)
 
 

@@ -57,22 +57,24 @@ component straight into ``states`` and each RHS component into the leaf
 buffer, through flat float64 memoryviews of both made once per solve, so
 no row is collected in a list or converted from one by numpy.
 
-The model's vector field carries its equations as source text
-(``model._FIELD_TEXT``) and the values of their constants, and the leaf
-loop generated for that text evaluates them inline on the state's
-floats: a model solve calls the field only at node 0 and where a
-division by zero sends it to the field's numpy fallback.  Any other
-field is called on lists, through an adapter that passes it a fresh
-array and checks the shape of its value at every evaluation.  A
-60 000-node solve of the model costs about 3.6 us per node (0.213 s),
-against 4.0 us (0.238 s) when the loop called the field's float form at
-both evaluations of a node; through the adapter the same field costs
-6.2 us (0.373 s) either way (best of 30 and 18 solves, measured as
-above).
+The loop steps every field in one form.  A field that carries ``text``
+and ``constants`` (the model's: its equations as source,
+``model._FIELD_TEXT``, and the values of their constants) has its
+statements written into both evaluations of a node, on the state's
+floats; any other field is the one statement that calls it.  Either way
+the loop reaches a field's callable only through one adapter, which
+passes it a fresh array and checks the shape of its value: a model solve
+at node 0 and where its text divides by zero, any other field at every
+evaluation.  A 60 000-node solve of the model costs about 3.6 us per
+node (0.213 s), against 4.0 us (0.238 s) when the loop called the model's
+equations on lists at both evaluations of a node; through the adapter
+the same field costs 6.2 us (0.373 s) either way (best of 30 and 18
+solves, measured as above).
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import numbers
@@ -360,7 +362,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     d_dots = [leaf_d[n_leaf - m :].dot for m in range(n_leaf + 1)]
     sums = np.zeros(dim)  # every leaf dot writes its sums here
     text = getattr(problem.rhs, "text", None)
-    if text is not None and len(text[0]) == dim:  # the model's field, written into the loop
+    if text is not None and len(text[0]) == dim:  # a field given as text, written into the loop
         leaf_loop, constants = _leaf_loop(dim, text), problem.rhs.constants
     else:  # called; a model state of another size is rejected at node 0
         leaf_loop, constants = _leaf_loop(dim), ()
@@ -412,48 +414,26 @@ def leaf_loop(rhs_fn, y0, nodes, times, pending, pending_c, w_dots, w_views, d_d
               constants):
     {y0}, = y0
     {bind}
-    for k, t, ({p},), ({c},), w_dot, w_view, d_dot, d_view in zip(
+    for node, t, ({p},), ({c},), w_dot, w_view, d_dot, d_view in zip(
         nodes, times, pending, pending_c, w_dots, w_views, d_dots, d_views
     ):
         # predictor: fractional rectangle rule over the whole history
         w_dot(w_view, sums)
         {q}, = sums_flat
-        {predict}
+        {x}, = {predicted},
+        {field}
         # corrector history: hat-function weights
         d_dot(d_view, sums)
         {q}, = sums_flat
-        {correct}
-        at = {dim} * k
+        {x}, = {corrected},
+        {field}
+        if not ({bounded}):  # NaN fails too
+            raise DivergenceError(node, t, array([{x}]))
+        at = {dim} * node
         {store_x}
-        at = {dim} * (k - start)
+        at = {dim} * (node - start)
         {store_f}
 """
-
-# the two evaluations of a field that is called on lists
-_CALL_PREDICT = """\
-{f}, = rhs_fn(t, [{predicted}])"""
-_CALL_CORRECT = """\
-{x}, = row = [{corrected}]
-f = rhs_fn(t, row)
-if not ({bounded}):  # NaN fails too
-    raise DivergenceError(k, t, array(row))
-{f}, = f"""
-
-# the two evaluations of a field given as text, on its own state names
-_TEXT_PREDICT = """\
-{x}, = {predicted}
-try:
-{field}
-except ZeroDivisionError:
-    {f}, = rhs_fn(t, [{x}])"""
-_TEXT_CORRECT = """\
-{x}, = {corrected}
-try:
-{field}
-except ZeroDivisionError:
-    {f}, = rhs_fn(t, [{x}])
-if not ({bounded}):  # NaN fails too
-    raise DivergenceError(k, t, array([{x}]))"""
 
 
 @functools.lru_cache(maxsize=16)
@@ -462,8 +442,8 @@ def _leaf_loop(dim: int, text=None):
 
     The loop solves the nodes of a leaf in order.  Each dot writes its sums
     into ``sums``, read through the memoryview ``sums_flat``.  Component i
-    of the corrected state of node k goes to ``states_flat[dim * k + i]``
-    and component i of the RHS there to ``buf_flat[dim * (k - start) + i]``,
+    of the corrected state of a node goes to ``states_flat[dim * node + i]``
+    and component i of the RHS there to ``buf_flat[dim * (node - start) + i]``,
     where the dots of the next nodes read it: flat float64 memoryviews of
     ``states`` and of the leaf buffer.  Its arithmetic runs on Python
     floats, written out component by component in the operation order of
@@ -471,19 +451,21 @@ def _leaf_loop(dim: int, text=None):
     (0.64 us against 0.13 us written out for the three-component predictor,
     Python 3.11, best of 5 x 500 000).
 
-    Without ``text`` the loop calls ``rhs_fn`` on a list at both
-    evaluations of a node.  ``text`` is a vector field as source, as the
-    model's field carries it (``model._FIELD_TEXT``): the names of the
-    ``dim`` state components, the names of its constants, and statements
-    that assign the field's components to ``f_0``, ``f_1``, ...  Those
-    statements are written into both evaluations, on the predicted and on
-    the corrected state, inside a ``try`` whose ``ZeroDivisionError``
-    handler calls ``rhs_fn`` on the state as the loop without text does;
-    the constants come in as the tuple ``constants``, unpacked once per
-    leaf.  So the loop makes no call for the field, and its statements may
-    assign no name of the loop other than ``f_0``, ``f_1``, ...  The source
-    is built from ``dim`` and ``text`` alone, and every value comes in as
-    an argument.  A loop is built on the first solve of its dimension and
+    ``text`` is a vector field as source, as the model's field carries it
+    (``model._FIELD_TEXT``): the names of the ``dim`` state components, the
+    names of its constants, and statements that assign the field's
+    components to ``f_0``, ``f_1``, ...  Both evaluations of a node bind the
+    state names, to the predicted and to the corrected state, and run those
+    statements inline, inside a ``try`` whose ``ZeroDivisionError`` handler
+    calls ``rhs_fn`` on the state instead; the constants come in as the
+    tuple ``constants``, unpacked once per leaf.  A state or constant name
+    that repeats or that the loop uses itself raises a ValidationError, and
+    so does a statement that assigns a state, constant or loop name other
+    than ``f_0``, ``f_1``, ...  Without ``text`` the field is the one
+    statement ``f_0, ..., = rhs_fn(t, [x_0, ...])``, with no handler, so a
+    ``ZeroDivisionError`` the call raises propagates.  The source is built
+    from ``dim`` and ``text`` alone, and every value comes in as an
+    argument.  A loop is built on the first solve of its dimension and
     text; the cache keeps the 16 most recently used.
     """
 
@@ -491,28 +473,41 @@ def _leaf_loop(dim: int, text=None):
         return sep.join(template.format(i=i) for i in range(dim))
 
     body = "\n" + " " * 8  # a new line in the loop body
-
+    called = [f"x_{i}" for i in range(dim)]  # the state names of a field that is called
+    x, constants, statements = text or (called, (), "")
+    f = each("f_{i}")
+    call = f"{f}, = rhs_fn(t, [{', '.join(x)}])"
     if text is None:
-        x, bind, field = [f"x_{i}" for i in range(dim)], "", ""
-        predict, correct = _CALL_PREDICT, _CALL_CORRECT
+        field = call
     else:
-        state, constants, field = text
-        x, bind = list(state), f"{', '.join(constants)}, = constants"
-        field = "\n".join("    " + line for line in field.splitlines())
-        predict, correct = _TEXT_PREDICT, _TEXT_CORRECT
-    parts = {name: each(name + "_{i}") for name in ("y0", "p", "c", "q", "f")}
-    parts.update(
+        # a name of the loop, written into it, would read or overwrite its value
+        own = _leaf_loop(dim).__code__
+        taken = set(own.co_varnames + own.co_names).difference(called)
+        names = [*x, *constants]
+        assigned = {
+            v.id for v in ast.walk(ast.parse(statements))
+            if isinstance(v, ast.Name) and isinstance(v.ctx, ast.Store)
+        }
+        clash = {v for v in names if v in taken or names.count(v) > 1}
+        clash |= (assigned & (taken | set(names))).difference(f.split(", "))
+        if clash:
+            raise ValidationError(
+                f"a field's text cannot name {', '.join(sorted(clash))}: its state and"
+                " constant names must differ from each other and from the names of the"
+                " step loop, and its statements may assign no such name but f_0, f_1, ..."
+            )
+        field = (
+            "try:\n" + "".join(f"    {line}\n" for line in statements.splitlines())
+            + f"except ZeroDivisionError:\n    {call}"
+        )
+    source = _LEAF_LOOP.format(
+        **{name: each(name + "_{i}") for name in ("y0", "p", "c", "q")},
+        bind=f"{', '.join(constants)}, = constants" if constants else "",
         x=", ".join(x),
         predicted=each("y0_{i} + inv_gamma_a * (p_{i} + q_{i})"),
         corrected=each("y0_{i} + corr_scale * ((c_{i} + q_{i}) + f_{i})"),
-        bounded=" and ".join(f"abs({v}) <= limit" for v in x),
-        field=field,
-    )
-    source = _LEAF_LOOP.format(
-        **parts,
-        bind=bind,
-        predict=predict.format(**parts).replace("\n", body),
-        correct=correct.format(**parts).replace("\n", body),
+        field=field.replace("\n", body),
+        bounded=" and ".join(f"-limit <= {v} <= limit" for v in x),
         dim=dim,
         store_x=body.join(f"states_flat[at + {i}] = {v}" for i, v in enumerate(x)),
         store_f=each("buf_flat[at + {i}] = f_{i}", body),
@@ -586,17 +581,14 @@ def _add_block_history(states, rhs_values, w, d, spectra, end, size):
 def _list_field(rhs, shape, step):
     """``rhs`` on the step loop's lists: list of floats in, list of floats out.
 
-    A field that carries a ``float_form`` (the model's, see
-    ``model._field``) gives it, which must compute what ``rhs`` does.  Any
-    other field is wrapped: its state is passed as a fresh array and its
-    value checked for ``shape`` at every evaluation.  A value of another
-    shape raises a ValidationError that names the node: the step loop calls
-    the field at t = step * k for node k (node 0 at 0.0), so t / step
-    rounds to k (it is within 1e-9 of k up to ``NODE_CAP`` nodes).
+    The field's state is passed as a fresh array and its value checked for
+    ``shape`` at every evaluation.  A value of another shape raises a
+    ValidationError that names the node: the step loop calls the field at
+    t = step * k for node k (node 0 at 0.0), so t / step rounds to k (it is
+    within 1e-9 of k up to ``NODE_CAP`` nodes).  Every field goes through
+    this adapter; one that carries ``text`` and ``constants`` (the model's,
+    see ``model._field``) only at node 0 and where its text divides by zero.
     """
-    float_form = getattr(rhs, "float_form", None)
-    if float_form is not None:
-        return float_form
     array, asarray = np.array, np.asarray
 
     def adapter(t, y):

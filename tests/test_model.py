@@ -144,7 +144,7 @@ class TestVectorField:
     @given(data=st.data())
     def test_one_state_path_matches_stacked_path(self, data):
         # one state runs on Python floats, a stacked (3, n) state on numpy
-        # arrays, and the float form the solver calls takes and gives lists;
+        # arrays, and the float form (what jacobian calls) takes and gives lists;
         # all three must round identically, overflow and NaN included
         params = preset(data.draw(st.sampled_from(sorted(PRESETS)))).params
         component = st.floats(allow_nan=False, allow_infinity=False)

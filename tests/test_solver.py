@@ -767,14 +767,60 @@ class TestBehavior:
     @pytest.mark.parametrize("size", [2, 4])
     @pytest.mark.parametrize("path", ["float-form", "adapter"])
     def test_model_field_rejects_a_state_of_another_size(self, example1, size, path):
-        # the model's float form unpacks (S, I, P); behind a lambda the
-        # adapter passes the state on to the same unpacking
+        # a model field of another size than its text is called through the
+        # adapter, with or without the text, and its float form unpacks (S, I, P)
         field = vector_field(example1)
         rhs = field if path == "float-form" else (lambda t, y: field(t, y))
         problem = FodeProblem(order=0.9, initial_state=np.ones(size), rhs=rhs)
         expected = f"the model's states have 3 components (S, I, P), got {size}"
         with pytest.raises(ValidationError, match=re.escape(expected) + "$"):
             solve_pece(problem, SolverConfig(step=0.05, t_end=1.0))
+
+    @pytest.mark.parametrize(
+        "state, constants, statements, clash",
+        [
+            (("t",), ("k",), "f_0 = -k * t\n", "t"),  # the node's time
+            (("u",), ("limit",), "f_0 = -limit * u\n", "limit"),  # an argument of the loop
+            (("u",), ("zip",), "f_0 = -zip * u\n", "zip"),  # a global the loop reads
+            (("f_0",), ("k",), "f_0 = -k * f_0\n", "f_0"),  # the field's own value
+            (("u",), ("u",), "f_0 = -u\n", "u"),  # a constant would hide the state
+            (("u",), ("k",), "node = 0\nf_0 = -k * u\n", "node"),  # the store index
+            (("u",), ("k",), "u = 2.0 * u\nf_0 = -k * u\n", "u"),  # the state stored
+            (("u",), ("k",), "k += 1.0\nf_0 = -k * u\n", "k"),  # the next node's constant
+        ],
+        ids=["time", "argument", "global", "value", "repeated", "assigns-loop",
+             "assigns-state", "assigns-constant"],
+    )
+    def test_text_naming_a_name_of_the_loop_is_rejected(
+        self, state, constants, statements, clash
+    ):
+        # written into the loop, such a name would read or overwrite the
+        # loop's own value and give a wrong solve without an error
+        def field(t, y):
+            return -0.5 * y
+
+        field.text, field.constants = (state, constants, statements), (0.5,)
+        problem = FodeProblem(order=0.7, initial_state=[1.0], rhs=field)
+        with pytest.raises(ValidationError, match=f"a field's text cannot name {clash}:"):
+            solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("bad_call", [0, 2 * _LEAF - 1, 2 * _LEAF])  # node 0, node 128's two
+    def test_zero_division_in_a_called_field_propagates(self, dim, bad_call):
+        # only a field given as text is stepped inside a ZeroDivisionError
+        # handler: a called field's error leaves the solve at once
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            if len(calls) - 1 == bad_call:
+                raise ZeroDivisionError("the field's own")
+            return -y
+
+        problem = FodeProblem(order=0.8, initial_state=np.ones(dim), rhs=field)
+        with pytest.raises(ZeroDivisionError, match="the field's own"):
+            solve_pece(problem, SolverConfig(step=0.01, t_end=3.0))
+        assert len(calls) == bad_call + 1
 
     def test_rhs_receives_node_times_and_fresh_arrays(self):
         # a field that is not the model: every call gets an ndarray state of
@@ -878,7 +924,9 @@ class TestMemory:
         assert ints.times.dtype == np.arange(5).dtype  # as 1 * np.arange(5)
         assert np.array_equal(ints.states, floats.states)
 
-    @pytest.mark.parametrize("n_steps", [8200, 16400])  # both past the first split block
+    # all past the first split block; 24 600 nodes split a block into 3 target
+    # chunks, the others into at most 2
+    @pytest.mark.parametrize("n_steps", [8200, 16400, 24600])
     def test_peak_memory_is_the_named_arrays_and_capped_transforms(self, example1, n_steps):
         # the solver docstring's budget for N nodes of d components: states and
         # RHS history, d(N + 1) doubles each; while the weight tables are built,
@@ -971,52 +1019,54 @@ class TestAgreementWithDirectSums:
 
     @pytest.mark.parametrize("alpha", [0.6, 0.95, 1.0])
     @pytest.mark.parametrize("n_steps", [_LEAF - 1, _LEAF + 1, 2 * _FFT_CAP + 1])
-    def test_float_form_path_matches_the_adapter_path(self, example1, n_steps, alpha):
-        # the model's field steps on its text, written into the leaf loop, and
-        # calls its float form only at node 0; the same field behind a lambda
-        # carries neither and is called through the ndarray adapter
+    def test_text_path_matches_the_adapter_path(self, example1, n_steps, alpha):
+        # a field that carries the model's text and constants is stepped on
+        # the text, written into the leaf loop, and called only at node 0; the
+        # same field without them is called at every evaluation
         field = vector_field(example1)
-        float_form, calls, adapted_calls = field.float_form, [], []
+        calls, adapted_calls = [], []
 
-        def counted(t, y):
+        def with_text(t, y):
             calls.append(t)
-            return float_form(t, y)
+            return field(t, y)
 
         def adapted_field(t, y):
             adapted_calls.append(t)
             return field(t, y)
 
-        field.float_form = counted
+        with_text.text, with_text.constants = field.text, field.constants
         config = SolverConfig(step=0.05, t_end=n_steps * 0.05)
         initial = np.array([30.0, 5.0, 10.0])
-        floats = solve_pece(FodeProblem(order=alpha, initial_state=initial, rhs=field), config)
+        inlined = solve_pece(
+            FodeProblem(order=alpha, initial_state=initial, rhs=with_text), config
+        )
         assert calls == [0.0]
         adapted = solve_pece(
             FodeProblem(order=alpha, initial_state=initial, rhs=adapted_field), config
         )
         assert len(adapted_calls) == 2 * n_steps + 1
-        assert calls == [0.0]  # the ndarray field does not go through the attribute
-        assert floats.states.tobytes() == adapted.states.tobytes()
+        assert inlined.states.tobytes() == adapted.states.tobytes()
 
-    def test_division_by_zero_in_the_text_falls_back_to_the_float_form(self):
+    def test_division_by_zero_in_the_text_falls_back_to_the_adapter(self):
         # the predictor at node 1 lands exactly on I = -a: the inlined text
-        # raises ZeroDivisionError there and its handler calls the float form,
-        # which recomputes that state with numpy scalars, as the adapter does
+        # raises ZeroDivisionError there and its handler calls the field
+        # through the adapter, where the model recomputes that state with
+        # numpy scalars, as it does for the same field without text
         params = ModelParams(
             growth_rate=1.0, carrying_capacity=10.0, infection_rate=0.5, predation_rate=1.0,
             infected_death_rate=2.0, half_saturation=0.5, conversion_efficiency=0.5,
             predator_death_rate=0.1,
         )
         field = vector_field(params)
-        float_form, calls = field.float_form, []
+        calls = []
 
-        def counted(t, y):
+        def with_text(t, y):
             calls.append(t)
-            return float_form(t, y)
+            return field(t, y)
 
-        field.float_form = counted
+        with_text.text, with_text.constants = field.text, field.constants
         errors = []
-        for rhs in (field, lambda t, y: field(t, y)):
+        for rhs in (with_text, lambda t, y: field(t, y)):
             problem = FodeProblem(order=1.0, initial_state=np.array([1.0, 1.0, 0.0]), rhs=rhs)
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
                 solve_pece(problem, SolverConfig(step=1.0, t_end=5.0))
@@ -1024,6 +1074,25 @@ class TestAgreementWithDirectSums:
         assert calls == [0.0, 1.0]  # node 0, then the handler at node 1's predictor
         assert [(e.node, e.time) for e in errors] == [(1, 1.0), (1, 1.0)]
         assert errors[0].state.tobytes() == errors[1].state.tobytes()
+
+    @pytest.mark.parametrize("n_steps", [_LEAF - 1, 2 * _FFT_CAP + 5])
+    def test_one_component_text_field(self, n_steps):
+        # one state name and one constant: the loop unpacks the state as a
+        # one-item tuple, and the constant k is not the loop's node index
+        calls = []
+
+        def decay(t, y):
+            calls.append(t)
+            return -0.5 * y
+
+        decay.text, decay.constants = (("u",), ("k",), "f_0 = -k * u\n"), (0.5,)
+        config = SolverConfig(step=0.01, t_end=n_steps * 0.01)
+        inlined = solve_pece(FodeProblem(order=0.7, initial_state=[1.0], rhs=decay), config)
+        assert calls == [0.0]
+        called = FodeProblem(order=0.7, initial_state=[1.0], rhs=lambda t, y: decay(t, y))
+        assert inlined.states.tobytes() == solve_pece(called, config).states.tobytes()
+        if n_steps < _LEAF:  # one leaf: the direct sums themselves
+            assert np.array_equal(inlined.states, direct_pece(called, config))
 
     def test_scalar_problem(self):
         config = SolverConfig(step=0.01, t_end=30.0)
@@ -1070,8 +1139,8 @@ class TestAgreementWithDirectSums:
 
     def test_model_divergence_is_the_same_on_both_paths(self):
         # example1-unstable at order 0.6 leaves E* and blows up; the model's
-        # float form and the same field behind a lambda (the ndarray adapter)
-        # stop at the same node with the same state
+        # text, stepped inline, and the same field behind a lambda (called
+        # through the ndarray adapter) stop at the same node with the same state
         field = vector_field(preset("example1-unstable").params)
         errors = []
         for rhs in (field, lambda t, y: field(t, y)):
