@@ -34,15 +34,12 @@ def solve_model(
 
 @functools.lru_cache(maxsize=128)
 def cached_solve(
-    params: ModelParams,
-    order: float,
-    initial: State,
-    step: float,
-    t_end: float,
+    params: ModelParams, order: float, initial: State, step: float, t_end: float, /
 ) -> Trajectory:
     """Memoized full-memory solve; returned trajectories are read-only.
 
-    Call it positionally: the memo keys a keyword call apart from a positional one.
+    Its parameters are positional-only: the memo would key a keyword call
+    apart from a positional one and solve it again.
     """
     return solve_model(params, order, initial, step, t_end)
 

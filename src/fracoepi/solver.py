@@ -80,6 +80,7 @@ import math
 import numbers
 import sys
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -409,29 +410,29 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 # the steps of one leaf, written out per component: each field below is a
 # list with one item per component, or a block of statements (see _leaf_loop)
 _LEAF_LOOP = """\
-def leaf_loop(rhs_fn, y0, nodes, times, pending, pending_c, w_dots, w_views, d_dots, d_views,
-              sums, sums_flat, states_flat, buf_flat, start, inv_gamma_a, corr_scale, limit,
-              constants):
-    {y0}, = y0
+def _leaf_loop(_rhs_fn, _y0, _nodes, _times, _pending, _pending_c, _w_dots, _w_views, _d_dots,
+               _d_views, _sums, _sums_flat, _states_flat, _buf_flat, _start, _inv_gamma_a,
+               _corr_scale, _limit, _constants):
+    {y0}, = _y0
     {bind}
-    for node, t, ({p},), ({c},), w_dot, w_view, d_dot, d_view in zip(
-        nodes, times, pending, pending_c, w_dots, w_views, d_dots, d_views
+    for _node, _t, ({p},), ({c},), _w_dot, _w_view, _d_dot, _d_view in _zip(
+        _nodes, _times, _pending, _pending_c, _w_dots, _w_views, _d_dots, _d_views
     ):
         # predictor: fractional rectangle rule over the whole history
-        w_dot(w_view, sums)
-        {q}, = sums_flat
+        _w_dot(_w_view, _sums)
+        {q}, = _sums_flat
         {x}, = {predicted},
         {field}
         # corrector history: hat-function weights
-        d_dot(d_view, sums)
-        {q}, = sums_flat
+        _d_dot(_d_view, _sums)
+        {q}, = _sums_flat
         {x}, = {corrected},
         {field}
         if not ({bounded}):  # NaN fails too
-            raise DivergenceError(node, t, array([{x}]))
-        at = {dim} * node
+            raise _DivergenceError(_node, _t, _array([{x}]))
+        _at = {dim} * _node
         {store_x}
-        at = {dim} * (node - start)
+        _at = {dim} * (_node - _start)
         {store_f}
 """
 
@@ -458,11 +459,13 @@ def _leaf_loop(dim: int, text=None):
     state names, to the predicted and to the corrected state, and run those
     statements inline, inside a ``try`` whose ``ZeroDivisionError`` handler
     calls ``rhs_fn`` on the state instead; the constants come in as the
-    tuple ``constants``, unpacked once per leaf.  A state or constant name
-    that repeats or that the loop uses itself raises a ValidationError, and
-    so does a statement that assigns a state, constant or loop name other
-    than ``f_0``, ``f_1``, ...  Without ``text`` the field is the one
-    statement ``f_0, ..., = rhs_fn(t, [x_0, ...])``, with no handler, so a
+    tuple ``constants``, unpacked once per leaf.  Every name of the loop's
+    own starts with ``_``, so one rule keeps a text apart from it, and a
+    text that breaks the rule raises a ValidationError: its state and
+    constant names are distinct and none is an output ``f_i``, no name it
+    binds or reads starts with ``_``, and its statements assign no state or
+    constant name.  Without ``text`` the field is the one statement
+    ``f_0, ..., = _rhs_fn(_t, [_x_0, ...])``, with no handler, so a
     ``ZeroDivisionError`` the call raises propagates.  The source is built
     from ``dim`` and ``text`` alone, and every value comes in as an
     argument.  A loop is built on the first solve of its dimension and
@@ -473,48 +476,48 @@ def _leaf_loop(dim: int, text=None):
         return sep.join(template.format(i=i) for i in range(dim))
 
     body = "\n" + " " * 8  # a new line in the loop body
-    called = [f"x_{i}" for i in range(dim)]  # the state names of a field that is called
-    x, constants, statements = text or (called, (), "")
+    x, constants, statements = text or ([f"_x_{i}" for i in range(dim)], (), "")
     f = each("f_{i}")
-    call = f"{f}, = rhs_fn(t, [{', '.join(x)}])"
+    call = f"{f}, = _rhs_fn(_t, [{', '.join(x)}])"
     if text is None:
         field = call
     else:
-        # a name of the loop, written into it, would read or overwrite its value
-        own = _leaf_loop(dim).__code__
-        taken = set(own.co_varnames + own.co_names).difference(called)
         names = [*x, *constants]
-        assigned = {
-            v.id for v in ast.walk(ast.parse(statements))
-            if isinstance(v, ast.Name) and isinstance(v.ctx, ast.Store)
-        }
-        clash = {v for v in names if v in taken or names.count(v) > 1}
-        clash |= (assigned & (taken | set(names))).difference(f.split(", "))
+        tree = list(ast.walk(ast.parse(statements)))
+        # bound by an assignment, or as the name of a def, class, import or except clause
+        bound = {v.id for v in tree if isinstance(v, ast.Name) and not isinstance(v.ctx, ast.Load)}
+        bound |= {(getattr(v, "asname", None) or v.name).partition(".")[0]
+                  for v in tree if isinstance(getattr(v, "name", None), str)}
+        named = bound.union(names, (v.id for v in tree if isinstance(v, ast.Name)))
+        clash = {v for v, count in Counter(names).items() if count > 1}
+        clash |= bound.intersection(names) | set(names).intersection(f.split(", "))
+        clash |= {v for v in named if v.startswith("_")}
         if clash:
             raise ValidationError(
                 f"a field's text cannot name {', '.join(sorted(clash))}: its state and"
-                " constant names must differ from each other and from the names of the"
-                " step loop, and its statements may assign no such name but f_0, f_1, ..."
+                " constant names must be distinct and no output f_i, no name in it may"
+                " start with _, and its statements may assign no state or constant name"
             )
         field = (
             "try:\n" + "".join(f"    {line}\n" for line in statements.splitlines())
-            + f"except ZeroDivisionError:\n    {call}"
+            + f"except _ZeroDivisionError:\n    {call}"
         )
     source = _LEAF_LOOP.format(
-        **{name: each(name + "_{i}") for name in ("y0", "p", "c", "q")},
-        bind=f"{', '.join(constants)}, = constants" if constants else "",
+        **{name: each(f"_{name}_{{i}}") for name in ("y0", "p", "c", "q")},
+        bind=f"{', '.join(constants)}, = _constants" if constants else "",
         x=", ".join(x),
-        predicted=each("y0_{i} + inv_gamma_a * (p_{i} + q_{i})"),
-        corrected=each("y0_{i} + corr_scale * ((c_{i} + q_{i}) + f_{i})"),
+        predicted=each("_y0_{i} + _inv_gamma_a * (_p_{i} + _q_{i})"),
+        corrected=each("_y0_{i} + _corr_scale * ((_c_{i} + _q_{i}) + f_{i})"),
         field=field.replace("\n", body),
-        bounded=" and ".join(f"-limit <= {v} <= limit" for v in x),
+        bounded=" and ".join(f"-_limit <= {v} <= _limit" for v in x),
         dim=dim,
-        store_x=body.join(f"states_flat[at + {i}] = {v}" for i, v in enumerate(x)),
-        store_f=each("buf_flat[at + {i}] = f_{i}", body),
+        store_x=body.join(f"_states_flat[_at + {i}] = {v}" for i, v in enumerate(x)),
+        store_f=each("_buf_flat[_at + {i}] = f_{i}", body),
     )
-    namespace = {"DivergenceError": DivergenceError, "array": np.array}
+    namespace = {"_zip": zip, "_ZeroDivisionError": ZeroDivisionError,
+                 "_DivergenceError": DivergenceError, "_array": np.array}
     exec(compile(source, f"<leaf loop, {dim} components>", "exec"), namespace)
-    return namespace["leaf_loop"]
+    return namespace["_leaf_loop"]
 
 
 def _grid(step, n_steps: int) -> np.ndarray:

@@ -300,6 +300,50 @@ def assert_agrees(states, reference):
     assert np.all(np.abs(states - reference) <= 1e-12 * scale)
 
 
+def manufactured_errors(solve, alpha, span, steps):
+    """Max |x - y| over the nodes of the states ``solve`` returns, per step,
+    for a manufactured solution y of the model.
+
+    y(t) = E* + c (t / span)^2 from E* of ``example1-global``, with c =
+    (1, -0.5, 0.5), solves D^alpha x = f(x) + D^alpha y(t) - f(y(t)) from
+    x(0) = E*, f the model's field, since D^alpha t^2 = 2 t^(2-alpha) /
+    Gamma(3 - alpha) (the method of manufactured solutions: Roache, J.
+    Fluids Eng. 124 (2002) 4-10).  No weight table enters y, so the errors
+    check the solver against no formula of its own.  The field is called
+    through the adapter; it adds the forcing, tabulated per node, to the
+    model's float form, as Python floats are cheaper than small arrays.
+    """
+    params = preset("example1-global").params
+    field = vector_field(params)
+    float_form = field.float_form
+    estar = next(
+        e for e in equilibria(params) if e.kind is EquilibriumKind.COEXISTENCE
+    ).state.as_array()
+    c = np.array([1.0, -0.5, 0.5])
+    errors = []
+    for h in steps:
+        times = h * np.arange(round(span / h) + 1)
+        exact = estar + np.outer((times / span) ** 2, c)
+        caputo = np.outer(2.0 * times ** (2.0 - alpha) / (math.gamma(3.0 - alpha) * span**2), c)
+        forcing = (caputo - field(0.0, exact.T).T).tolist()
+
+        def manufactured(t, x, forcing=forcing, h=h):
+            return [v + g for v, g in zip(float_form(t, x.tolist()), forcing[round(t / h)])]
+
+        problem = FodeProblem(order=alpha, initial_state=estar, rhs=manufactured)
+        errors.append(np.abs(solve(problem, SolverConfig(step=h, t_end=span)) - exact).max())
+    return errors
+
+
+def assert_converges(errors, alpha, bound):
+    """C6's rule, each halving of the step divides the error by at least
+    0.7 * 2^min(2, 1 + alpha), and the error at the finest step is at most bound."""
+    required = 0.7 * 2.0 ** min(2.0, 1.0 + alpha)
+    assert errors[0] / errors[1] >= required
+    assert errors[1] / errors[2] >= required
+    assert errors[2] <= bound
+
+
 class TestWeights:
     def test_integer_order_degenerates_to_rectangle_and_trapezoid(self):
         h = 0.1
@@ -556,6 +600,27 @@ class TestAccuracy:
         assert errors[0] / errors[1] >= required
         assert errors[1] / errors[2] >= required
 
+    # the finest step's error, 2.10e-8 at order 0.6 and 7.35e-7 at 0.3 when
+    # measured, with a margin of 20 %
+    @pytest.mark.parametrize("alpha, bound", [(0.3, 8.82e-7), (0.6, 2.52e-8)])
+    def test_split_blocks_converge_to_a_manufactured_solution(self, alpha, bound):
+        # 15 000, 30 000 and 60 000 nodes: the finest grid is past 2 * _FFT_CAP,
+        # so its history runs through split blocks of several chunk pairs
+        assert 3000.0 / 0.05 > 2 * _FFT_CAP
+        errors = manufactured_errors(
+            lambda problem, config: solve_pece(problem, config).states,
+            alpha, 3000.0, (0.2, 0.1, 0.05),
+        )
+        assert_converges(errors, alpha, bound)
+
+    # the direct sums on 750, 1500 and 3000 nodes: the oracle checks the oracle;
+    # the finest step's error, 2.82e-5 at order 0.3 and 2.16e-6 at 0.6 when
+    # measured, with a margin of 20 %
+    @pytest.mark.parametrize("alpha, bound", [(0.3, 3.38e-5), (0.6, 2.59e-6)])
+    def test_direct_sums_converge_to_a_manufactured_solution(self, alpha, bound):
+        errors = manufactured_errors(direct_pece, alpha, 150.0, (0.2, 0.1, 0.05))
+        assert_converges(errors, alpha, bound)
+
     def test_zero_field_exactly_constant(self):
         start = np.array([2.5, -1.0, 0.25])
         traj = solve_pece(
@@ -648,9 +713,12 @@ class TestBehavior:
         called = FodeProblem(order=0.7, initial_state=np.ones(4), rhs=lambda t, y: -y)
         inlined = FodeProblem(order=0.7, initial_state=x0, rhs=vector_field(example1))
         config = SolverConfig(step=0.1, t_end=1.0)
+        _leaf_loop.cache_clear()
         for problem in (called, inlined):
+            misses = _leaf_loop.cache_info().misses
             solve_pece(problem, config)
             before = _leaf_loop.cache_info()
+            assert before.misses == misses + 1  # the model's text builds no called loop
             solve_pece(problem, config)
             after = _leaf_loop.cache_info()
             assert (after.hits, after.misses) == (before.hits + 1, before.misses)
@@ -667,6 +735,15 @@ class TestBehavior:
     def test_solve_memo_is_bounded(self):
         # more than the solves the test suite or one reproduce bundle keeps
         assert cached_solve.cache_parameters()["maxsize"] == 128
+
+    def test_solve_memo_takes_positional_arguments_only(self, example1):
+        # the memo would key a keyword call apart from a positional one and
+        # solve it again
+        before = cached_solve.cache_info()
+        with pytest.raises(TypeError, match="positional-only"):
+            cached_solve(example1, 0.7, State(30.0, 5.0, 10.0), step=0.1, t_end=5.0)
+        after = cached_solve.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
 
     def test_nan_field_reports_divergence(self):
         problem = FodeProblem(
@@ -779,23 +856,24 @@ class TestBehavior:
     @pytest.mark.parametrize(
         "state, constants, statements, clash",
         [
-            (("t",), ("k",), "f_0 = -k * t\n", "t"),  # the node's time
-            (("u",), ("limit",), "f_0 = -limit * u\n", "limit"),  # an argument of the loop
-            (("u",), ("zip",), "f_0 = -zip * u\n", "zip"),  # a global the loop reads
             (("f_0",), ("k",), "f_0 = -k * f_0\n", "f_0"),  # the field's own value
             (("u",), ("u",), "f_0 = -u\n", "u"),  # a constant would hide the state
-            (("u",), ("k",), "node = 0\nf_0 = -k * u\n", "node"),  # the store index
             (("u",), ("k",), "u = 2.0 * u\nf_0 = -k * u\n", "u"),  # the state stored
             (("u",), ("k",), "k += 1.0\nf_0 = -k * u\n", "k"),  # the next node's constant
+            (("_u",), ("k",), "f_0 = -k * _u\n", "_u"),  # names of the loop's own
+            (("u",), ("_k",), "f_0 = -_k * u\n", "_k"),
+            (("u",), ("k",), "f_0 = -k * u + 0.0 * _t\n", "_t"),  # the node's time
+            (("u",), ("k",), "_node = 0\nf_0 = -k * u\n", "_node"),  # the store index
+            (("u",), ("k",), "from math import exp as _at\nf_0 = -k * u\n", "_at"),
         ],
-        ids=["time", "argument", "global", "value", "repeated", "assigns-loop",
-             "assigns-state", "assigns-constant"],
+        ids=["value", "repeated", "assigns-state", "assigns-constant", "underscore-state",
+             "underscore-constant", "underscore-read", "underscore-assigned",
+             "underscore-imported"],
     )
-    def test_text_naming_a_name_of_the_loop_is_rejected(
-        self, state, constants, statements, clash
-    ):
-        # written into the loop, such a name would read or overwrite the
-        # loop's own value and give a wrong solve without an error
+    def test_text_breaking_the_name_rule_is_rejected(self, state, constants, statements, clash):
+        # written into the loop, such a name would hide another, overwrite a
+        # stored value, or read or overwrite one of the loop's own, and give a
+        # wrong solve without an error
         def field(t, y):
             return -0.5 * y
 
@@ -1075,17 +1153,29 @@ class TestAgreementWithDirectSums:
         assert [(e.node, e.time) for e in errors] == [(1, 1.0), (1, 1.0)]
         assert errors[0].state.tobytes() == errors[1].state.tobytes()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            (("u",), ("k",), "f_0 = -k * u\n"),
+            # names the loop once used itself: every name of its own starts with _
+            (("t",), ("k",), "f_0 = -k * t\n"),
+            (("u",), ("limit",), "f_0 = -limit * u\n"),
+            (("u",), ("zip",), "f_0 = -zip * u\n"),
+            (("u",), ("k",), "node = 0\nf_0 = -k * u\n"),
+        ],
+        ids=["plain", "time", "argument", "global", "assigns-loop"],
+    )
     @pytest.mark.parametrize("n_steps", [_LEAF - 1, 2 * _FFT_CAP + 5])
-    def test_one_component_text_field(self, n_steps):
+    def test_one_component_text_field(self, n_steps, text):
         # one state name and one constant: the loop unpacks the state as a
-        # one-item tuple, and the constant k is not the loop's node index
+        # one-item tuple, and no name of the text is one of the loop's
         calls = []
 
         def decay(t, y):
             calls.append(t)
             return -0.5 * y
 
-        decay.text, decay.constants = (("u",), ("k",), "f_0 = -k * u\n"), (0.5,)
+        decay.text, decay.constants = text, (0.5,)
         config = SolverConfig(step=0.01, t_end=n_steps * 0.01)
         inlined = solve_pece(FodeProblem(order=0.7, initial_state=[1.0], rhs=decay), config)
         assert calls == [0.0]
