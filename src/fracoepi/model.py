@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .solver import ValidationError  # the package's one validation error class
-from .solver import validate_finite, validate_positive
+from .solver import shown, text_field, validate_finite, validate_positive
 
 __all__ = [
     "Condition",
@@ -171,8 +171,8 @@ class Thresholds:
 # The model's right-hand side, written once: statements over the state
 # components s, i, p (Python floats, complex numbers or numpy arrays) and the
 # eight constants, in ModelParams' field order, that assign its components
-# f_0, f_1, f_2.  float_form is compiled from it below, and the solver's leaf
-# loop writes it into its step (see solver._leaf_loop).
+# f_0, f_1, f_2.  solver.text_field makes the callable, and the solver's leaf
+# loop writes the text into its step.
 _FIELD_TEXT = (
     ("s", "i", "p"),
     ("r", "K", "lam", "m", "mu", "a", "theta", "d"),
@@ -185,81 +185,10 @@ f_2 = theta * feeding - d * p
 )
 
 
-# float_form over the floats of one state, for constants bound once per field
-_FLOAT_FORM = """\
-def bind({constants}):
-    def float_form(t, y):
-        try:
-            {state}, = y
-{lines}
-        except ZeroDivisionError:  # Python floats with a + i == 0
-            return [float(v) for v in float_form(t, np.array(y))]
-        except ValueError:  # the unpacking: a state of another size
-            raise ValidationError(
-                f"the model's states have 3 components (S, I, P), got {{len(y)}}"
-            ) from None
-        return [{values}]
-    return float_form
-"""
-
-
-def _compile_float_form():
-    """``bind(*constants)``, which gives the float form of ``_FIELD_TEXT``."""
-    state, constants, lines = _FIELD_TEXT
-    source = _FLOAT_FORM.format(
-        constants=", ".join(constants),
-        state=", ".join(state),
-        lines="\n".join(" " * 12 + line for line in lines.splitlines()),
-        values=", ".join(f"f_{k}" for k in range(len(state))),
-    )
-    namespace = {"np": np, "ValidationError": ValidationError}
-    exec(compile(source, "<model float form>", "exec"), namespace)
-    return namespace["bind"]
-
-
-_bind_float_form = _compile_float_form()
-
-
 def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The model's right-hand side, ``_FIELD_TEXT``; y holds (S, I, P) on axis 0.
-
-    The arithmetic is ``float_form(t, y)``: three components in, a list of
-    three out.  Python floats perform the same IEEE-754 double operations as
-    numpy scalars in the same order, so for one state it gives the bits of
-    the stacked path, and three arrays of stacked states go through it as
-    they are.  The returned ndarray callable unpacks a single state
-    (``y.ndim == 1``) into Python floats and wraps the list in an array.
-    Where ``a + I == 0`` Python would raise ZeroDivisionError; that state is
-    recomputed with numpy scalars, so it gives the same inf/NaN as a stacked
-    state and a runaway solve still ends in a divergence error.  A state of
-    another size fails to unpack inside the same ``try``, which turns it into
-    a ValidationError at no cost to a call that unpacks.
-
-    The callable carries ``text``, which is ``_FIELD_TEXT``, and
-    ``constants``, the values of its constant names: the pair the solver
-    reads.  The solver writes the text into its leaf loop, so a model
-    solve calls the field, through the solver's ndarray adapter, only at
-    node 0 and where ``a + I == 0``; every other evaluation is the same
-    arithmetic inline, with the same bits.  ``float_form`` stays on the callable for
-    ``jacobian``, which calls it on complex lists.  It costs about 0.36 us
-    a call on a list, against 0.88 us through the ndarray callable and
-    11.6 us for a state stacked as a (3, 1) array (best of 7 x 200 000
-    calls, 7 x 20 000 for the stacked state, 2-core Xeon VM).  Inline, the
-    two evaluations of a node cost about 0.4 us less than two calls of
-    ``float_form``: a 60 000-node solve took 3.6 against 4.0 us a node
-    (see ``solver``).
-    """
-    constants = astuple(params)
-    float_form = _bind_float_form(*constants)
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        # one state as Python floats; stacked arrays (or a list) unpack as they are
-        return np.array(float_form(t, y.tolist() if getattr(y, "ndim", 0) == 1 else y))
-
-    f.float_form = float_form
-    f.text = _FIELD_TEXT
-    f.constants = constants
-    return f
+    """The model's right-hand side, ``_FIELD_TEXT`` with ``params`` bound; y
+    holds (S, I, P) on axis 0 (see ``solver.text_field``)."""
+    return text_field(_FIELD_TEXT, astuple(params))
 
 
 def rhs(params: ModelParams, state) -> np.ndarray:
@@ -288,12 +217,12 @@ def jacobian(params: ModelParams, state) -> np.ndarray:
         raise ValidationError(f"a state must have 3 components, got shape {y.shape}")
     if params.half_saturation + y[1] <= 0.0:
         raise ValidationError("Jacobian needs half_saturation + infected > 0")
-    f, h = _field(params).float_form, 2.0**-60
+    f, h = _field(params), 2.0**-60
     columns = []
     for k in range(3):
         stepped = y.tolist()
         stepped[k] += 1j * h
-        columns.append([v.imag / h for v in f(0.0, stepped)])
+        columns.append(f(0.0, stepped).imag / h)
     return np.array(columns).T
 
 
@@ -376,7 +305,10 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
 
 def equilibrium(params: ModelParams, kind: EquilibriumKind) -> Equilibrium:
     """The entry of :func:`equilibria` of one kind."""
-    return {eq.kind: eq for eq in equilibria(params)}[kind]
+    for eq in equilibria(params):
+        if eq.kind is kind:
+            return eq
+    raise ValidationError(f"kind must be an EquilibriumKind, got {shown(kind, repr)}")
 
 
 def thresholds(params: ModelParams) -> Thresholds:

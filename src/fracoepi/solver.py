@@ -21,10 +21,9 @@ equals the chunk length), so past 8192 nodes that part grows as n^2/4096.
 On ``example1-global`` at order 0.95 and step 0.05 the split blocks took
 0.005, 0.042 and 0.65 s of solves of 20k, 60k and 240k nodes that took
 0.064, 0.213 and 1.35 s in all (each split block timed inside the solve;
-the totals are the best of 30, 30 and 6 solves in a process that loads
-this solver and one that calls the model's float form at every
-evaluation, and alternates their solves, on a shared 2-core Xeon VM,
-Python 3.11, numpy 2.4).
+the totals are the best of 30, 30 and 6 solves in a process that
+alternates them with solves of another solver, on a shared 2-core Xeon
+VM, Python 3.11, numpy 2.4).
 
 Besides the trajectory's own state rows, a solve of N nodes and d components
 holds the evaluated right-hand sides (d·(N + 1) doubles, 3(N + 1) for the
@@ -57,27 +56,27 @@ component straight into ``states`` and each RHS component into the leaf
 buffer, through flat float64 memoryviews of both made once per solve, so
 no row is collected in a list or converted from one by numpy.
 
-The loop steps every field in one form.  A field that carries ``text``
-and ``constants`` (the model's: its equations as source,
-``model._FIELD_TEXT``, and the values of their constants) has its
-statements written into both evaluations of a node, on the state's
-floats; any other field is the one statement that calls it.  Either way
+The loop steps every field in one form.  A field made by
+:func:`text_field` carries its equations as source (``text``, the model's
+``model._FIELD_TEXT``) and the values of their ``constants``: its
+statements are written into both evaluations of a node, on the state's
+floats.  Any other field is the one statement that calls it.  Either way
 the loop reaches a field's callable only through one adapter, which
-passes it a fresh array and checks the shape of its value: a model solve
+passes it a fresh array and checks the shape of its value: a text field
 at node 0 and where its text divides by zero, any other field at every
 evaluation.  A 60 000-node solve of the model costs about 3.6 us per
-node (0.213 s), against 4.0 us (0.238 s) when the loop called the model's
-equations on lists at both evaluations of a node; through the adapter
-the same field costs 6.2 us (0.373 s) either way (best of 30 and 18
-solves, measured as above).
+node (0.213 s), and 6.2 us (0.373 s) through the adapter (best of 30 and
+18 solves, measured as above).
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import keyword
 import math
 import numbers
+import reprlib
 import sys
 import weakref
 from collections import Counter
@@ -95,6 +94,7 @@ __all__ = [
     "abm_weights",
     "shown",
     "solve_pece",
+    "text_field",
     "validate_finite",
     "validate_order",
     "validate_positive",
@@ -183,6 +183,8 @@ class FodeProblem:
 
     def __post_init__(self):
         validate_order(self.order)
+        if not callable(self.rhs):
+            raise ValidationError(f"rhs must be callable, got {type(self.rhs).__name__}")
         # a read-only copy: a later write to the caller's array leaves the problem alone
         state = np.atleast_1d(np.array(self.initial_state, dtype=float))
         if state.ndim != 1 or state.size == 0:
@@ -312,7 +314,7 @@ def abm_weights(order: float, n: int, step: float = 1.0) -> tuple[np.ndarray, np
     These are the tables :func:`solve_pece` uses, read for one step.
     """
     validate_order(order)
-    if not isinstance(n, numbers.Integral) or n < 0:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
         raise ValidationError(f"node index n must be a non-negative integer, got {n!r}")
     if n >= NODE_CAP:  # checked before the tables of n + 2 entries are allocated
         raise ValidationError(f"the step onto node {n + 1} exceeds the cap of {NODE_CAP} nodes")
@@ -341,6 +343,15 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 
     y0 = problem.initial_state.tolist()
     shape = problem.initial_state.shape
+    dim = len(y0)
+    text = getattr(problem.rhs, "text", None)
+    constants = getattr(problem.rhs, "constants", None)
+    if text is not None:  # rejected before any array is allocated
+        _check_text(text, constants)
+    if text is not None and len(text[0]) == dim:  # a field given as text, written into the loop
+        leaf_loop = _leaf_loop(dim, text)
+    else:  # called; a text field's state of another size is rejected at node 0
+        leaf_loop, constants = _leaf_loop(dim), ()
     rhs_fn = _list_field(problem.rhs, shape, h)
     # until node k is solved, states[k] and rhs_values[k] hold the pending
     # predictor and corrector history sums of the nodes before its block
@@ -353,7 +364,6 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     # the leaf is solved and they go to rhs_values.  The in-block lag tables
     # are reversed so that the dot for lag m runs on contiguous rows:
     # leaf_w[-m:] against buf[:m].  Every view and bound dot is made once.
-    dim = len(y0)
     buf = np.zeros((_LEAF, dim))
     views = [buf[:m] for m in range(_LEAF)]
     leaf_w = np.ascontiguousarray(w[1:_LEAF][::-1])
@@ -362,11 +372,6 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     w_dots = [leaf_w[n_leaf - m :].dot for m in range(n_leaf + 1)]
     d_dots = [leaf_d[n_leaf - m :].dot for m in range(n_leaf + 1)]
     sums = np.zeros(dim)  # every leaf dot writes its sums here
-    text = getattr(problem.rhs, "text", None)
-    if text is not None and len(text[0]) == dim:  # a field given as text, written into the loop
-        leaf_loop, constants = _leaf_loop(dim, text), problem.rhs.constants
-    else:  # called; a model state of another size is rejected at node 0
-        leaf_loop, constants = _leaf_loop(dim), ()
     spectra: dict = {}  # kernel spectra of this solve, by block length
 
     inv_gamma_a = 1.0 / math.gamma(a)
@@ -405,6 +410,27 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     del rhs_values, w, d, spectra
     times = _grid(h, n_steps)
     return Trajectory(times=times, states=states, order=a)
+
+
+def text_field(text, constants) -> Callable:
+    """The vector field ``f(t, y)`` that ``text`` writes, ``constants`` bound.
+
+    ``text`` is a field as source, as the model's is (``model._FIELD_TEXT``):
+    a tuple of its state names, a tuple of its constant names (``constants``
+    holds their values), and statements that assign its components to
+    ``f_0``, ``f_1``, ...  ``y`` is one state, a list or a 1-D array,
+    evaluated on its Python floats (or complex numbers), or states stacked
+    on axis 1, evaluated on arrays, with the same bits; one state that
+    divides by zero is evaluated again as a (d, 1) array, which gives
+    numpy's inf or NaN.  The callable carries ``text`` and ``constants``,
+    so :func:`solve_pece` steps the text inline and calls the field only at
+    node 0 and where the text divides by zero.  A text is compiled once
+    (the cache keeps 16 texts), and the constants are bound per field.
+    """
+    _check_text(text, constants)
+    field = _compile_text(text)(*constants)
+    field.text, field.constants = text, constants
+    return field
 
 
 # the steps of one leaf, written out per component: each field below is a
@@ -452,19 +478,13 @@ def _leaf_loop(dim: int, text=None):
     (0.64 us against 0.13 us written out for the three-component predictor,
     Python 3.11, best of 5 x 500 000).
 
-    ``text`` is a vector field as source, as the model's field carries it
-    (``model._FIELD_TEXT``): the names of the ``dim`` state components, the
-    names of its constants, and statements that assign the field's
-    components to ``f_0``, ``f_1``, ...  Both evaluations of a node bind the
-    state names, to the predicted and to the corrected state, and run those
-    statements inline, inside a ``try`` whose ``ZeroDivisionError`` handler
-    calls ``rhs_fn`` on the state instead; the constants come in as the
-    tuple ``constants``, unpacked once per leaf.  Every name of the loop's
-    own starts with ``_``, so one rule keeps a text apart from it, and a
-    text that breaks the rule raises a ValidationError: its state and
-    constant names are distinct and none is an output ``f_i``, no name it
-    binds or reads starts with ``_``, and its statements assign no state or
-    constant name.  Without ``text`` the field is the one statement
+    ``text`` is a checked field's text of ``dim`` state names (see
+    :func:`text_field`).  Both evaluations of a node bind the state names,
+    to the predicted and to the corrected state, and run its statements
+    inline, inside a ``try`` whose ``ZeroDivisionError`` handler calls
+    ``rhs_fn`` on the state instead; the constants come in as the tuple
+    ``constants``, unpacked once per leaf.  Without ``text`` the field is
+    the one statement
     ``f_0, ..., = _rhs_fn(_t, [_x_0, ...])``, with no handler, so a
     ``ZeroDivisionError`` the call raises propagates.  The source is built
     from ``dim`` and ``text`` alone, and every value comes in as an
@@ -482,22 +502,6 @@ def _leaf_loop(dim: int, text=None):
     if text is None:
         field = call
     else:
-        names = [*x, *constants]
-        tree = list(ast.walk(ast.parse(statements)))
-        # bound by an assignment, or as the name of a def, class, import or except clause
-        bound = {v.id for v in tree if isinstance(v, ast.Name) and not isinstance(v.ctx, ast.Load)}
-        bound |= {(getattr(v, "asname", None) or v.name).partition(".")[0]
-                  for v in tree if isinstance(getattr(v, "name", None), str)}
-        named = bound.union(names, (v.id for v in tree if isinstance(v, ast.Name)))
-        clash = {v for v, count in Counter(names).items() if count > 1}
-        clash |= bound.intersection(names) | set(names).intersection(f.split(", "))
-        clash |= {v for v in named if v.startswith("_")}
-        if clash:
-            raise ValidationError(
-                f"a field's text cannot name {', '.join(sorted(clash))}: its state and"
-                " constant names must be distinct and no output f_i, no name in it may"
-                " start with _, and its statements may assign no state or constant name"
-            )
         field = (
             "try:\n" + "".join(f"    {line}\n" for line in statements.splitlines())
             + f"except _ZeroDivisionError:\n    {call}"
@@ -518,6 +522,86 @@ def _leaf_loop(dim: int, text=None):
                  "_DivergenceError": DivergenceError, "_array": np.array}
     exec(compile(source, f"<leaf loop, {dim} components>", "exec"), namespace)
     return namespace["_leaf_loop"]
+
+
+def _check_text(text, constants) -> None:
+    """Reject, with a ValidationError, a text that the leaf loop and
+    :func:`text_field` cannot run with ``constants``.  Every name of the
+    loop's own starts with ``_``, so one rule on a text's own names keeps
+    them apart (see the messages); ``_compile_text`` reads the statements.
+    """
+    if not (isinstance(text, tuple) and len(text) == 3 and text[0] and isinstance(text[2], str)
+            and all(isinstance(names, tuple) and all(isinstance(v, str) and v.isidentifier()
+                                                     and not keyword.iskeyword(v) for v in names)
+                    for names in text[:2])):
+        raise ValidationError("a field's text must be a tuple of state names, a tuple of"
+                              f" constant names and a str of statements, got {reprlib.repr(text)}")
+    if not (isinstance(constants, tuple) and len(constants) == len(text[1])):
+        raise ValidationError(f"a field's text takes a tuple of {len(text[1])} constants,"
+                              f" got {reprlib.repr(constants)}")
+    _compile_text(text)
+
+
+# a field's text as the callable text_field returns, with its constants bound
+_TEXT_FIELD = """\
+def _bind({constants}):
+    def _field(_t, _y):
+        if _type(_y) is _ndarray and _y.ndim == 1:
+            _y = _y.tolist()  # one state: its Python floats
+        try:
+            {state}, = _y
+        except ValueError:  # a state of another size
+            raise _ValidationError(
+                f"the field's states have {dim} components, got {{_len(_y)}}") from None
+        try:
+{statements}
+        except _ZeroDivisionError:  # one state of Python numbers
+            return _field(_t, _array(_y)[:, None])[:, 0]
+        return _array([{outputs}])
+    return _field
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _compile_text(text):
+    """``_bind(*constants)``, the callable of a well-formed ``text`` whose
+    statements keep ``_check_text``'s rule; any other raises a ValidationError."""
+    state, constants, statements = text
+    try:
+        tree = list(ast.walk(ast.parse(statements)))
+        compile(statements, "<field statements>", "exec")  # no return or yield of their own
+    except (SyntaxError, ValueError) as error:  # ValueError: a null byte
+        raise ValidationError(f"a field's statements must compile: {error}") from None
+    names = [*state, *constants]
+    outputs = [f"f_{i}" for i in range(len(state))]
+    # bound by an assignment, or as the name of a def, class, import or except clause
+    bound = {v.id for v in tree if isinstance(v, ast.Name) and not isinstance(v.ctx, ast.Load)}
+    bound |= {(getattr(v, "asname", None) or v.name).partition(".")[0]
+              for v in tree if isinstance(getattr(v, "name", None), str)}
+    named = bound.union(names, (v.id for v in tree if isinstance(v, ast.Name)))
+    clash = {v for v, count in Counter(names).items() if count > 1}
+    clash |= bound.intersection(names) | set(names).intersection(outputs)
+    clash |= {v for v in named if v.startswith("_")}
+    if clash:
+        raise ValidationError(
+            f"a field's text cannot name {', '.join(sorted(clash))}: its state and"
+            " constant names must be distinct and no output f_i, no name in it may"
+            " start with _, and its statements may assign no state or constant name"
+        )
+    if not bound.issuperset(outputs):
+        raise ValidationError(f"a field's statements must assign {', '.join(outputs)}")
+    source = _TEXT_FIELD.format(
+        constants=", ".join(constants), state=", ".join(state), dim=len(state),
+        statements="".join(f"            {line}\n" for line in statements.splitlines()),
+        outputs=", ".join(outputs),
+    )
+    namespace = {"_type": type, "_len": len, "_ndarray": np.ndarray, "_array": np.array,
+                 "_ValidationError": ValidationError, "_ZeroDivisionError": ZeroDivisionError}
+    try:
+        exec(compile(source, f"<field text, {len(state)} components>", "exec"), namespace)
+    except SyntaxError as error:  # what only a module may hold, as import *
+        raise ValidationError(f"a field's statements must compile: {error}") from None
+    return namespace["_bind"]
 
 
 def _grid(step, n_steps: int) -> np.ndarray:
@@ -589,8 +673,8 @@ def _list_field(rhs, shape, step):
     ValidationError that names the node: the step loop calls the field at
     t = step * k for node k (node 0 at 0.0), so t / step rounds to k (it is
     within 1e-9 of k up to ``NODE_CAP`` nodes).  Every field goes through
-    this adapter; one that carries ``text`` and ``constants`` (the model's,
-    see ``model._field``) only at node 0 and where its text divides by zero.
+    this adapter; a text field (see :func:`text_field`) only at node 0 and
+    where its text divides by zero.
     """
     array, asarray = np.array, np.asarray
 

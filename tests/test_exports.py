@@ -15,7 +15,14 @@ from fracoepi import ValidationError, ml_one, ml_two
 from fracoepi.config import config_from_entries, parse_config_text, parse_grid
 from fracoepi.model import EquilibriumKind, State, equilibrium, jacobian, preset, rhs
 from fracoepi.runs import solve_model
-from fracoepi.solver import NODE_CAP, FodeProblem, SolverConfig, Trajectory, abm_weights
+from fracoepi.solver import (
+    NODE_CAP,
+    FodeProblem,
+    SolverConfig,
+    Trajectory,
+    abm_weights,
+    text_field,
+)
 from fracoepi.stability import CubicCharacteristic, classify_equilibrium, cubic_roots
 from fracoepi.trajectory_io import load_trajectory_csv
 from fracoepi.verification import convergence_check, lipschitz_bound
@@ -129,6 +136,17 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         lambda tmp_path: rhs(EX1, np.array([1.0, -15.0, 1.0])),
         lambda tmp_path: jacobian(EX1, np.array([1.0, -15.0, 1.0])),
         lambda tmp_path: cubic_roots(CubicCharacteristic(math.nan, 1.0, 1.0)),
+        # arguments of another type
+        lambda tmp_path: equilibrium(EX1, "E*"),
+        lambda tmp_path: FodeProblem(order=0.9, initial_state=[1.0], rhs=5),
+        lambda tmp_path: abm_weights(0.5, True),
+        # a field's text that cannot run
+        lambda tmp_path: text_field([["u"], ["k"], "f_0 = -k * u\n"], (0.5,)),
+        lambda tmp_path: text_field((("u",), ("k",), "f_0 = -k *\n"), (0.5,)),
+        lambda tmp_path: text_field((("u",), ("k", "c"), "f_0 = -k * c * u\n"), (0.5,)),
+        lambda tmp_path: text_field((("u", "v"), ("k",), "f_0 = -k * u\n"), (0.5,)),
+        lambda tmp_path: text_field((("u", "if"), ("k",), "f_0 = -k * u\nf_1 = u\n"), (0.5,)),
+        lambda tmp_path: text_field((("u",), ("k",), "nonlocal g\nf_0 = -k * u\n"), (0.5,)),
     ],
     ids=[
         "ml-alpha", "ml-beta", "ml-argument",
@@ -148,6 +166,9 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         "config-states-not-list", "config-state-of-two", "config-preset-list",
         "grid-count-past-cap",
         "rhs-pole", "jacobian-pole", "cubic-nan",
+        "equilibrium-kind-str", "problem-rhs-not-callable", "weights-node-bool",
+        "text-lists", "text-does-not-parse", "text-fewer-constants", "text-unassigned-output",
+        "text-keyword-name", "text-nonlocal",
     ],
 )
 def test_every_rejection_is_a_validation_error(reject, tmp_path):

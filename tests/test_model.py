@@ -143,9 +143,9 @@ class TestVectorField:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_one_state_path_matches_stacked_path(self, data):
-        # one state runs on Python floats, a stacked (3, n) state on numpy
-        # arrays, and the float form (what jacobian calls) takes and gives lists;
-        # all three must round identically, overflow and NaN included
+        # one state, as a 1-D array or as a list (what jacobian passes), runs
+        # on Python floats, a stacked (3, n) state on numpy arrays; all three
+        # must round identically, overflow and NaN included
         params = preset(data.draw(st.sampled_from(sorted(PRESETS)))).params
         component = st.floats(allow_nan=False, allow_infinity=False)
         infected = st.one_of(component, st.just(-params.half_saturation))
@@ -154,10 +154,10 @@ class TestVectorField:
         with np.errstate(all="ignore"):
             one = f(0.0, y)
             stacked = f(0.0, y[:, None])[:, 0]
-            floats = f.float_form(0.0, y.tolist())
+            listed = f(0.0, y.tolist())
         assert np.array_equal(one, stacked, equal_nan=True)
-        assert [type(v) for v in floats] == [float] * 3
-        assert np.array_equal(np.array(floats), stacked, equal_nan=True)
+        assert listed.dtype == np.float64 and listed.shape == (3,)
+        assert np.array_equal(listed, stacked, equal_nan=True)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_one_state_path_at_vanishing_denominator(self, name):
@@ -170,11 +170,11 @@ class TestVectorField:
             with np.errstate(all="ignore"):
                 one = f(0.0, y)
                 stacked = f(0.0, y[:, None])[:, 0]
-                floats = f.float_form(0.0, y.tolist())
+                listed = f(0.0, y.tolist())
             assert np.array_equal(one, stacked, equal_nan=True)
             assert not np.isfinite(one[1:]).any()
-            assert [type(v) for v in floats] == [float] * 3
-            assert np.array(floats).tobytes() == stacked.tobytes()  # NaN bits included
+            assert listed.dtype == np.float64 and listed.shape == (3,)
+            assert listed.tobytes() == stacked.tobytes()  # NaN bits included
 
     def test_rejects_wrong_component_count(self, example1):
         with pytest.raises(ValidationError):

@@ -38,6 +38,7 @@ from fracoepi.solver import (
     _leaf_loop,
     abm_weights,
     solve_pece,
+    text_field,
     validate_order,
 )
 
@@ -311,11 +312,10 @@ def manufactured_errors(solve, alpha, span, steps):
     Fluids Eng. 124 (2002) 4-10).  No weight table enters y, so the errors
     check the solver against no formula of its own.  The field is called
     through the adapter; it adds the forcing, tabulated per node, to the
-    model's float form, as Python floats are cheaper than small arrays.
+    model's field.
     """
     params = preset("example1-global").params
     field = vector_field(params)
-    float_form = field.float_form
     estar = next(
         e for e in equilibria(params) if e.kind is EquilibriumKind.COEXISTENCE
     ).state.as_array()
@@ -325,10 +325,10 @@ def manufactured_errors(solve, alpha, span, steps):
         times = h * np.arange(round(span / h) + 1)
         exact = estar + np.outer((times / span) ** 2, c)
         caputo = np.outer(2.0 * times ** (2.0 - alpha) / (math.gamma(3.0 - alpha) * span**2), c)
-        forcing = (caputo - field(0.0, exact.T).T).tolist()
+        forcing = caputo - field(0.0, exact.T).T
 
         def manufactured(t, x, forcing=forcing, h=h):
-            return [v + g for v, g in zip(float_form(t, x.tolist()), forcing[round(t / h)])]
+            return field(t, x) + forcing[round(t / h)]
 
         problem = FodeProblem(order=alpha, initial_state=estar, rhs=manufactured)
         errors.append(np.abs(solve(problem, SolverConfig(step=h, t_end=span)) - exact).max())
@@ -842,14 +842,14 @@ class TestBehavior:
             solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
 
     @pytest.mark.parametrize("size", [2, 4])
-    @pytest.mark.parametrize("path", ["float-form", "adapter"])
+    @pytest.mark.parametrize("path", ["text-field", "adapter"])
     def test_model_field_rejects_a_state_of_another_size(self, example1, size, path):
         # a model field of another size than its text is called through the
-        # adapter, with or without the text, and its float form unpacks (S, I, P)
+        # adapter, with or without the text, and unpacks (S, I, P)
         field = vector_field(example1)
-        rhs = field if path == "float-form" else (lambda t, y: field(t, y))
+        rhs = field if path == "text-field" else (lambda t, y: field(t, y))
         problem = FodeProblem(order=0.9, initial_state=np.ones(size), rhs=rhs)
-        expected = f"the model's states have 3 components (S, I, P), got {size}"
+        expected = f"the field's states have 3 components, got {size}"
         with pytest.raises(ValidationError, match=re.escape(expected) + "$"):
             solve_pece(problem, SolverConfig(step=0.05, t_end=1.0))
 
@@ -881,6 +881,39 @@ class TestBehavior:
         problem = FodeProblem(order=0.7, initial_state=[1.0], rhs=field)
         with pytest.raises(ValidationError, match=f"a field's text cannot name {clash}:"):
             solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
+
+    @pytest.mark.parametrize(
+        "text, constants, message",
+        [
+            ([["u"], ["k"], "f_0 = -k * u\n"], (0.5,), "must be a tuple of state names"),
+            ((("u",), ("k",), "f_0 = -k *\n"), (0.5,), "statements must compile"),
+            ((("u",), ("k", "c"), "f_0 = -k * c * u\n"), (0.5,), "takes a tuple of 2 constants"),
+            ((("u",), ("k",), "g = -k * u\n"), (0.5,), "statements must assign f_0"),
+            ((("u",), ("k",), "f_0 = -k * u\nif u < 0.9:\n    return\n"), (0.5,),
+             "'return' outside function"),
+        ],
+        ids=["lists", "does-not-parse", "fewer-constants", "unassigned-output", "returns"],
+    )
+    def test_text_the_loop_cannot_run_is_rejected_before_any_array(
+        self, text, constants, message
+    ):
+        # once failed as a TypeError from the loop cache, a SyntaxError, or a
+        # ValueError or UnboundLocalError inside the solve; a return left the
+        # leaf loop early and gave a wrong solve without an error
+        def field(t, y):
+            return -0.5 * y
+
+        field.text, field.constants = text, constants
+        problem = FodeProblem(order=0.7, initial_state=[1.0], rhs=field)
+        config = SolverConfig(step=0.001, t_end=100.0)  # 100 001 nodes: 0.8 MB an array
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=message):
+                solve_pece(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("bad_call", [0, 2 * _LEAF - 1, 2 * _LEAF])  # node 0, node 128's two
@@ -1183,6 +1216,34 @@ class TestAgreementWithDirectSums:
         assert inlined.states.tobytes() == solve_pece(called, config).states.tobytes()
         if n_steps < _LEAF:  # one leaf: the direct sums themselves
             assert np.array_equal(inlined.states, direct_pece(called, config))
+
+    @pytest.mark.parametrize(
+        "text, constants, by_hand, initial",
+        [
+            ((("u",), ("t",), "f_0 = -t * u\n"), (0.5,), lambda t, y: -0.5 * y, [1.0]),
+            ((("x", "v"), ("k", "c"), "f_0 = v\nf_1 = -k * x - c * v\n"), (4.0, 0.3),
+             lambda t, y: np.array([y[1], -4.0 * y[0] - 0.3 * y[1]]), [1.0, 0.0]),
+        ],
+        ids=["decay-constant-t", "oscillator"],
+    )
+    @pytest.mark.parametrize("n_steps", [_LEAF - 1, 2 * _FFT_CAP + 5])
+    def test_text_field_solves_like_its_text_attached_by_hand(
+        self, text, constants, by_hand, initial, n_steps
+    ):
+        # text_field's callable carries the text, so the loop steps it
+        # inline; its own arithmetic, called at every evaluation, gives the
+        # same bits, and within one leaf those of the direct sums
+        field = text_field(text, constants)
+        by_hand.text, by_hand.constants = text, constants
+        config = SolverConfig(step=0.01, t_end=n_steps * 0.01)
+        states = [
+            solve_pece(FodeProblem(order=0.7, initial_state=initial, rhs=rhs), config).states
+            for rhs in (field, by_hand, lambda t, y: field(t, y))
+        ]
+        assert states[0].tobytes() == states[1].tobytes() == states[2].tobytes()
+        if n_steps < _LEAF:  # one leaf: the direct sums themselves
+            called = FodeProblem(order=0.7, initial_state=initial, rhs=field)
+            assert np.array_equal(states[0], direct_pece(called, config))
 
     def test_scalar_problem(self):
         config = SolverConfig(step=0.01, t_end=30.0)

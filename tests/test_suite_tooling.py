@@ -59,6 +59,20 @@ def test_no_module_imports_another_modules_private_name():
     assert borrowed == []
 
 
+def test_only_the_solver_builds_code_from_text():
+    # a field given as text is compiled in one module: solver.text_field
+    # builds its callable and solver._leaf_loop its step
+    builders = [
+        f"{path.name}:{node.lineno} {node.func.id}"
+        for path in sorted(Path(fracoepi.__file__).parent.glob("*.py"))
+        if path.name != "solver.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
+    assert builders == []
+
+
 def test_child_processes_import_the_copy_under_test(tmp_path):
     # the suite runs against src/ and against an installed copy: a test's child
     # process imports the fracoepi that the suite imported, from any directory
