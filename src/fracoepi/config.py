@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ModelParams, State, ValidationError, preset
-from .solver import shown, validate_order, validate_positive
+from .solver import BOOL_TYPES, shown, validate_order, validate_positive
 
 __all__ = ["MODEL_KEYS", "RunConfig", "output_directory", "parse_config_text", "parse_grid"]
 
@@ -142,7 +142,7 @@ def _number(value, key: str) -> float:
     # a list, a word that is not a number, an int past the float range
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or isinstance(value, bool):
+    if number is None or isinstance(value, BOOL_TYPES):
         raise ValidationError(f"field {key}: expected a number, got {shown(value, repr)}")
     return number
 

@@ -36,7 +36,7 @@ import sys
 
 import mpmath
 
-from .solver import ValidationError, shown
+from .solver import BOOL_TYPES, ValidationError, shown
 
 __all__ = ["AccuracyError", "ml_one", "ml_two"]
 
@@ -191,8 +191,11 @@ def ml_two(alpha: float, beta: float, z: float) -> float:
     REL_TOL.
     """
     try:
+        if (isinstance(alpha, BOOL_TYPES) or isinstance(beta, BOOL_TYPES)
+                or isinstance(z, BOOL_TYPES)):
+            raise TypeError
         inside = 0.0 < alpha <= 1.0 and 0.0 < beta <= 10.0 and _Z_MIN <= z <= 0.0
-    except TypeError:  # None, a string
+    except TypeError:  # None, a string, a bool
         raise ValidationError(
             "Mittag-Leffler arguments must be real numbers, got"
             f" alpha={shown(alpha, repr)}, beta={shown(beta, repr)}, z={shown(z, repr)}"

@@ -16,7 +16,7 @@ densities/rates; populations are dimensionless densities.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -187,8 +187,9 @@ f_2 = theta * feeding - d * p
 
 def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
     """The model's right-hand side, ``_FIELD_TEXT`` with ``params`` bound; y
-    holds (S, I, P) on axis 0 (see ``solver.text_field``)."""
-    return text_field(_FIELD_TEXT, astuple(params))
+    holds (S, I, P) on axis 0 (see ``solver.text_field``).  The constants
+    are the fields as ``__init__`` set them, in ``ModelParams`` order."""
+    return text_field(_FIELD_TEXT, tuple(vars(params).values()))
 
 
 def rhs(params: ModelParams, state) -> np.ndarray:

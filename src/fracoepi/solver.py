@@ -49,8 +49,9 @@ divergence check) runs on Python floats, with the operations of the array
 form in the same order, so every state is bit-identical and a step of a
 few components avoids the ufunc overhead of small arrays.  It is written
 out component by component in a leaf loop generated once per state
-dimension and field text (``_leaf_loop``), as ``dataclasses`` writes ``__init__``,
-because a list comprehension costs a function call.  A leaf reads its
+dimension and field text, as ``dataclasses`` writes ``__init__``, because
+a list comprehension costs a function call; ``_field_code`` compiles it,
+and a text's :func:`text_field` callable, from one source.  A leaf reads its
 pending sums and times as lists once; the loop stores each corrected
 component straight into ``states`` and each RHS component into the leaf
 buffer, through flat float64 memoryviews of both made once per solve, so
@@ -64,7 +65,10 @@ floats.  Any other field is the one statement that calls it.  Either way
 the loop reaches a field's callable only through one adapter, which
 passes it a fresh array and checks the shape of its value: a text field
 at node 0 and where its text divides by zero, any other field at every
-evaluation.  A 60 000-node solve of the model costs about 3.6 us per
+evaluation.  A field that carries a text always runs its text's loop: a
+text of another size than the initial state is rejected before the solve
+allocates anything, and node 0 is evaluated before the solve's arrays
+too.  A 60 000-node solve of the model costs about 3.6 us per
 node (0.213 s), and 6.2 us (0.373 s) through the adapter (best of 30 and
 18 solves, measured as above).
 """
@@ -106,6 +110,7 @@ GRID_TOL = 1e-9  # relative distance of t_end/step from an integer
 # smallest order whose first predictor weight h^order/order ~ 1/order, times a
 # right-hand side of size DIVERGENCE_LIMIT, is finite
 MIN_ORDER = DIVERGENCE_LIMIT / sys.float_info.max
+BOOL_TYPES = (bool, np.bool_)  # no number: Python and numpy read True and False as 1 and 0
 
 _LEAF = 128  # nodes summed directly; a power of two
 _FFT_CAP = 1 << 13  # longest transform; longer blocks are split into chunk pairs
@@ -142,8 +147,10 @@ def validate_order(order: float) -> None:
 
 def _validate(name: str, value: float, test, rule: str) -> None:
     try:
+        if isinstance(value, BOOL_TYPES):
+            raise TypeError
         passed = test(value)
-    except TypeError:  # None, a string
+    except TypeError:  # None, a string, a bool
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
     except OverflowError:  # an int past the float range
         passed = False
@@ -344,15 +351,18 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     y0 = problem.initial_state.tolist()
     shape = problem.initial_state.shape
     dim = len(y0)
+    # a field that carries a text runs its text's loop; a bad one allocates nothing
     text = getattr(problem.rhs, "text", None)
-    constants = getattr(problem.rhs, "constants", None)
-    if text is not None:  # rejected before any array is allocated
+    if text is None:
+        leaf_loop, constants = _field_code(dim)[0], ()
+    else:
+        constants = getattr(problem.rhs, "constants", None)
         _check_text(text, constants)
-    if text is not None and len(text[0]) == dim:  # a field given as text, written into the loop
-        leaf_loop = _leaf_loop(dim, text)
-    else:  # called; a text field's state of another size is rejected at node 0
-        leaf_loop, constants = _leaf_loop(dim), ()
+        if len(text[0]) != dim:
+            raise ValidationError(f"the field's states have {len(text[0])} components, got {dim}")
+        leaf_loop = _field_code(dim, text)[0]
     rhs_fn = _list_field(problem.rhs, shape, h)
+    f0 = rhs_fn(0.0, y0)
     # until node k is solved, states[k] and rhs_values[k] hold the pending
     # predictor and corrector history sums of the nodes before its block
     states = np.zeros((n_steps + 1, len(y0)))
@@ -377,7 +387,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     inv_gamma_a = 1.0 / math.gamma(a)
     corr_scale = h**a / math.gamma(a + 2.0)
 
-    buf[0] = rhs_values[0] = rhs_fn(0.0, y0)
+    buf[0] = rhs_values[0] = f0
     np.multiply(c0[1:, None], rhs_values[0], out=rhs_values[1:])  # node 0's corrector term
     del c0  # one table less held through the solve
     # the leaf loop reads the dot sums and stores solved states and RHS rows
@@ -420,21 +430,37 @@ def text_field(text, constants) -> Callable:
     holds their values), and statements that assign its components to
     ``f_0``, ``f_1``, ...  ``y`` is one state, a list or a 1-D array,
     evaluated on its Python floats (or complex numbers), or states stacked
-    on axis 1, evaluated on arrays, with the same bits; one state that
-    divides by zero is evaluated again as a (d, 1) array, which gives
-    numpy's inf or NaN.  The callable carries ``text`` and ``constants``,
-    so :func:`solve_pece` steps the text inline and calls the field only at
-    node 0 and where the text divides by zero.  A text is compiled once
-    (the cache keeps 16 texts), and the constants are bound per field.
+    on axis 1, an array or nested lists, evaluated on arrays, with the same
+    bits; one state that divides by zero is evaluated again as a (d, 1)
+    array, which gives numpy's inf or NaN without its warnings.  The
+    callable carries ``text`` and ``constants``, so :func:`solve_pece` steps
+    the text inline and calls the field only at node 0 and where the text
+    divides by zero.  A text is compiled once, with its step loop (see
+    ``_field_code``), and the constants are bound per field.
     """
     _check_text(text, constants)
-    field = _compile_text(text)(*constants)
+    field = _field_code(len(text[0]), text)[1](*constants)
     field.text, field.constants = text, constants
     return field
 
 
+def _check_text(text, constants) -> None:
+    """Reject, with a ValidationError, a field's ``text`` not of the form
+    ``_field_code`` reads, or ``constants`` not one value per constant name."""
+    if not (isinstance(text, tuple) and len(text) == 3 and text[0] and isinstance(text[2], str)
+            and "\0" not in text[2]  # a SyntaxError from Python 3.11 on, a ValueError before
+            and all(isinstance(names, tuple) and all(isinstance(v, str) and v.isidentifier()
+                                                     and not keyword.iskeyword(v) for v in names)
+                    for names in text[:2])):
+        raise ValidationError("a field's text must be a tuple of state names, a tuple of"
+                              f" constant names and a str of statements, got {reprlib.repr(text)}")
+    if not (isinstance(constants, tuple) and len(constants) == len(text[1])):
+        raise ValidationError(f"a field's text takes a tuple of {len(text[1])} constants,"
+                              f" got {reprlib.repr(constants)}")
+
+
 # the steps of one leaf, written out per component: each field below is a
-# list with one item per component, or a block of statements (see _leaf_loop)
+# list with one item per component, or a block of statements (see _field_code)
 _LEAF_LOOP = """\
 def _leaf_loop(_rhs_fn, _y0, _nodes, _times, _pending, _pending_c, _w_dots, _w_views, _d_dots,
                _d_views, _sums, _sums_flat, _states_flat, _buf_flat, _start, _inv_gamma_a,
@@ -462,41 +488,67 @@ def _leaf_loop(_rhs_fn, _y0, _nodes, _times, _pending, _pending_c, _w_dots, _w_v
         {store_f}
 """
 
+# a field's text as the callable text_field returns, with its constants bound
+_TEXT_FIELD = """\
+def _bind({constants}):
+    def _field(_t, _y):
+        if _type(_y) is not _ndarray:  # one state as given, nested lists as an array
+            _y = _states(_y)
+        elif _y.ndim == 1:
+            _y = _y.tolist()  # one state: its Python floats
+        try:
+            {state}, = _y
+        except (TypeError, ValueError):  # a 0-d input, or a state of another size
+            raise _ValidationError(f"the field's states have {dim} components,"
+                                   f" got {{_len(_y) if _ndim(_y) else 'a 0-d input'}}") from None
+        try:
+{statements}
+        except _ZeroDivisionError:  # one state of Python numbers
+            with _errstate(divide="ignore", invalid="ignore"):
+                return _field(_t, _array(_y)[:, None])[:, 0]
+        return _array([{f}])
+    return _field
+"""
+
 
 @functools.lru_cache(maxsize=16)
-def _leaf_loop(dim: int, text=None):
-    """The PECE steps of one leaf, generated for states of ``dim`` components.
+def _field_code(dim: int, text=None):
+    """``(leaf_loop, bind)`` for states of ``dim`` components, compiled
+    from one source built from ``dim`` and ``text`` alone (every value comes
+    in as an argument); the cache keeps the 16 most recently used.
 
-    The loop solves the nodes of a leaf in order.  Each dot writes its sums
-    into ``sums``, read through the memoryview ``sums_flat``.  Component i
-    of the corrected state of a node goes to ``states_flat[dim * node + i]``
-    and component i of the RHS there to ``buf_flat[dim * (node - start) + i]``,
-    where the dots of the next nodes read it: flat float64 memoryviews of
-    ``states`` and of the leaf buffer.  Its arithmetic runs on Python
-    floats, written out component by component in the operation order of
-    the array form: a list comprehension is a function call of its own
-    (0.64 us against 0.13 us written out for the three-component predictor,
-    Python 3.11, best of 5 x 500 000).
-
-    ``text`` is a checked field's text of ``dim`` state names (see
-    :func:`text_field`).  Both evaluations of a node bind the state names,
-    to the predicted and to the corrected state, and run its statements
-    inline, inside a ``try`` whose ``ZeroDivisionError`` handler calls
-    ``rhs_fn`` on the state instead; the constants come in as the tuple
-    ``constants``, unpacked once per leaf.  Without ``text`` the field is
-    the one statement
+    ``leaf_loop`` solves the nodes of a leaf in order.  Each dot writes its
+    sums into ``sums``, read through the memoryview ``sums_flat``.
+    Component i of the corrected state of a node goes to
+    ``states_flat[dim * node + i]`` and of its RHS to
+    ``buf_flat[dim * (node - start) + i]``, where the dots of the next nodes
+    read it: flat float64 memoryviews of ``states`` and of the leaf buffer.
+    Its arithmetic runs on Python floats, written out component by
+    component in the operation order of the array form: a list
+    comprehension is a function call of its own (0.64 us against 0.13 us
+    written out for the three-component predictor, Python 3.11, best of
+    5 x 500 000).  With a field's ``text`` (see :func:`text_field`) both
+    evaluations of a node bind its state names, to the predicted and to the
+    corrected state, and run its statements inline, inside a ``try`` whose
+    ``ZeroDivisionError`` handler calls ``rhs_fn`` on the state instead;
+    the constants come in as the tuple ``constants``, unpacked once per
+    leaf.  Without a text the field is the one statement
     ``f_0, ..., = _rhs_fn(_t, [_x_0, ...])``, with no handler, so a
-    ``ZeroDivisionError`` the call raises propagates.  The source is built
-    from ``dim`` and ``text`` alone, and every value comes in as an
-    argument.  A loop is built on the first solve of its dimension and
-    text; the cache keeps the 16 most recently used.
+    ``ZeroDivisionError`` the call raises propagates, and ``bind`` is None.
+
+    ``bind(*constants)`` is the callable :func:`text_field` returns.  A
+    text is checked here, once: its statements must compile on their own
+    (so no ``return`` or ``yield`` of their own) and in both functions, and,
+    as every name of the generated code's own starts with ``_``, one rule on
+    the text's own names keeps them apart (see the messages).
     """
 
     def each(template, sep=", "):
         return sep.join(template.format(i=i) for i in range(dim))
 
     body = "\n" + " " * 8  # a new line in the loop body
-    x, constants, statements = text or ([f"_x_{i}" for i in range(dim)], (), "")
+    state, constants, statements = text or ((), (), "")
+    x = state or [f"_x_{i}" for i in range(dim)]
     f = each("f_{i}")
     call = f"{f}, = _rhs_fn(_t, [{', '.join(x)}])"
     if text is None:
@@ -518,90 +570,53 @@ def _leaf_loop(dim: int, text=None):
         store_x=body.join(f"_states_flat[_at + {i}] = {v}" for i, v in enumerate(x)),
         store_f=each("_buf_flat[_at + {i}] = f_{i}", body),
     )
-    namespace = {"_zip": zip, "_ZeroDivisionError": ZeroDivisionError,
-                 "_DivergenceError": DivergenceError, "_array": np.array}
-    exec(compile(source, f"<leaf loop, {dim} components>", "exec"), namespace)
-    return namespace["_leaf_loop"]
-
-
-def _check_text(text, constants) -> None:
-    """Reject, with a ValidationError, a text that the leaf loop and
-    :func:`text_field` cannot run with ``constants``.  Every name of the
-    loop's own starts with ``_``, so one rule on a text's own names keeps
-    them apart (see the messages); ``_compile_text`` reads the statements.
-    """
-    if not (isinstance(text, tuple) and len(text) == 3 and text[0] and isinstance(text[2], str)
-            and all(isinstance(names, tuple) and all(isinstance(v, str) and v.isidentifier()
-                                                     and not keyword.iskeyword(v) for v in names)
-                    for names in text[:2])):
-        raise ValidationError("a field's text must be a tuple of state names, a tuple of"
-                              f" constant names and a str of statements, got {reprlib.repr(text)}")
-    if not (isinstance(constants, tuple) and len(constants) == len(text[1])):
-        raise ValidationError(f"a field's text takes a tuple of {len(text[1])} constants,"
-                              f" got {reprlib.repr(constants)}")
-    _compile_text(text)
-
-
-# a field's text as the callable text_field returns, with its constants bound
-_TEXT_FIELD = """\
-def _bind({constants}):
-    def _field(_t, _y):
-        if _type(_y) is _ndarray and _y.ndim == 1:
-            _y = _y.tolist()  # one state: its Python floats
-        try:
-            {state}, = _y
-        except ValueError:  # a state of another size
-            raise _ValidationError(
-                f"the field's states have {dim} components, got {{_len(_y)}}") from None
-        try:
-{statements}
-        except _ZeroDivisionError:  # one state of Python numbers
-            return _field(_t, _array(_y)[:, None])[:, 0]
-        return _array([{outputs}])
-    return _field
-"""
-
-
-@functools.lru_cache(maxsize=16)
-def _compile_text(text):
-    """``_bind(*constants)``, the callable of a well-formed ``text`` whose
-    statements keep ``_check_text``'s rule; any other raises a ValidationError."""
-    state, constants, statements = text
+    if text is not None:
+        source += _TEXT_FIELD.format(
+            constants=", ".join(constants), state=", ".join(state), dim=dim, f=f,
+            statements="".join(f"            {line}\n" for line in statements.splitlines()),
+        )
     try:
         tree = list(ast.walk(ast.parse(statements)))
         compile(statements, "<field statements>", "exec")  # no return or yield of their own
-    except (SyntaxError, ValueError) as error:  # ValueError: a null byte
+        names = [*state, *constants]
+        outputs = [f"f_{i}" for i in range(len(state))]
+        # bound by an assignment, or as the name of a def, class, import or except clause
+        bound = {v.id for v in tree if isinstance(v, ast.Name) and not isinstance(v.ctx, ast.Load)}
+        bound |= {(getattr(v, "asname", None) or v.name).partition(".")[0]
+                  for v in tree if isinstance(getattr(v, "name", None), str)}
+        named = bound.union(names, (v.id for v in tree if isinstance(v, ast.Name)))
+        clash = {v for v, count in Counter(names).items() if count > 1}
+        clash |= bound.intersection(names) | set(names).intersection(outputs)
+        clash |= {v for v in named if v.startswith("_")}
+        if clash:
+            raise ValidationError(
+                f"a field's text cannot name {', '.join(sorted(clash))}: its state and"
+                " constant names must be distinct and no output f_i, no name in it may"
+                " start with _, and its statements may assign no state or constant name"
+            )
+        if not bound.issuperset(outputs):
+            raise ValidationError(f"a field's statements must assign {', '.join(outputs)}")
+        # and inside both functions, which reject import * or a global constant name
+        code = compile(source, f"<field code, {dim} components>", "exec")
+    except SyntaxError as error:
         raise ValidationError(f"a field's statements must compile: {error}") from None
-    names = [*state, *constants]
-    outputs = [f"f_{i}" for i in range(len(state))]
-    # bound by an assignment, or as the name of a def, class, import or except clause
-    bound = {v.id for v in tree if isinstance(v, ast.Name) and not isinstance(v.ctx, ast.Load)}
-    bound |= {(getattr(v, "asname", None) or v.name).partition(".")[0]
-              for v in tree if isinstance(getattr(v, "name", None), str)}
-    named = bound.union(names, (v.id for v in tree if isinstance(v, ast.Name)))
-    clash = {v for v, count in Counter(names).items() if count > 1}
-    clash |= bound.intersection(names) | set(names).intersection(outputs)
-    clash |= {v for v in named if v.startswith("_")}
-    if clash:
-        raise ValidationError(
-            f"a field's text cannot name {', '.join(sorted(clash))}: its state and"
-            " constant names must be distinct and no output f_i, no name in it may"
-            " start with _, and its statements may assign no state or constant name"
-        )
-    if not bound.issuperset(outputs):
-        raise ValidationError(f"a field's statements must assign {', '.join(outputs)}")
-    source = _TEXT_FIELD.format(
-        constants=", ".join(constants), state=", ".join(state), dim=len(state),
-        statements="".join(f"            {line}\n" for line in statements.splitlines()),
-        outputs=", ".join(outputs),
-    )
-    namespace = {"_type": type, "_len": len, "_ndarray": np.ndarray, "_array": np.array,
-                 "_ValidationError": ValidationError, "_ZeroDivisionError": ZeroDivisionError}
+    namespace = {"_zip": zip, "_ZeroDivisionError": ZeroDivisionError,
+                 "_DivergenceError": DivergenceError, "_ValidationError": ValidationError,
+                 "_array": np.array, "_ndarray": np.ndarray, "_errstate": np.errstate,
+                 "_type": type, "_len": len, "_ndim": np.ndim, "_states": _states}
+    exec(code, namespace)
+    return namespace["_leaf_loop"], namespace.get("_bind")
+
+
+def _states(y):
+    """A text field's ``y`` that is no ndarray: one state as it is, on its
+    Python numbers, and anything else as an array, so nested lists stack states."""
     try:
-        exec(compile(source, f"<field text, {len(state)} components>", "exec"), namespace)
-    except SyntaxError as error:  # what only a module may hold, as import *
-        raise ValidationError(f"a field's statements must compile: {error}") from None
-    return namespace["_bind"]
+        array = np.array(y)
+    except ValueError:  # lists of unequal lengths
+        raise ValidationError(f"a field's stacked states must have one length,"
+                              f" got {reprlib.repr(y)}") from None
+    return y if array.ndim == 1 else array
 
 
 def _grid(step, n_steps: int) -> np.ndarray:

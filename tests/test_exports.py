@@ -28,6 +28,7 @@ from fracoepi.trajectory_io import load_trajectory_csv
 from fracoepi.verification import convergence_check, lipschitz_bound
 
 EX1 = preset("example1").params
+_OSCILLATOR = text_field((("x", "v"), ("k",), "f_0 = v\nf_1 = -k * x\n"), (4.0,))
 
 
 def _modules():
@@ -147,6 +148,23 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         lambda tmp_path: text_field((("u", "v"), ("k",), "f_0 = -k * u\n"), (0.5,)),
         lambda tmp_path: text_field((("u", "if"), ("k",), "f_0 = -k * u\nf_1 = u\n"), (0.5,)),
         lambda tmp_path: text_field((("u",), ("k",), "nonlocal g\nf_0 = -k * u\n"), (0.5,)),
+        # what a text field's callable cannot read as states
+        lambda tmp_path: _OSCILLATOR(0.0, [[1.0, 2.0], [1.0]]),
+        lambda tmp_path: _OSCILLATOR(0.0, 1.0),
+        lambda tmp_path: _OSCILLATOR(0.0, np.float64(1.0)),
+        lambda tmp_path: _OSCILLATOR(0.0, np.array(1.0)),
+        lambda tmp_path: _OSCILLATOR(0.0, [[1.0, 2.0], [1.0, 0.5], [0.0, 0.0]]),
+        # a bool, which Python and numpy would compare as 0 or 1
+        lambda tmp_path: SolverConfig(step=True, t_end=4),
+        lambda tmp_path: FodeProblem(order=True, initial_state=[1.0], rhs=lambda t, y: -y),
+        lambda tmp_path: EX1.replace(growth_rate=True),
+        lambda tmp_path: State(True, 1.0, 2.0),
+        lambda tmp_path: State(1.0, np.True_, 2.0),
+        lambda tmp_path: ml_one(True, -1.0),
+        lambda tmp_path: ml_two(0.5, 1.0, np.False_),
+        lambda tmp_path: _trajectory(order=True)(tmp_path),
+        lambda tmp_path: config_from_entries({"model.preset": "example1",
+                                              "solver.step": np.True_}),
     ],
     ids=[
         "ml-alpha", "ml-beta", "ml-argument",
@@ -169,6 +187,11 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         "equilibrium-kind-str", "problem-rhs-not-callable", "weights-node-bool",
         "text-lists", "text-does-not-parse", "text-fewer-constants", "text-unassigned-output",
         "text-keyword-name", "text-nonlocal",
+        "field-ragged-lists", "field-float", "field-numpy-scalar", "field-0d-array",
+        "field-nested-lists-of-another-size",
+        "config-step-bool", "problem-order-bool", "params-bool", "state-bool",
+        "state-numpy-bool", "ml-one-alpha-bool", "ml-two-argument-numpy-bool",
+        "trajectory-order-bool", "config-step-numpy-bool",
     ],
 )
 def test_every_rejection_is_a_validation_error(reject, tmp_path):

@@ -34,8 +34,8 @@ from fracoepi.solver import (
     SolverConfig,
     ValidationError,
     _add_block_history,
+    _field_code,
     _lag_tables,
-    _leaf_loop,
     abm_weights,
     solve_pece,
     text_field,
@@ -342,6 +342,19 @@ def assert_converges(errors, alpha, bound):
     assert errors[0] / errors[1] >= required
     assert errors[1] / errors[2] >= required
     assert errors[2] <= bound
+
+
+def _carrying(text, constants):
+    """The field -0.5 y, with ``text`` and ``constants`` attached by hand."""
+
+    def field(t, y):
+        return -0.5 * y
+
+    field.text, field.constants = text, constants
+    return field
+
+
+_OSCILLATOR = text_field((("x", "v"), ("k",), "f_0 = v\nf_1 = -k * x\n"), (4.0,))
 
 
 class TestWeights:
@@ -711,25 +724,30 @@ class TestBehavior:
     def test_leaf_loops_are_built_once_per_dimension_and_bounded(self, example1):
         x0 = np.array([30.0, 5.0, 10.0])
         called = FodeProblem(order=0.7, initial_state=np.ones(4), rhs=lambda t, y: -y)
-        inlined = FodeProblem(order=0.7, initial_state=x0, rhs=vector_field(example1))
         config = SolverConfig(step=0.1, t_end=1.0)
-        _leaf_loop.cache_clear()
+        _field_code.cache_clear()
+        misses = _field_code.cache_info().misses
+        # the model's callable and its leaf loop come from one compile of its text
+        inlined = FodeProblem(order=0.7, initial_state=x0, rhs=vector_field(example1))
+        assert _field_code.cache_info().misses == misses + 1
         for problem in (called, inlined):
-            misses = _leaf_loop.cache_info().misses
+            misses = _field_code.cache_info().misses
             solve_pece(problem, config)
-            before = _leaf_loop.cache_info()
-            assert before.misses == misses + 1  # the model's text builds no called loop
+            before = _field_code.cache_info()
+            assert before.misses == misses + (problem is called)
             solve_pece(problem, config)
-            after = _leaf_loop.cache_info()
+            after = _field_code.cache_info()
             assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        # a model of other constants shares the model's loop; three components
+        # a model of other constants shares the model's code; three components
         # of a field that is called take a loop of their own
         solve_pece(FodeProblem(order=0.7, initial_state=x0,
                                rhs=vector_field(preset("example3").params)), config)
-        assert _leaf_loop.cache_info().misses == after.misses
+        assert _field_code.cache_info().misses == after.misses
         text = vector_field(example1).text
-        assert _leaf_loop(3, text) is _leaf_loop(3, text) is not _leaf_loop(3)
-        maxsize = _leaf_loop.cache_parameters()["maxsize"]
+        (loop, bind), (called_loop, no_bind) = _field_code(3, text), _field_code(3)
+        assert _field_code(3, text)[0] is loop is not called_loop
+        assert callable(bind) and no_bind is None
+        maxsize = _field_code.cache_parameters()["maxsize"]
         assert maxsize is not None and 0 < maxsize <= 64
 
     def test_solve_memo_is_bounded(self):
@@ -842,12 +860,15 @@ class TestBehavior:
             solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
 
     @pytest.mark.parametrize("size", [2, 4])
-    @pytest.mark.parametrize("path", ["text-field", "adapter"])
+    @pytest.mark.parametrize("path", ["text-field", "adapter", "by-hand"])
     def test_model_field_rejects_a_state_of_another_size(self, example1, size, path):
-        # a model field of another size than its text is called through the
-        # adapter, with or without the text, and unpacks (S, I, P)
+        # a field carrying the model's text is rejected on its text's size,
+        # also where its own callable takes any size (the text was once
+        # ignored there); without the text, the model's callable rejects
+        # the state at node 0
         field = vector_field(example1)
-        rhs = field if path == "text-field" else (lambda t, y: field(t, y))
+        rhs = {"text-field": field, "adapter": lambda t, y: field(t, y),
+               "by-hand": _carrying(field.text, field.constants)}[path]
         problem = FodeProblem(order=0.9, initial_state=np.ones(size), rhs=rhs)
         expected = f"the field's states have 3 components, got {size}"
         with pytest.raises(ValidationError, match=re.escape(expected) + "$"):
@@ -874,37 +895,37 @@ class TestBehavior:
         # written into the loop, such a name would hide another, overwrite a
         # stored value, or read or overwrite one of the loop's own, and give a
         # wrong solve without an error
-        def field(t, y):
-            return -0.5 * y
-
-        field.text, field.constants = (state, constants, statements), (0.5,)
+        field = _carrying((state, constants, statements), (0.5,))
         problem = FodeProblem(order=0.7, initial_state=[1.0], rhs=field)
         with pytest.raises(ValidationError, match=f"a field's text cannot name {clash}:"):
             solve_pece(problem, SolverConfig(step=0.1, t_end=1.0))
 
     @pytest.mark.parametrize(
-        "text, constants, message",
+        "rhs, message",
         [
-            ([["u"], ["k"], "f_0 = -k * u\n"], (0.5,), "must be a tuple of state names"),
-            ((("u",), ("k",), "f_0 = -k *\n"), (0.5,), "statements must compile"),
-            ((("u",), ("k", "c"), "f_0 = -k * c * u\n"), (0.5,), "takes a tuple of 2 constants"),
-            ((("u",), ("k",), "g = -k * u\n"), (0.5,), "statements must assign f_0"),
-            ((("u",), ("k",), "f_0 = -k * u\nif u < 0.9:\n    return\n"), (0.5,),
+            (_carrying([["u"], ["k"], "f_0 = -k * u\n"], (0.5,)), "must be a tuple of state names"),
+            (_carrying((("u",), ("k",), "f_0 = -k *\n"), (0.5,)), "statements must compile"),
+            (_carrying((("u",), ("k", "c"), "f_0 = -k * c * u\n"), (0.5,)),
+             "takes a tuple of 2 constants"),
+            (_carrying((("u",), ("k",), "g = -k * u\n"), (0.5,)), "statements must assign f_0"),
+            (_carrying((("u",), ("k",), "f_0 = -k * u\nif u < 0.9:\n    return\n"), (0.5,)),
              "'return' outside function"),
+            # a text of another size than the state, and fields that fail at node 0
+            (_OSCILLATOR, "^the field's states have 2 components, got 1$"),
+            (lambda t, y: np.zeros(2),
+             re.escape("rhs returned shape (2,), expected (1,) at node 0")),
+            (lambda t, y: _OSCILLATOR(t, y), "^the field's states have 2 components, got 1$"),
         ],
-        ids=["lists", "does-not-parse", "fewer-constants", "unassigned-output", "returns"],
+        ids=["lists", "does-not-parse", "fewer-constants", "unassigned-output", "returns",
+             "text-of-another-size", "wrong-shape-at-node-0", "rejects-node-0"],
     )
-    def test_text_the_loop_cannot_run_is_rejected_before_any_array(
-        self, text, constants, message
-    ):
+    def test_text_the_loop_cannot_run_is_rejected_before_any_array(self, rhs, message):
         # once failed as a TypeError from the loop cache, a SyntaxError, or a
         # ValueError or UnboundLocalError inside the solve; a return left the
-        # leaf loop early and gave a wrong solve without an error
-        def field(t, y):
-            return -0.5 * y
-
-        field.text, field.constants = text, constants
-        problem = FodeProblem(order=0.7, initial_state=[1.0], rhs=field)
+        # leaf loop early and gave a wrong solve without an error.  A text of
+        # another size was called, or ignored, and node 0 was evaluated only
+        # once the solve's arrays were allocated
+        problem = FodeProblem(order=0.7, initial_state=[1.0], rhs=rhs)
         config = SolverConfig(step=0.001, t_end=100.0)  # 100 001 nodes: 0.8 MB an array
         tracemalloc.start()
         try:
@@ -1161,8 +1182,9 @@ class TestAgreementWithDirectSums:
     def test_division_by_zero_in_the_text_falls_back_to_the_adapter(self):
         # the predictor at node 1 lands exactly on I = -a: the inlined text
         # raises ZeroDivisionError there and its handler calls the field
-        # through the adapter, where the model recomputes that state with
-        # numpy scalars, as it does for the same field without text
+        # through the adapter, where the model recomputes that state as a
+        # (3, 1) array, without numpy's warnings, as it does for the same
+        # field without text
         params = ModelParams(
             growth_rate=1.0, carrying_capacity=10.0, infection_rate=0.5, predation_rate=1.0,
             infected_death_rate=2.0, half_saturation=0.5, conversion_efficiency=0.5,
@@ -1179,7 +1201,8 @@ class TestAgreementWithDirectSums:
         errors = []
         for rhs in (with_text, lambda t, y: field(t, y)):
             problem = FodeProblem(order=1.0, initial_state=np.array([1.0, 1.0, 0.0]), rhs=rhs)
-            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
+            # no numpy warning either: the suite turns warnings into errors
+            with pytest.raises(DivergenceError) as excinfo:
                 solve_pece(problem, SolverConfig(step=1.0, t_end=5.0))
             errors.append(excinfo.value)
         assert calls == [0.0, 1.0]  # node 0, then the handler at node 1's predictor
@@ -1244,6 +1267,15 @@ class TestAgreementWithDirectSums:
         if n_steps < _LEAF:  # one leaf: the direct sums themselves
             called = FodeProblem(order=0.7, initial_state=initial, rhs=field)
             assert np.array_equal(states[0], direct_pece(called, config))
+
+    def test_text_field_reads_nested_lists_as_stacked_states(self):
+        # one state as a list stays on Python numbers; nested lists are states
+        # stacked on axis 1, as the array of the same values is
+        stacked = [[1.0, 2.0, -0.5], [0.0, 0.5, 3.0]]
+        value = _OSCILLATOR(0.0, stacked)
+        assert value.tobytes() == _OSCILLATOR(0.0, np.array(stacked)).tobytes()
+        assert [_OSCILLATOR(0.0, [x, v]).tolist() for x, v in zip(*stacked)] == value.T.tolist()
+        assert _OSCILLATOR(0.0, [1.0, 1j]).tolist() == [1j, -4.0]
 
     def test_scalar_problem(self):
         config = SolverConfig(step=0.01, t_end=30.0)

@@ -1,9 +1,12 @@
 """The test suite's own plumbing, and the package's import hygiene."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fracoepi
 
@@ -60,8 +63,8 @@ def test_no_module_imports_another_modules_private_name():
 
 
 def test_only_the_solver_builds_code_from_text():
-    # a field given as text is compiled in one module: solver.text_field
-    # builds its callable and solver._leaf_loop its step
+    # a field given as text is compiled in one module, once: solver._field_code
+    # builds its leaf loop and text_field's callable from one source
     builders = [
         f"{path.name}:{node.lineno} {node.func.id}"
         for path in sorted(Path(fracoepi.__file__).parent.glob("*.py"))
@@ -71,6 +74,23 @@ def test_only_the_solver_builds_code_from_text():
         and node.func.id in ("exec", "eval", "compile")
     ]
     assert builders == []
+
+
+def test_every_traced_function_exists():
+    # the benchmark's tracer wraps the functions TARGETS names and leaves a
+    # missing one out without an error: a renamed or deleted one fails here
+    path = ROOT / "perfbench" / "tracing.py"
+    if not path.exists():
+        pytest.skip("this checkout has no perfbench/tracing.py")
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TARGETS"]
+    )
+    missing = [f"{module}.{name}" for _, module, name in targets
+               if not hasattr(importlib.import_module(module), name)]
+    assert len(targets) > 10 and missing == []
 
 
 def test_child_processes_import_the_copy_under_test(tmp_path):
