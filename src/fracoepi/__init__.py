@@ -41,7 +41,6 @@ from .solver import (
     Trajectory,
     abm_weights,
     solve_pece,
-    text_field,
 )
 from .stability import (
     CubicCharacteristic,
@@ -100,7 +99,6 @@ __all__ = [
     "solve_many",
     "solve_model",
     "solve_pece",
-    "text_field",
     "thresholds",
     "vector_field",
     "__version__",

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .solver import ValidationError  # the package's one validation error class
-from .solver import shown, text_field, validate_finite, validate_positive
+from .solver import float_array, shown, text_field, validate_finite, validate_positive
 
 __all__ = [
     "Condition",
@@ -172,7 +172,8 @@ class Thresholds:
 # components s, i, p (Python floats, complex numbers or numpy arrays) and the
 # eight constants, in ModelParams' field order, that assign its components
 # f_0, f_1, f_2.  solver.text_field makes the callable, and the solver's leaf
-# loop writes the text into its step.
+# loop writes the text into its step.  It is the one text the package has, so
+# no rule checks it: its names are distinct, and none starts with _.
 _FIELD_TEXT = (
     ("s", "i", "p"),
     ("r", "K", "lam", "m", "mu", "a", "theta", "d"),
@@ -188,14 +189,16 @@ f_2 = theta * feeding - d * p
 def _field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
     """The model's right-hand side, ``_FIELD_TEXT`` with ``params`` bound; y
     holds (S, I, P) on axis 0 (see ``solver.text_field``).  The constants
-    are the fields as ``__init__`` set them, in ``ModelParams`` order."""
+    are the fields as ``__init__`` set them, in ``ModelParams`` order; the
+    callable carries both as ``_text`` and ``_constants``, which only the
+    solver reads."""
     return text_field(_FIELD_TEXT, tuple(vars(params).values()))
 
 
 def rhs(params: ModelParams, state) -> np.ndarray:
     """Time derivative at a state: a State, a length-3 array, or states
     stacked on leading axes as an (..., 3) array; the result has its shape."""
-    y = np.asarray(state.as_array() if isinstance(state, State) else state, dtype=float)
+    y = float_array("states", state.as_array() if isinstance(state, State) else state)
     if y.shape[-1:] != (3,):
         raise ValidationError(f"states must have 3 components, got shape {y.shape}")
     if np.any(params.half_saturation + y[..., 1] == 0.0):
@@ -213,9 +216,10 @@ def jacobian(params: ModelParams, state) -> np.ndarray:
     stays analytic in the state: no ``abs``, ``min``/``max`` or comparisons
     on state values.
     """
-    y = np.asarray(state.as_array() if isinstance(state, State) else state, dtype=float)
+    y = float_array("state", state.as_array() if isinstance(state, State) else state)
     if y.shape != (3,):
         raise ValidationError(f"a state must have 3 components, got shape {y.shape}")
+    State(*y.tolist())  # a component that is not finite is rejected, by name
     if params.half_saturation + y[1] <= 0.0:
         raise ValidationError("Jacobian needs half_saturation + infected > 0")
     f, h = _field(params), 2.0**-60
@@ -231,7 +235,7 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarra
     """Autonomous rhs closure in the (t, y) signature solvers expect."""
     # a function of its own, not an alias of _field: perfbench counts the
     # solvers' RHS evaluations through this name, and rhs must not add to them.
-    # The counting closure perfbench returns carries no text, so a traced
+    # The counting closure perfbench returns carries no _text, so a traced
     # solve calls it through the solver's ndarray adapter at every
     # evaluation, where an untraced solve runs the field's text inline
     return _field(params)

@@ -57,33 +57,29 @@ component straight into ``states`` and each RHS component into the leaf
 buffer, through flat float64 memoryviews of both made once per solve, so
 no row is collected in a list or converted from one by numpy.
 
-The loop steps every field in one form.  A field made by
-:func:`text_field` carries its equations as source (``text``, the model's
-``model._FIELD_TEXT``) and the values of their ``constants``: its
+The loop steps every field in one form.  The model's field, made by
+:func:`text_field`, carries its equations as source (``_text``, from
+``model._FIELD_TEXT``) and the values of their ``_constants``: its
 statements are written into both evaluations of a node, on the state's
-floats.  Any other field is the one statement that calls it.  Either way
-the loop reaches a field's callable only through one adapter, which
-passes it a fresh array and checks the shape of its value: a text field
-at node 0 and where its text divides by zero, any other field at every
-evaluation.  A field that carries a text always runs its text's loop: a
-text of another size than the initial state is rejected before the solve
-allocates anything, and node 0 is evaluated before the solve's arrays
-too.  A 60 000-node solve of the model costs about 3.6 us per
-node (0.213 s), and 6.2 us (0.373 s) through the adapter (best of 30 and
-18 solves, measured as above).
+floats.  Any other callable is the one statement that calls it, whatever
+attributes it has.  Either way the loop reaches a field's callable only
+through one adapter, which passes it a fresh array and checks the shape
+of its value: a text field at node 0 and where its text divides by zero,
+any other field at every evaluation.  A text of another size than the
+initial state is rejected before the solve allocates anything, and node
+0 is evaluated before the solve's arrays too.  A 60 000-node solve of the
+model costs about 3.6 us per node (0.213 s), and 6.2 us (0.373 s) through
+the adapter (best of 30 and 18 solves, measured as above).
 """
 
 from __future__ import annotations
 
-import ast
 import functools
-import keyword
 import math
 import numbers
 import reprlib
 import sys
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,9 +92,9 @@ __all__ = [
     "Trajectory",
     "ValidationError",
     "abm_weights",
+    "float_array",
     "shown",
     "solve_pece",
-    "text_field",
     "validate_finite",
     "validate_order",
     "validate_positive",
@@ -168,6 +164,15 @@ def validate_positive(name: str, value: float) -> None:
     _validate(name, value, lambda v: math.isfinite(v) and v > 0.0, "be finite and positive")
 
 
+def float_array(name: str, value) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``; a value numpy cannot read so (text,
+    lists of unequal lengths, Python complex numbers) is rejected, naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as error:  # overflow: an int past float range
+        raise ValidationError(f"{name} must be real numbers in an array: {error}") from None
+
+
 class DivergenceError(RuntimeError):
     """Raised when the computed solution blows up or turns non-finite."""
 
@@ -193,7 +198,7 @@ class FodeProblem:
         if not callable(self.rhs):
             raise ValidationError(f"rhs must be callable, got {type(self.rhs).__name__}")
         # a read-only copy: a later write to the caller's array leaves the problem alone
-        state = np.atleast_1d(np.array(self.initial_state, dtype=float))
+        state = np.atleast_1d(float_array("initial_state", self.initial_state).copy())
         if state.ndim != 1 or state.size == 0:
             raise ValidationError("initial_state must be a non-empty vector")
         if not np.all(np.isfinite(state)):
@@ -351,16 +356,14 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
     y0 = problem.initial_state.tolist()
     shape = problem.initial_state.shape
     dim = len(y0)
-    # a field that carries a text runs its text's loop; a bad one allocates nothing
-    text = getattr(problem.rhs, "text", None)
+    # a field text_field made runs its text's loop; one of another size allocates nothing
+    text = getattr(problem.rhs, "_text", None)
     if text is None:
         leaf_loop, constants = _field_code(dim)[0], ()
     else:
-        constants = getattr(problem.rhs, "constants", None)
-        _check_text(text, constants)
         if len(text[0]) != dim:
             raise ValidationError(f"the field's states have {len(text[0])} components, got {dim}")
-        leaf_loop = _field_code(dim, text)[0]
+        leaf_loop, constants = _field_code(dim, text)[0], problem.rhs._constants
     rhs_fn = _list_field(problem.rhs, shape, h)
     f0 = rhs_fn(0.0, y0)
     # until node k is solved, states[k] and rhs_values[k] hold the pending
@@ -425,7 +428,7 @@ def solve_pece(problem: FodeProblem, config: SolverConfig) -> Trajectory:
 def text_field(text, constants) -> Callable:
     """The vector field ``f(t, y)`` that ``text`` writes, ``constants`` bound.
 
-    ``text`` is a field as source, as the model's is (``model._FIELD_TEXT``):
+    ``text`` is a field as source, the package's own (``model._FIELD_TEXT``):
     a tuple of its state names, a tuple of its constant names (``constants``
     holds their values), and statements that assign its components to
     ``f_0``, ``f_1``, ...  ``y`` is one state, a list or a 1-D array,
@@ -433,30 +436,14 @@ def text_field(text, constants) -> Callable:
     on axis 1, an array or nested lists, evaluated on arrays, with the same
     bits; one state that divides by zero is evaluated again as a (d, 1)
     array, which gives numpy's inf or NaN without its warnings.  The
-    callable carries ``text`` and ``constants``, so :func:`solve_pece` steps
-    the text inline and calls the field only at node 0 and where the text
-    divides by zero.  A text is compiled once, with its step loop (see
+    callable carries ``_text`` and ``_constants``, so :func:`solve_pece`
+    steps the text inline and calls the field only at node 0 and where the
+    text divides by zero.  A text is compiled once, with its step loop (see
     ``_field_code``), and the constants are bound per field.
     """
-    _check_text(text, constants)
     field = _field_code(len(text[0]), text)[1](*constants)
-    field.text, field.constants = text, constants
+    field._text, field._constants = text, constants
     return field
-
-
-def _check_text(text, constants) -> None:
-    """Reject, with a ValidationError, a field's ``text`` not of the form
-    ``_field_code`` reads, or ``constants`` not one value per constant name."""
-    if not (isinstance(text, tuple) and len(text) == 3 and text[0] and isinstance(text[2], str)
-            and "\0" not in text[2]  # a SyntaxError from Python 3.11 on, a ValueError before
-            and all(isinstance(names, tuple) and all(isinstance(v, str) and v.isidentifier()
-                                                     and not keyword.iskeyword(v) for v in names)
-                    for names in text[:2])):
-        raise ValidationError("a field's text must be a tuple of state names, a tuple of"
-                              f" constant names and a str of statements, got {reprlib.repr(text)}")
-    if not (isinstance(constants, tuple) and len(constants) == len(text[1])):
-        raise ValidationError(f"a field's text takes a tuple of {len(text[1])} constants,"
-                              f" got {reprlib.repr(constants)}")
 
 
 # the steps of one leaf, written out per component: each field below is a
@@ -537,10 +524,8 @@ def _field_code(dim: int, text=None):
     ``ZeroDivisionError`` the call raises propagates, and ``bind`` is None.
 
     ``bind(*constants)`` is the callable :func:`text_field` returns.  A
-    text is checked here, once: its statements must compile on their own
-    (so no ``return`` or ``yield`` of their own) and in both functions, and,
-    as every name of the generated code's own starts with ``_``, one rule on
-    the text's own names keeps them apart (see the messages).
+    text is the package's own, written in unchecked: every name of the
+    generated code's own starts with ``_``, and none of the text's does.
     """
 
     def each(template, sep=", "):
@@ -575,36 +560,11 @@ def _field_code(dim: int, text=None):
             constants=", ".join(constants), state=", ".join(state), dim=dim, f=f,
             statements="".join(f"            {line}\n" for line in statements.splitlines()),
         )
-    try:
-        tree = list(ast.walk(ast.parse(statements)))
-        compile(statements, "<field statements>", "exec")  # no return or yield of their own
-        names = [*state, *constants]
-        outputs = [f"f_{i}" for i in range(len(state))]
-        # bound by an assignment, or as the name of a def, class, import or except clause
-        bound = {v.id for v in tree if isinstance(v, ast.Name) and not isinstance(v.ctx, ast.Load)}
-        bound |= {(getattr(v, "asname", None) or v.name).partition(".")[0]
-                  for v in tree if isinstance(getattr(v, "name", None), str)}
-        named = bound.union(names, (v.id for v in tree if isinstance(v, ast.Name)))
-        clash = {v for v, count in Counter(names).items() if count > 1}
-        clash |= bound.intersection(names) | set(names).intersection(outputs)
-        clash |= {v for v in named if v.startswith("_")}
-        if clash:
-            raise ValidationError(
-                f"a field's text cannot name {', '.join(sorted(clash))}: its state and"
-                " constant names must be distinct and no output f_i, no name in it may"
-                " start with _, and its statements may assign no state or constant name"
-            )
-        if not bound.issuperset(outputs):
-            raise ValidationError(f"a field's statements must assign {', '.join(outputs)}")
-        # and inside both functions, which reject import * or a global constant name
-        code = compile(source, f"<field code, {dim} components>", "exec")
-    except SyntaxError as error:
-        raise ValidationError(f"a field's statements must compile: {error}") from None
     namespace = {"_zip": zip, "_ZeroDivisionError": ZeroDivisionError,
                  "_DivergenceError": DivergenceError, "_ValidationError": ValidationError,
                  "_array": np.array, "_ndarray": np.ndarray, "_errstate": np.errstate,
                  "_type": type, "_len": len, "_ndim": np.ndim, "_states": _states}
-    exec(code, namespace)
+    exec(compile(source, f"<field code, {dim} components>", "exec"), namespace)
     return namespace["_leaf_loop"], namespace.get("_bind")
 
 

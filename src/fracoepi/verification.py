@@ -33,7 +33,7 @@ from .model import (
     jacobian,
     rhs,
 )
-from .solver import Trajectory, validate_positive
+from .solver import Trajectory, float_array, validate_positive
 
 __all__ = [
     "BoundednessCertificate",
@@ -232,7 +232,7 @@ def lyapunov_monotonicity(
 def convergence_check(traj: Trajectory, target, tol: float) -> ConvergenceResult:
     """Max-norm distance to target over the trailing TAIL_FRACTION of the nodes."""
     validate_positive("convergence tolerance", tol)
-    goal = target.as_array() if isinstance(target, State) else np.asarray(target, float)
+    goal = target.as_array() if isinstance(target, State) else float_array("target", target)
     if goal.shape != traj.states.shape[1:]:
         raise ValidationError(
             f"target has shape {goal.shape}, the trajectory's states {traj.states.shape[1:]}"

@@ -141,13 +141,25 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         lambda tmp_path: equilibrium(EX1, "E*"),
         lambda tmp_path: FodeProblem(order=0.9, initial_state=[1.0], rhs=5),
         lambda tmp_path: abm_weights(0.5, True),
-        # a field's text that cannot run
-        lambda tmp_path: text_field([["u"], ["k"], "f_0 = -k * u\n"], (0.5,)),
-        lambda tmp_path: text_field((("u",), ("k",), "f_0 = -k *\n"), (0.5,)),
-        lambda tmp_path: text_field((("u",), ("k", "c"), "f_0 = -k * c * u\n"), (0.5,)),
-        lambda tmp_path: text_field((("u", "v"), ("k",), "f_0 = -k * u\n"), (0.5,)),
-        lambda tmp_path: text_field((("u", "if"), ("k",), "f_0 = -k * u\nf_1 = u\n"), (0.5,)),
-        lambda tmp_path: text_field((("u",), ("k",), "nonlocal g\nf_0 = -k * u\n"), (0.5,)),
+        # states numpy cannot read as an array of real numbers, or not finite
+        lambda tmp_path: FodeProblem(order=0.9, initial_state="ab", rhs=lambda t, y: -y),
+        lambda tmp_path: FodeProblem(order=0.9, initial_state=[[1.0, 2.0], [1.0]],
+                                     rhs=lambda t, y: -y),
+        lambda tmp_path: rhs(EX1, [[1, 2, 3], [4, 5]]),
+        lambda tmp_path: rhs(EX1, "abc"),
+        lambda tmp_path: jacobian(EX1, [[1, 2, 3], [4, 5]]),
+        lambda tmp_path: jacobian(EX1, [1.0, 2.0, math.nan]),
+        lambda tmp_path: convergence_check(_trajectory()(tmp_path), [[1, 2, 3], [4, 5]], 0.1),
+        lambda tmp_path: FodeProblem(order=0.9, initial_state=[1 + 1j], rhs=lambda t, y: -y),
+        lambda tmp_path: FodeProblem(order=0.9, initial_state=[10**400], rhs=lambda t, y: -y),
+        lambda tmp_path: rhs(EX1, [30 + 1j, 5, 10]),
+        lambda tmp_path: rhs(EX1, [10**400, 5, 10]),
+        lambda tmp_path: jacobian(EX1, "abc"),
+        lambda tmp_path: jacobian(EX1, [1 + 1j, 2.0, 3.0]),
+        lambda tmp_path: jacobian(EX1, [10**400, 5, 10]),
+        lambda tmp_path: jacobian(EX1, [1.0, 2.0, math.inf]),
+        lambda tmp_path: convergence_check(_trajectory()(tmp_path), "abc", 0.1),
+        lambda tmp_path: convergence_check(_trajectory()(tmp_path), [10**400, 5, 200], 0.1),
         # what a text field's callable cannot read as states
         lambda tmp_path: _OSCILLATOR(0.0, [[1.0, 2.0], [1.0]]),
         lambda tmp_path: _OSCILLATOR(0.0, 1.0),
@@ -185,8 +197,11 @@ def _trajectory(times=0.1 * np.arange(3), states=np.tile([30.0, 5.0, 200.0], (3,
         "grid-count-past-cap",
         "rhs-pole", "jacobian-pole", "cubic-nan",
         "equilibrium-kind-str", "problem-rhs-not-callable", "weights-node-bool",
-        "text-lists", "text-does-not-parse", "text-fewer-constants", "text-unassigned-output",
-        "text-keyword-name", "text-nonlocal",
+        "problem-initial-state-str", "problem-initial-state-ragged", "rhs-ragged", "rhs-str",
+        "jacobian-ragged", "jacobian-nan", "convergence-target-ragged",
+        "problem-initial-state-complex", "problem-initial-state-past-float", "rhs-complex",
+        "rhs-past-float", "jacobian-str", "jacobian-complex", "jacobian-past-float",
+        "jacobian-inf", "convergence-target-str", "convergence-target-past-float",
         "field-ragged-lists", "field-float", "field-numpy-scalar", "field-0d-array",
         "field-nested-lists-of-another-size",
         "config-step-bool", "problem-order-bool", "params-bool", "state-bool",

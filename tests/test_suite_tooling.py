@@ -76,6 +76,28 @@ def test_only_the_solver_builds_code_from_text():
     assert builders == []
 
 
+def test_a_fields_text_stays_inside_the_package():
+    # the model's text is the only one: no __all__ offers text_field, only
+    # model calls it, and only the solver reads the _text and _constants
+    # that its fields carry
+    leaks = []
+    for path in sorted(Path(fracoepi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Assign)
+                    and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+                    and "text_field" in ast.literal_eval(node.value)):
+                leaks.append(f"{path.name}:{node.lineno} __all__")
+            called = isinstance(node, ast.Call) and "text_field" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if called and path.name != "model.py":
+                leaks.append(f"{path.name}:{node.lineno} text_field()")
+            read = (getattr(node, "attr", None) in ("_text", "_constants")
+                    or isinstance(node, ast.Constant) and node.value in ("_text", "_constants"))
+            if read and path.name != "solver.py":
+                leaks.append(f"{path.name}:{node.lineno} a field's text")
+    assert leaks == []
+
+
 def test_every_traced_function_exists():
     # the benchmark's tracer wraps the functions TARGETS names and leaves a
     # missing one out without an error: a renamed or deleted one fails here
